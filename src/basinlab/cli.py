@@ -3,8 +3,8 @@
 Subcommands write deterministic CSV files (plus a JSON run manifest) into the
 output directory; rerunning with the same config and seed reproduces every
 byte. Exit codes: 0 success, 1 configuration or input error, 2 numerical
-failure (divergence, unreachable tolerance, covering failure, audit
-violation).
+failure (divergence, unreachable tolerance, covering failure, a net ball
+that drew no Monte Carlo sample, audit violation).
 
     basinlab train-toy --config cfg.json --out runs/a
     basinlab estimate-llc --config cfg.json --out runs/a

@@ -66,3 +66,16 @@ class CoveringFailureError(RuntimeError):
         super().__init__(
             f"covering audit failed: witness {witness} at KL {distance:.3e} > epsilon {epsilon:.3e}"
         )
+
+
+class EmptyBallError(RuntimeError):
+    """No Monte Carlo draw fell in a net center's ball, so its volume is unknown."""
+
+    def __init__(self, center: float, epsilon: float, mc_samples: int):
+        self.center = center
+        self.epsilon = epsilon
+        self.mc_samples = mc_samples
+        super().__init__(
+            f"the ball of net center p={center:.6g} at epsilon {epsilon:.3e} drew 0 of "
+            f"mc_samples={mc_samples} Monte Carlo samples; raise mc_samples"
+        )

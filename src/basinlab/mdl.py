@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bernoulli import SingularBernoulli
-from .errors import CoveringFailureError, InvalidInputError
+from .errors import CoveringFailureError, EmptyBallError, InvalidInputError
 from .rng import rng_stream
 from .simplex import SimplexDist, kl, kl_bernoulli
 
@@ -28,6 +28,9 @@ from .simplex import SimplexDist, kl, kl_bernoulli
 _BUILD_MARGIN = 0.9
 _GRID_FACTOR = 0.04
 _MAX_CANDIDATES = 200_000
+# Bound on the rounding error of kl_bernoulli: a few ulps of its two terms,
+# each at most log(1 / min(t, 1 - t)) in size, is far below this.
+_KL_ROUNDING = 1e-12
 
 
 @dataclass
@@ -96,6 +99,58 @@ def _candidate_thetas(model: SingularBernoulli, epsilon: float) -> np.ndarray:
     return np.linspace(lo, hi, n)
 
 
+def _ball_members(x: np.ndarray, thetas: np.ndarray, epsilon: float):
+    """Which of the sorted samples x lie in each ball {p : KL(p || t) <= epsilon}.
+
+    A reversed-KL ball is an interval of p containing t, because KL(p || t)
+    is convex in p and zero at t. Vectorized bisection over x, on each side
+    of every center, finds the run x[start:stop] that lies inside even when
+    kl_bernoulli is off by _KL_ROUNDING, and the flanks on either side whose
+    membership that error could flip. Only flank samples are tested with the
+    predicate kl_bernoulli(p, t) <= epsilon itself, so membership equals the
+    predicate on every sample.
+
+    Returns (start, stop, owner, idx): x[start[i]:stop[i]] lie in ball i,
+    and so does each flank sample x[idx[j]] in ball owner[j], outside that run.
+    """
+    k, m = len(thetas), len(x)
+    c = np.searchsorted(x, thetas)
+    zeros, ends = np.zeros(k, dtype=np.intp), np.full(k, m, dtype=np.intp)
+    # Four searches per center, each for the first index whose test holds:
+    # left of t the test is KL <= tau, right of t it is KL > tau.
+    lo = np.concatenate([zeros, zeros, c, c])
+    hi = np.concatenate([c, c, ends, ends])
+    t = np.tile(thetas, 4)
+    slack = 2.0 * _KL_ROUNDING
+    tau = np.repeat([epsilon + slack, epsilon - slack, epsilon - slack, epsilon + slack], k)
+    right = np.repeat([False, False, True, True], k)
+    active = lo < hi
+    while active.any():
+        mid = (lo + hi) // 2
+        found = (kl_bernoulli(x[np.minimum(mid, m - 1)], t) <= tau) != right
+        hi = np.where(active & found, mid, hi)
+        lo = np.where(active & ~found, mid + 1, lo)
+        active = lo < hi
+    out_left, start, stop, out_right = lo.reshape(4, k)
+    # Flank samples of all centers in one predicate call: x[idx[j]] with center owner[j].
+    first = np.concatenate([out_left, stop])
+    lengths = np.concatenate([start - out_left, out_right - stop])
+    owner = np.repeat(np.tile(np.arange(k), 2), lengths)
+    idx = np.arange(lengths.sum()) + np.repeat(first - (np.cumsum(lengths) - lengths), lengths)
+    inside = kl_bernoulli(x[idx], thetas[owner]) <= epsilon
+    return start, stop, owner[inside], idx[inside]
+
+
+def _covers(x: np.ndarray, thetas: np.ndarray, epsilon: float) -> bool:
+    """True when every sorted sample x lies within KL epsilon of some center."""
+    start, stop, _, idx = _ball_members(x, thetas, epsilon)
+    depth = np.cumsum(np.bincount(start, minlength=len(x) + 1)
+                      - np.bincount(stop, minlength=len(x) + 1))
+    covered = depth[:-1] > 0
+    covered[idx] = True
+    return bool(covered.all())
+
+
 def build_eps_net(
     model: SingularBernoulli,
     epsilon: float,
@@ -105,14 +160,26 @@ def build_eps_net(
 ) -> EpsilonNet:
     """Construct, audit, and weigh an epsilon-net for the model image.
 
-    Greedy farthest-point covering over a dense pushforward grid of the image,
-    followed by a pruning pass that drops redundant centers. The covering
-    property (every model distribution within KL epsilon of some center) is
-    audited on `audit_samples` uniform parameter draws; a violation raises
-    CoveringFailureError with the witness.
+    Greedy farthest-point covering over a dense pushforward grid of the
+    image. The covering property (every model distribution within KL epsilon
+    of some center) is audited on `audit_samples` uniform parameter draws; a
+    violation raises CoveringFailureError with the witness. Each center's
+    V^R is then estimated from `mc_samples` uniform draws; a ball that none
+    of them hits raises EmptyBallError.
+
+    Both the audit and the volume estimate rest on each ball
+    {p : KL(p || t) <= epsilon} being an interval of p around t (the KL is
+    convex in p with its zero at t): the draws are sorted once and each
+    ball is located by bisection, so the cost is O(N log N + k log N) for N
+    draws and k centers instead of O(k N). Membership is decided by the
+    same predicate kl_bernoulli(p, t) <= epsilon as a sample-by-sample scan,
+    so the counts are identical to one.
     """
     if epsilon <= 0:
         raise InvalidInputError("epsilon must be positive")
+    for name, value in (("mc_samples", mc_samples), ("audit_samples", audit_samples)):
+        if value < 1:
+            raise InvalidInputError(f"{name} must be >= 1")
     cands = _candidate_thetas(model, epsilon)
     eps_build = _BUILD_MARGIN * epsilon
 
@@ -123,28 +190,20 @@ def build_eps_net(
         j = int(np.argmax(dist))
         center_idx.append(j)
         dist = np.minimum(dist, kl_bernoulli(cands, cands[j]))
-
-    # Prune centers whose removal keeps every candidate covered.
-    kept = list(center_idx)
-    for j in reversed(range(len(kept))):
-        trial = kept[:j] + kept[j + 1 :]
-        if not trial:
-            continue
-        d = np.min(np.stack([kl_bernoulli(cands, cands[c]) for c in trial]), axis=0)
-        if d.max() <= eps_build:
-            kept = trial
-    thetas = cands[np.array(sorted(kept))]
+    thetas = cands[np.sort(center_idx)]
 
     # Covering audit on fresh uniform parameter draws, at the full epsilon.
+    # The per-center distances are computed only to name the witness.
     rng_audit = rng_stream(seed, 1)
     w_audit = model.bounds.sample(rng_audit, audit_samples)
     p_audit = model.prob_one(w_audit)
-    d_audit = np.min(
-        np.stack([kl_bernoulli(p_audit, t) for t in thetas]), axis=0
-    )
-    worst = int(np.argmax(d_audit))
-    if d_audit[worst] > epsilon:
-        raise CoveringFailureError(w_audit[worst], float(d_audit[worst]), epsilon)
+    if not _covers(np.sort(p_audit), thetas, epsilon):
+        d_audit = np.min(
+            np.stack([kl_bernoulli(p_audit, t) for t in thetas]), axis=0
+        )
+        worst = int(np.argmax(d_audit))
+        if d_audit[worst] > epsilon:
+            raise CoveringFailureError(w_audit[worst], float(d_audit[worst]), epsilon)
 
     # Reversed-KL ball volumes with common random numbers across centers.
     rng_vol = rng_stream(seed, 2)
@@ -154,12 +213,13 @@ def build_eps_net(
     while remaining > 0:
         m = min(remaining, 1_000_000)
         p_w = model.prob_one(model.bounds.sample(rng_vol, m))
-        for i, t in enumerate(thetas):
-            hits[i] += int(np.count_nonzero(kl_bernoulli(p_w, t) <= epsilon))
+        p_w.sort()
+        start, stop, owner, _ = _ball_members(p_w, thetas, epsilon)
+        hits += stop - start + np.bincount(owner, minlength=len(thetas))
         remaining -= m
     frac = hits / mc_samples
     if np.any(frac == 0):
-        raise CoveringFailureError(thetas[frac == 0][0], np.inf, epsilon)
+        raise EmptyBallError(float(thetas[frac == 0][0]), epsilon, mc_samples)
     vr = total * frac
     se = total * np.sqrt(frac * (1 - frac) / mc_samples)
     return EpsilonNet(

@@ -52,21 +52,8 @@ def mc_sublevel_volume(
     Returns (volume, standard_error); the SE is the binomial SE of the hit
     rate scaled by Vol(W).
     """
-    if epsilon <= 0:
-        raise InvalidInputError("epsilon must be positive")
-    if samples < 1:
-        raise InvalidInputError("samples must be >= 1")
-    rng = rng_stream(seed, stream_id)
-    total = landscape.bounds.volume()
-    hits = 0
-    remaining = samples
-    while remaining > 0:
-        n = min(remaining, _MC_BATCH)
-        w = landscape.bounds.sample(rng, n)
-        hits += int(np.count_nonzero(landscape.value(w) <= epsilon))
-        remaining -= n
-    p = hits / samples
-    return total * p, total * float(np.sqrt(p * (1.0 - p) / samples))
+    curve = volume_curve(landscape, np.array([epsilon]), samples, seed, stream_id)
+    return float(curve.volumes[0]), float(curve.standard_errors[0])
 
 
 def volume_curve(
@@ -84,6 +71,8 @@ def volume_curve(
     epsilons = np.sort(np.asarray(epsilons, dtype=float))[::-1]
     if np.any(epsilons <= 0):
         raise InvalidInputError("epsilons must be positive")
+    if samples < 1:
+        raise InvalidInputError("samples must be >= 1")
     rng = rng_stream(seed, stream_id)
     total = landscape.bounds.volume()
     hits = np.zeros(len(epsilons), dtype=np.int64)

@@ -194,6 +194,30 @@ class TestErrors:
         _, cfg_path, _ = workdir
         assert main(["lemma-audit", "--config", str(cfg_path), "--out", str(tmp_path / "v")]) == 2
 
+    @pytest.mark.parametrize("section,override", [
+        ("mdl", {"mc_samples": 0}),
+        ("volume", {"samples": 0}),
+    ])
+    def test_zero_mc_samples_exit_1(self, tmp_path, section, override):
+        cfg = dict(SMALL)
+        cfg[section] = dict(SMALL[section], **override)
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        command = "mdl-redundancy" if section == "mdl" else "volume-fit"
+        out = tmp_path / "o"
+        assert main([command, "--config", str(p), "--out", str(out)]) == 1
+        assert not list(out.glob("*.csv"))
+
+    def test_empty_net_ball_exit_2(self, tmp_path, capsys):
+        # a 200-sample estimate leaves an edge ball of the n = 2^11 net empty
+        cfg = dict(SMALL)
+        cfg["mdl"] = dict(SMALL["mdl"], n_powers=[11], mc_samples=200)
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        assert main(["mdl-redundancy", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "mc_samples=200" in err and "epsilon 4.883e-05" in err and "covering" not in err
+
     def test_diverging_training_exit_2(self, tmp_path):
         cfg = dict(SMALL)
         cfg["training"] = dict(SMALL["training"], learning_rate=100.0, steps=3000)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from basinlab import (
     SimplexDist,
@@ -16,7 +17,8 @@ from basinlab import (
     validate_variance_bound,
     validate_volume_inclusions,
 )
-from basinlab.errors import InvalidInputError
+from basinlab import mdl
+from basinlab.errors import CoveringFailureError, EmptyBallError, InvalidInputError
 
 
 @pytest.fixture(scope="module")
@@ -186,6 +188,103 @@ class TestEpsilonNet:
         i1 = int(np.where(net.thetas == ts[1])[0][0])
         assert net.nearest(mid) in (i0, i1)
         assert net.nearest(float(ts[0])) == i0
+
+
+def greedy_pruned_reference(model, epsilon):
+    """Greedy farthest-point centers followed by the backward pruning pass
+    (drop a center while every candidate stays within the build tolerance of
+    another one), tracked with per-candidate cover counts."""
+    cands = mdl._candidate_thetas(model, epsilon)
+    eps_build = mdl._BUILD_MARGIN * epsilon
+    center_idx = [0]
+    dist = kl_bernoulli(cands, cands[0])
+    while dist.max() > eps_build:
+        j = int(np.argmax(dist))
+        center_idx.append(j)
+        dist = np.minimum(dist, kl_bernoulli(cands, cands[j]))
+    balls = [kl_bernoulli(cands, cands[c]) <= eps_build for c in center_idx]
+    cover = np.sum(balls, axis=0)
+    kept = list(range(len(center_idx)))
+    for j in reversed(range(len(center_idx))):
+        if len(kept) > 1 and np.all(cover[balls[j]] >= 2):
+            cover -= balls[j]
+            kept.remove(j)
+    return cands[np.sort([center_idx[j] for j in kept])]
+
+
+def image_samples(model, seed, n):
+    return model.prob_one(model.bounds.sample(rng_stream(seed, 2), n))
+
+
+class TestIntervalCounting:
+    @settings(max_examples=40, deadline=None)
+    @given(log_eps=st.floats(np.log(1e-6), np.log(1e-1)),
+           seed=st.integers(0, 2**16), k=st.integers(1, 40))
+    def test_hits_equal_scan(self, model, log_eps, seed, k):
+        eps = float(np.exp(log_eps))
+        lo, hi = model.image_interval()
+        p = image_samples(model, seed, 20_000)
+        thetas = np.concatenate([np.linspace(lo, hi, k), rng_stream(seed, 3).uniform(lo, hi, 5)])
+        start, stop, owner, _ = mdl._ball_members(np.sort(p), thetas, eps)
+        hits = stop - start + np.bincount(owner, minlength=len(thetas))
+        scan = [np.count_nonzero(kl_bernoulli(p, t) <= eps) for t in thetas]
+        assert hits.tolist() == scan
+
+    def test_hits_equal_scan_at_ulp_spacing(self):
+        # samples a few ulps apart around a ball edge, where the rounded KL is
+        # not monotone in p and a plain bisection would miscount
+        t, eps = 0.4, 1e-4
+        lo, hi = 0.3, t
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (lo, mid) if kl_bernoulli(mid, t) <= eps else (mid, hi)
+        p = np.sort(hi + np.spacing(hi) * np.arange(-2000, 2001))
+        pred = kl_bernoulli(p, t) <= eps
+        assert np.count_nonzero(np.diff(pred)) > 2
+        start, stop, owner, _ = mdl._ball_members(p, np.array([t]), eps)
+        assert (stop - start + len(owner)).tolist() == [np.count_nonzero(pred)]
+        assert mdl._covers(p, np.array([t]), eps) == bool(pred.all())
+
+    @settings(max_examples=40, deadline=None)
+    @given(log_eps=st.floats(np.log(1e-6), np.log(1e-1)),
+           seed=st.integers(0, 2**16), k=st.integers(1, 60))
+    def test_audit_decision_equals_scan(self, model, log_eps, seed, k):
+        eps = float(np.exp(log_eps))
+        lo, hi = model.image_interval()
+        p = image_samples(model, seed, 5_000)
+        thetas = np.linspace(lo, hi, k)
+        d = np.min(np.stack([kl_bernoulli(p, t) for t in thetas]), axis=0)
+        assert mdl._covers(np.sort(p), thetas, eps) == bool(d.max() <= eps)
+
+    def test_forced_audit_failure_names_scan_witness(self, model, monkeypatch):
+        # a net built at three times the tolerance cannot pass the audit
+        monkeypatch.setattr(mdl, "_BUILD_MARGIN", 3.0)
+        eps = 1e-3
+        thetas = greedy_pruned_reference(model, eps)
+        w = model.bounds.sample(rng_stream(7, 1), 10_000)
+        d = np.min(np.stack([kl_bernoulli(model.prob_one(w), t) for t in thetas]), axis=0)
+        worst = int(np.argmax(d))
+        with pytest.raises(CoveringFailureError) as err:
+            build_eps_net(model, eps, mc_samples=1_000, seed=7)
+        assert np.array_equal(err.value.witness, w[worst])
+        assert err.value.distance == float(d[worst])
+
+    @pytest.mark.parametrize("power", range(6, 13))
+    def test_centers_equal_greedy_plus_pruning(self, model, power):
+        eps = 0.1 / 2**power
+        net = build_eps_net(model, eps, mc_samples=1_000_000, seed=0)
+        assert np.array_equal(net.thetas, greedy_pruned_reference(model, eps))
+
+    @pytest.mark.parametrize("kwargs", [{"mc_samples": 0}, {"mc_samples": 10, "audit_samples": 0}])
+    def test_empty_sample_counts_rejected(self, model, kwargs):
+        with pytest.raises(InvalidInputError):
+            build_eps_net(model, 1e-2, seed=0, **kwargs)
+
+    def test_empty_ball_names_sample_count(self, model):
+        with pytest.raises(EmptyBallError, match="mc_samples=200") as err:
+            build_eps_net(model, 0.1 / 2**11, mc_samples=200, seed=0)
+        assert err.value.mc_samples == 200
+        assert err.value.center in model.image_interval()
 
 
 class TestTwoPartRedundancy:

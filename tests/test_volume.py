@@ -52,6 +52,18 @@ class TestVolumeCurve:
         curve = volume_curve(L, default_ladder(), 50_000, seed=4)
         assert np.all(np.diff(curve.volumes) <= 0)  # epsilons descending
 
+    def test_single_estimates_are_ladder_points(self):
+        # same stream, same predicate: each rung equals its one-epsilon estimate
+        L = make_quadratic(2)
+        ladder = default_ladder(2, 8)
+        curve = volume_curve(L, ladder, 150_000, seed=12, stream_id=3)
+        for eps, vol, se in zip(curve.epsilons, curve.volumes, curve.standard_errors):
+            assert mc_sublevel_volume(L, float(eps), 150_000, seed=12, stream_id=3) == (vol, se)
+
+    def test_zero_samples_rejected(self):
+        with pytest.raises(InvalidInputError):
+            volume_curve(make_quadratic(2), default_ladder(), 0, seed=0)
+
     def test_matches_single_estimates_in_distribution(self):
         L = make_quadratic(2)
         curve = volume_curve(L, np.array([0.25]), 200_000, seed=5)
