@@ -37,7 +37,7 @@ print("quantization (clamp searched to minimize the quantized loss):")
 for nq in (4, 8, 16, 32):
     dl = quantization_delta_loss(ck.params, nq, task.full_loss)
     print(f"  n_q = {nq:3d}: delta loss = {dl:8.4f}")
-nq_star = critical_nq(ck.params, EPSILON, task.full_loss)
+nq_star = critical_nq(ck.params, EPSILON, task.full_loss).value
 print(f"  critical n_q = {nq_star}  ({np.log2(nq_star):.2f} bits per coordinate)\n")
 
 print("low-rank factorization of the interior 16x16 layer:")
@@ -46,14 +46,14 @@ for j in (2, 4, 8, 16):
     print(f"  rank {j:2d}: delta loss = {task.full_loss(res.params) - base:8.4f}, "
           f"stored-parameter ratio {res.compression_fraction:.3f}")
 crit = critical_compression_fraction(task.model, ck.params, EPSILON, task.full_loss)
-print(f"  critical rank = {crit.n_keep} (keep fraction {crit.keep_fraction:.3f}, "
-      f"parameter ratio {crit.compression_fraction:.3f})\n")
+print(f"  critical rank = {round(crit.value * 16)} (keep fraction {crit.value:.3f}, "
+      f"parameter ratio {crit.critical_value:.3f})\n")
 
 print("relative Gaussian parameter noise, mean over 8 draws:")
 for sigma in (0.01, 0.05, 0.2, 0.8):
     dl = noise_delta_loss(ck.params, sigma, "relative", task.full_loss, 8, seed=2)
     print(f"  sigma = {sigma:4.2f}: delta loss = {dl:8.4f}")
-sig_star = critical_sigma(ck.params, EPSILON, "relative", task.full_loss, noise_draws=8, seed=2)
+sig_star = critical_sigma(ck.params, EPSILON, "relative", task.full_loss, noise_draws=8, seed=2).value
 print(f"  critical sigma = {sig_star:.4f}\n")
 
 print("random unit pruning with 1000 masked retraining steps (lr/10):")

@@ -42,7 +42,7 @@ print(f"{'step':>7} {'train loss':>11} {'lambda_hat':>11} {'critical n_q':>13}")
 lams, nqs = [], []
 for ck in checkpoints:
     lam = estimate_llc(task, cfg, seed=7, w_star=ck.params).lambda_hat
-    nq = critical_nq(ck.params, 0.5, task.full_loss, mode="loss_min")
+    nq = critical_nq(ck.params, 0.5, task.full_loss, mode="loss_min").value
     lams.append(lam)
     nqs.append(nq)
     print(f"{ck.step:7d} {ck.train_loss:11.4f} {lam:11.3f} {nq:13d}")

@@ -19,12 +19,11 @@ experiments run on; `cli` orchestrates seeded, CSV-producing runs.
 from .analysis import AnalysisResult, analyze, bits_per_coordinate, measured_bits_per_coordinate
 from .bernoulli import SingularBernoulli
 from .compress import (
-    CriticalFraction,
+    CriticalResult,
     FactorizationResult,
     MSearchConfig,
     PruneResult,
     QuantizationSpec,
-    SweepRecord,
     add_noise,
     critical_compression_fraction,
     critical_nq,

@@ -19,6 +19,7 @@ import copy
 import json
 import sys
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -26,19 +27,20 @@ from . import csvio
 from .analysis import analyze as analyze_fit
 from .bernoulli import SingularBernoulli
 from .compress import (
-    SweepRecord,
+    CriticalResult,
     critical_compression_fraction,
     critical_nq,
     critical_sigma,
-    noise_delta_loss,
     prune_and_retrain,
-    quantization_delta_loss,
 )
+# Not called here since the searches report their own delta_loss, but kept
+# importable: benchmarks/tracing.py patches the probes under these names.
+from .compress import noise_delta_loss, quantization_delta_loss  # noqa: F401
 from .errors import ConfigError
 from .landscapes import Bounds, NormalCrossingSpec, make_normal_crossing, make_quadratic
 from .llc import LlcConfig, Preconditioner, estimate_llc
 from .mdl import build_eps_net, two_part_redundancy, validate_kl_l2, validate_triangle, validate_variance_bound, validate_volume_inclusions
-from .mlp import MlpSpec, make_teacher_task
+from .mlp import MlpSpec, MlpTask, make_teacher_task
 from .rng import rng_stream
 from .simplex import SimplexDist, kl_bernoulli, sample_restricted
 from .training import load_checkpoint, train_sgd
@@ -94,6 +96,8 @@ def load_config(path: str | None, seed: int | None, out: str | None, epsilons: s
             raise ConfigError("config", f"file not found: {path}")
         except json.JSONDecodeError as e:
             raise ConfigError("config", f"invalid JSON: {e}")
+        if not isinstance(user, dict):
+            raise ConfigError("config", "top level must be an object")
         for key, value in user.items():
             if key not in cfg:
                 raise ConfigError(key, "unknown key")
@@ -115,7 +119,10 @@ def load_config(path: str | None, seed: int | None, out: str | None, epsilons: s
             cfg["epsilons"] = [float(tok) for tok in epsilons.split(",") if tok]
         except ValueError:
             raise ConfigError("epsilons", f"cannot parse {epsilons!r}")
-    if not cfg["epsilons"] or any(e <= 0 for e in cfg["epsilons"]):
+    eps = cfg["epsilons"]
+    # `e > 0` rather than `e <= 0` also rejects NaN
+    if not isinstance(eps, list) or not eps or not all(
+            isinstance(e, (int, float)) and not isinstance(e, bool) and e > 0 for e in eps):
         raise ConfigError("epsilons", "must be a nonempty list of positive numbers")
     return cfg
 
@@ -184,18 +191,22 @@ def experiment_hash(cfg: dict) -> str:
     return csvio.config_hash(trimmed)
 
 
-def manifest_for(cfg: dict, subcommand: str) -> dict:
-    return {
-        "subcommand": subcommand,
-        "config": experiment_hash(cfg),
-        "seed": cfg["seed"],
-        "version": csvio.__version__,
-    }
-
-
 def out_dir(cfg: dict) -> Path:
     d = Path(cfg["out"])
     d.mkdir(parents=True, exist_ok=True)
+    return d
+
+
+def emit(cfg: dict, subcommand: str, files: dict[str, tuple[list[str], list[tuple]]]) -> Path:
+    """Write each {file name: (header, rows)} as a CSV carrying the run's
+    manifest line, then `<subcommand>.manifest.json`; return the output dir."""
+    d = out_dir(cfg)
+    cfg_hash = experiment_hash(cfg)
+    manifest = {"subcommand": subcommand, "config": cfg_hash, "seed": cfg["seed"],
+                "version": csvio.__version__}
+    for name, (header, rows) in files.items():
+        csvio.write_csv(d / name, header, rows, manifest=manifest)
+    csvio.write_manifest(d / f"{subcommand}.manifest.json", subcommand, cfg_hash, cfg["seed"])
     return d
 
 
@@ -213,14 +224,9 @@ def cmd_train_toy(cfg: dict) -> int:
         checkpoint_schedule=tuple(tr["checkpoint_schedule"]),
         out_dir=checkpoints_dir(cfg),
     )
-    d = out_dir(cfg)
-    csvio.write_csv(
-        d / "training.csv", ["step", "train_loss"],
-        [(c.step, c.train_loss) for c in cks],
-        manifest=manifest_for(cfg, "train-toy"),
-    )
-    csvio.write_manifest(d / "train-toy.manifest.json", "train-toy",
-                         experiment_hash(cfg), cfg["seed"])
+    emit(cfg, "train-toy", {
+        "training.csv": (["step", "train_loss"], [(c.step, c.train_loss) for c in cks]),
+    })
     print(f"wrote {len(cks)} checkpoints to {checkpoints_dir(cfg)}")
     return 0
 
@@ -237,17 +243,12 @@ def cmd_estimate_llc(cfg: dict) -> int:
                      llc_cfg.step_size, llc_cfg.chains, seed))
         if cfg["llc"]["write_traces"]:
             trace_rows.extend((ck.step, s, c, loss) for s, c, loss in est.trace_rows())
-    d = out_dir(cfg)
+    files = {}
     if cfg["llc"]["write_traces"]:
-        csvio.write_csv(d / "llc_traces.csv", ["checkpoint_step", "step", "chain", "loss"],
-                        trace_rows, manifest=manifest_for(cfg, "estimate-llc"))
-    csvio.write_csv(
-        d / "llc.csv",
-        ["step", "lambda_hat", "nbeta", "gamma", "step_size", "chains", "seed"],
-        rows, manifest=manifest_for(cfg, "estimate-llc"),
-    )
-    csvio.write_manifest(d / "estimate-llc.manifest.json", "estimate-llc",
-                         experiment_hash(cfg), cfg["seed"])
+        files["llc_traces.csv"] = (["checkpoint_step", "step", "chain", "loss"], trace_rows)
+    files["llc.csv"] = (["step", "lambda_hat", "nbeta", "gamma", "step_size", "chains", "seed"],
+                        rows)
+    d = emit(cfg, "estimate-llc", files)
     print(f"estimated {len(rows)} checkpoints -> {d / 'llc.csv'}")
     return 0
 
@@ -256,81 +257,45 @@ SWEEP_HEADER = ["step", "scheme", "control_parameter", "delta_loss",
                 "critical_value", "epsilon", "seed"]
 
 
-def sweep_row(rec: SweepRecord) -> tuple:
-    return (rec.checkpoint_step, rec.scheme, rec.control_parameter, rec.delta_loss,
-            rec.critical_value, rec.epsilon, rec.seed)
+def sweep(cfg: dict, subcommand: str, scheme: str,
+          search: Callable[[MlpTask, np.ndarray, float], CriticalResult]) -> int:
+    """One sweep row per (checkpoint, epsilon), from the CriticalResult that
+    `search(task, params, epsilon)` returns."""
+    task = build_task(cfg)
+    rows = []
+    for ck in load_checkpoints(cfg):
+        for eps in cfg["epsilons"]:
+            res = search(task, ck.params, float(eps))
+            rows.append((ck.step, scheme, res.value, res.delta_loss, res.critical_value,
+                         float(eps), cfg["seed"]))
+    name = f"sweep_{subcommand.removesuffix('-sweep')}.csv"
+    d = emit(cfg, subcommand, {name: (SWEEP_HEADER, rows)})
+    print(f"wrote {len(rows)} rows -> {d / name}")
+    return 0
 
 
 def cmd_quantize_sweep(cfg: dict) -> int:
-    task = build_task(cfg)
     q = cfg["quantize"]
-    records = []
-    for ck in load_checkpoints(cfg):
-        for eps in cfg["epsilons"]:
-            nq = critical_nq(ck.params, float(eps), task.full_loss,
-                             mode=q["mode"], nq_cap=int(q["nq_cap"]))
-            dl = quantization_delta_loss(ck.params, nq, task.full_loss, mode=q["mode"])
-            records.append(SweepRecord(ck.step, "quantize", float(nq), dl,
-                                       float(eps), cfg["seed"], critical_value=float(nq)))
-    d = out_dir(cfg)
-    csvio.write_csv(
-        d / "sweep_quantize.csv", SWEEP_HEADER,
-        [sweep_row(r) for r in records], manifest=manifest_for(cfg, "quantize-sweep"),
-    )
-    csvio.write_manifest(d / "quantize-sweep.manifest.json", "quantize-sweep",
-                         experiment_hash(cfg), cfg["seed"])
-    print(f"wrote {len(records)} rows -> {d / 'sweep_quantize.csv'}")
-    return 0
+    return sweep(cfg, "quantize-sweep", "quantize", lambda task, params, eps:
+                 critical_nq(params, eps, task.full_loss, mode=q["mode"], nq_cap=int(q["nq_cap"])))
 
 
 def cmd_factorize_sweep(cfg: dict) -> int:
-    task = build_task(cfg)
-    records = []
-    for ck in load_checkpoints(cfg):
-        for eps in cfg["epsilons"]:
-            res = critical_compression_fraction(task.model, ck.params, float(eps), task.full_loss)
-            records.append(SweepRecord(ck.step, "factorize", res.keep_fraction, res.delta_loss,
-                                       float(eps), cfg["seed"],
-                                       critical_value=res.compression_fraction))
-    d = out_dir(cfg)
-    csvio.write_csv(
-        d / "sweep_factorize.csv", SWEEP_HEADER,
-        [sweep_row(r) for r in records], manifest=manifest_for(cfg, "factorize-sweep"),
-    )
-    csvio.write_manifest(d / "factorize-sweep.manifest.json", "factorize-sweep",
-                         experiment_hash(cfg), cfg["seed"])
-    print(f"wrote {len(records)} rows -> {d / 'sweep_factorize.csv'}")
-    return 0
+    return sweep(cfg, "factorize-sweep", "factorize", lambda task, params, eps:
+                 critical_compression_fraction(task.model, params, eps, task.full_loss))
 
 
 def cmd_noise_sweep(cfg: dict) -> int:
-    task = build_task(cfg)
     nz = cfg["noise"]
-    mode = nz["mode"]
-    records = []
-    for ck in load_checkpoints(cfg):
-        for eps in cfg["epsilons"]:
-            sigma = critical_sigma(ck.params, float(eps), mode, task.full_loss,
-                                   noise_draws=int(nz["noise_draws"]), seed=int(nz["seed"]))
-            dl = noise_delta_loss(ck.params, sigma, mode, task.full_loss,
-                                  noise_draws=int(nz["noise_draws"]), seed=int(nz["seed"]))
-            records.append(SweepRecord(ck.step, f"noise_{mode}", sigma, dl,
-                                       float(eps), cfg["seed"], critical_value=sigma))
-    d = out_dir(cfg)
-    csvio.write_csv(
-        d / "sweep_noise.csv", SWEEP_HEADER,
-        [sweep_row(r) for r in records], manifest=manifest_for(cfg, "noise-sweep"),
-    )
-    csvio.write_manifest(d / "noise-sweep.manifest.json", "noise-sweep",
-                         experiment_hash(cfg), cfg["seed"])
-    print(f"wrote {len(records)} rows -> {d / 'sweep_noise.csv'}")
-    return 0
+    return sweep(cfg, "noise-sweep", f"noise_{nz['mode']}", lambda task, params, eps:
+                 critical_sigma(params, eps, nz["mode"], task.full_loss,
+                                noise_draws=int(nz["noise_draws"]), seed=int(nz["seed"])))
 
 
 def cmd_prune_sweep(cfg: dict) -> int:
     task = build_task(cfg)
     pr = cfg["prune"]
-    records = []
+    rows = []
     for ck in load_checkpoints(cfg):
         for frac in pr["keep_fractions"]:
             res = prune_and_retrain(
@@ -340,16 +305,10 @@ def cmd_prune_sweep(cfg: dict) -> int:
                 batch_size=int(pr["batch_size"]), seed=int(pr["seed"]),
             )
             # rugged curves: no critical-threshold search for pruning
-            records.append(SweepRecord(ck.step, "prune", float(frac), res.delta_loss,
-                                       cfg["epsilons"][0], cfg["seed"]))
-    d = out_dir(cfg)
-    csvio.write_csv(
-        d / "sweep_prune.csv", SWEEP_HEADER,
-        [sweep_row(r) for r in records], manifest=manifest_for(cfg, "prune-sweep"),
-    )
-    csvio.write_manifest(d / "prune-sweep.manifest.json", "prune-sweep",
-                         experiment_hash(cfg), cfg["seed"])
-    print(f"wrote {len(records)} rows -> {d / 'sweep_prune.csv'}")
+            rows.append((ck.step, "prune", float(frac), res.delta_loss, None,
+                         cfg["epsilons"][0], cfg["seed"]))
+    d = emit(cfg, "prune-sweep", {"sweep_prune.csv": (SWEEP_HEADER, rows)})
+    print(f"wrote {len(rows)} rows -> {d / 'sweep_prune.csv'}")
     return 0
 
 
@@ -361,21 +320,15 @@ def cmd_volume_fit(cfg: dict) -> int:
     mode = v["multiplicity_mode"]
     fit = fit_scaling(curve, multiplicity_mode=mode if mode == "select_by_fit" else int(mode),
                       max_epsilon=float(v["max_epsilon"]))
-    d = out_dir(cfg)
-    csvio.write_csv(
-        d / "volume.csv", ["epsilon", "volume", "se"],
-        list(zip(curve.epsilons.tolist(), curve.volumes.tolist(), curve.standard_errors.tolist())),
-        manifest=manifest_for(cfg, "volume-fit"),
-    )
-    csvio.write_csv(
-        d / "volume_fit.csv",
-        ["landscape", "lambda", "multiplicity", "log_c", "r_squared", "eps_min", "eps_max", "n_points"],
-        [(landscape.name, fit.lam, fit.multiplicity, fit.log_c, fit.r_squared,
-          fit.epsilon_window[0], fit.epsilon_window[1], fit.n_points)],
-        manifest=manifest_for(cfg, "volume-fit"),
-    )
-    csvio.write_manifest(d / "volume-fit.manifest.json", "volume-fit",
-                         experiment_hash(cfg), cfg["seed"])
+    emit(cfg, "volume-fit", {
+        "volume.csv": (["epsilon", "volume", "se"], list(zip(
+            curve.epsilons.tolist(), curve.volumes.tolist(), curve.standard_errors.tolist()))),
+        "volume_fit.csv": (
+            ["landscape", "lambda", "multiplicity", "log_c", "r_squared", "eps_min", "eps_max",
+             "n_points"],
+            [(landscape.name, fit.lam, fit.multiplicity, fit.log_c, fit.r_squared,
+              fit.epsilon_window[0], fit.epsilon_window[1], fit.n_points)]),
+    })
     print(f"{landscape.name}: lambda={fit.lam:.4f} m={fit.multiplicity} R2={fit.r_squared:.5f}")
     return 0
 
@@ -384,30 +337,23 @@ def cmd_mdl_redundancy(cfg: dict) -> int:
     m = cfg["mdl"]
     model = SingularBernoulli(m_simplex=float(m["m_simplex"]))
     a = float(m["a"])
-    d = out_dir(cfg)
+    files = {}
     rows = []
     for k in m["n_powers"]:
         n = 2 ** int(k)
         net = build_eps_net(model, a / n, int(m["mc_samples"]), seed=int(m["net_seed"]))
-        csvio.write_csv(
-            d / f"net_n{n}.csv",
+        files[f"net_n{n}.csv"] = (
             ["center_index", "p_one", "vr_volume", "code_length"],
             [(i, float(net.thetas[i]), float(net.vr_volumes[i]), float(net.code_lengths[i]))
-             for i in range(net.n_centers)],
-            manifest=manifest_for(cfg, "mdl-redundancy"),
-        )
+             for i in range(net.n_centers)])
         for s in range(int(m["n_seeds"])):
             run = two_part_redundancy(model, model.truth, n=n, a=a, seed=s, net=net)
             # lengths reported in bits at the CSV boundary
             rows.append((run.n, run.a, run.seed, run.code_length / LN2,
                          run.excess_data_nats / LN2, run.redundancy / LN2))
-    csvio.write_csv(
-        d / "redundancy.csv",
-        ["n", "a", "seed", "code_length", "excess_bits", "redundancy"],
-        rows, manifest=manifest_for(cfg, "mdl-redundancy"),
-    )
-    csvio.write_manifest(d / "mdl-redundancy.manifest.json", "mdl-redundancy",
-                         experiment_hash(cfg), cfg["seed"])
+    files["redundancy.csv"] = (["n", "a", "seed", "code_length", "excess_bits", "redundancy"],
+                               rows)
+    d = emit(cfg, "mdl-redundancy", files)
     print(f"wrote {len(rows)} rows -> {d / 'redundancy.csv'}")
     return 0
 
@@ -450,13 +396,7 @@ def cmd_lemma_audit(cfg: dict) -> int:
         violations += not (chk.passed_pointwise and chk.passed_3se)
     results.append(("volume_inclusion", n_inc, violations))
 
-    d = out_dir(cfg)
-    csvio.write_csv(
-        d / "audit.csv", ["validator", "instances", "violations"], results,
-        manifest=manifest_for(cfg, "lemma-audit"),
-    )
-    csvio.write_manifest(d / "lemma-audit.manifest.json", "lemma-audit",
-                         experiment_hash(cfg), cfg["seed"])
+    emit(cfg, "lemma-audit", {"audit.csv": (["validator", "instances", "violations"], results)})
     total = sum(v for _, _, v in results)
     for name, count, v in results:
         print(f"{name}: {v} violations in {count} instances")
@@ -485,23 +425,19 @@ def cmd_analyze(cfg: dict) -> int:
     lams = [j[1] for j in joined]
     crits = [j[2] for j in joined]
     result = analyze_fit(steps, lams, crits, excluded_steps=tuple(an["excluded_steps"]))
-    csvio.write_csv(
-        d / "analysis.csv",
-        ["scheme", "epsilon", "slope", "intercept", "r_squared", "n_included", "n_rows"],
-        [(scheme, eps, result.slope, result.intercept, result.r_squared,
-          int(result.included.sum()), len(steps))],
-        manifest=manifest_for(cfg, "analyze"),
-    )
     resid = []
     fitted = {True: iter(result.fit.residuals.tolist())}
     for i, (step, lam, crit) in enumerate(joined):
         inc = bool(result.included[i])
         resid.append((step, lam, crit, inc, next(fitted[True]) if inc else None))
-    csvio.write_csv(
-        d / "analysis_residuals.csv",
-        ["step", "lambda_hat", "critical_value", "included", "residual"],
-        resid, manifest=manifest_for(cfg, "analyze"),
-    )
+    emit(cfg, "analyze", {
+        "analysis.csv": (
+            ["scheme", "epsilon", "slope", "intercept", "r_squared", "n_included", "n_rows"],
+            [(scheme, eps, result.slope, result.intercept, result.r_squared,
+              int(result.included.sum()), len(steps))]),
+        "analysis_residuals.csv": (
+            ["step", "lambda_hat", "critical_value", "included", "residual"], resid),
+    })
     if an["gnuplot"]:
         script = (
             "set datafile separator ','\n"
@@ -510,8 +446,6 @@ def cmd_analyze(cfg: dict) -> int:
             f"     {result.slope:.17g}*x + {result.intercept:.17g} title 'fit'\n"
         )
         (d / "analysis.gp").write_text(script, encoding="utf-8", newline="\n")
-    csvio.write_manifest(d / "analyze.manifest.json", "analyze",
-                         experiment_hash(cfg), cfg["seed"])
     print(f"{scheme} vs lambda_hat: slope={result.slope:.4f} "
           f"intercept={result.intercept:.4f} R2={result.r_squared:.4f} "
           f"({int(result.included.sum())}/{len(steps)} checkpoints)")

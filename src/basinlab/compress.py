@@ -52,20 +52,6 @@ class QuantizationSpec:
 
 
 @dataclass
-class SweepRecord:
-    """One (checkpoint, scheme) row of a compression experiment."""
-
-    checkpoint_step: int
-    scheme: str
-    control_parameter: float
-    delta_loss: float
-    epsilon: float
-    seed: int
-    critical_value: float | None = None
-    lambda_hat: float | None = None
-
-
-@dataclass
 class MSearchConfig:
     """Clamp-value search: geometric sweep then local golden-section refinement."""
 
@@ -81,12 +67,19 @@ class FactorizationResult:
     n_kept: dict[int, int]
 
 
-@dataclass
-class CriticalFraction:
-    keep_fraction: float
-    compression_fraction: float
+@dataclass(frozen=True)
+class CriticalResult:
+    """Outcome of a critical-threshold search.
+
+    value: the setting found (n_q, sigma, or the keep fraction j/min_dim);
+    delta_loss: that setting's loss increase as the search measured it;
+    critical_value: the figure a sweep reports, the setting itself or, for
+    factorization, the ratio of stored parameters after versus before.
+    """
+
+    value: float
     delta_loss: float
-    n_keep: int
+    critical_value: float
 
 
 @dataclass
@@ -195,13 +188,13 @@ def critical_nq(
     mode: str = "loss_min",
     search: MSearchConfig | None = None,
     nq_cap: int = 2**16,
-) -> int:
+) -> CriticalResult:
     """Smallest even n_q whose quantization loss increase is within epsilon.
 
     Exponential bracketing then bisection over even values, treating the loss
     increase as non-increasing in n_q; a final verification walk guarantees
     the returned n_q satisfies delta_loss <= epsilon and its predecessor does
-    not, as measured.
+    not, as measured. The result's value and critical_value are n_q.
     """
     if epsilon <= 0:
         raise InvalidInputError("epsilon must be positive")
@@ -213,7 +206,7 @@ def critical_nq(
         return cache[nq]
 
     if dl(4) <= epsilon:
-        return 4
+        return CriticalResult(4, cache[4], 4)
     hi = 4
     while dl(hi) > epsilon:
         hi *= 2
@@ -231,7 +224,7 @@ def critical_nq(
     result = hi
     while result > 4 and dl(result - 2) <= epsilon:
         result -= 2
-    return result
+    return CriticalResult(result, cache[result], result)
 
 
 def factorize(
@@ -285,12 +278,13 @@ def critical_compression_fraction(
     epsilon: float,
     loss_eval: LossEval,
     layer_selection: list[int] | None = None,
-) -> CriticalFraction:
+) -> CriticalResult:
     """Smallest rank budget whose factorization loss increase is within epsilon.
 
     The search runs over the integer rank grid n = 1 .. min_dim (resolution
     1/min_dim in keep fraction) by bisection on a monotone bracketing, with
-    the same verification walk as critical_nq.
+    the same verification walk as critical_nq. The result's value is the keep
+    fraction j/min_dim and its critical_value the stored-parameter ratio.
     """
     if epsilon <= 0:
         raise InvalidInputError("epsilon must be positive")
@@ -327,12 +321,7 @@ def critical_compression_fraction(
         while j_star > 1 and dl(j_star - 1) <= epsilon:
             j_star -= 1
     delta, frac = cache[j_star]
-    return CriticalFraction(
-        keep_fraction=j_star / min_dim,
-        compression_fraction=frac,
-        delta_loss=delta,
-        n_keep=j_star,
-    )
+    return CriticalResult(j_star / min_dim, delta, frac)
 
 
 def add_noise(w: np.ndarray, sigma: float, mode: str, seed: int, stream_id: int = 0) -> np.ndarray:
@@ -377,14 +366,15 @@ def critical_sigma(
     seed: int = 0,
     sigma_bounds: tuple[float, float] = (1e-6, 10.0),
     rel_tol: float = 1e-3,
-) -> float:
+) -> CriticalResult:
     """Largest sigma whose mean loss increase over the noise draws is within epsilon.
 
     The same noise_draws unit perturbations are reused at every sigma, so the
     measured curve is continuous in sigma and the geometric bisection brackets
     a single crossing. If even the lower search bound exceeds the tolerance,
     that bound is returned; if the tolerance is never exceeded by the upper
-    bound there is no crossing to report and the search errors out.
+    bound there is no crossing to report and the search errors out. The
+    result's value and critical_value are sigma.
     """
     if epsilon < 0:
         raise InvalidInputError("epsilon must be nonnegative")
@@ -398,19 +388,21 @@ def critical_sigma(
         return noise_delta_loss(params, sigma, mode, loss_eval, noise_draws, seed)
 
     lo, hi = sigma_bounds
-    if dl(lo) > epsilon:
-        return lo
+    dl_lo = dl(lo)
+    if dl_lo > epsilon:
+        return CriticalResult(lo, dl_lo, lo)
     if dl(hi) <= epsilon:
         raise UnreachableToleranceError(
             f"loss increase never exceeds {epsilon} up to sigma={hi}"
         )
     while hi / lo > 1.0 + rel_tol:
         mid = float(np.sqrt(lo * hi))
-        if dl(mid) <= epsilon:
-            lo = mid
+        dl_mid = dl(mid)
+        if dl_mid <= epsilon:
+            lo, dl_lo = mid, dl_mid
         else:
             hi = mid
-    return lo
+    return CriticalResult(lo, dl_lo, lo)
 
 
 def prune_and_retrain(

@@ -50,9 +50,6 @@ class Bounds:
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.uniform(self.lo, self.hi, size=(n, self.dim))
 
-    def widths(self) -> np.ndarray:
-        return self.hi - self.lo
-
 
 @dataclass
 class Landscape:

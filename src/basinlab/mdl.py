@@ -19,7 +19,7 @@ import numpy as np
 
 from .bernoulli import SingularBernoulli
 from .errors import CoveringFailureError, EmptyBallError, InvalidInputError
-from .rng import rng_stream
+from .rng import MC_CHUNK, rng_stream
 from .simplex import SimplexDist, kl, kl_bernoulli
 
 # Candidate grids are spaced at GRID_FACTOR of the smallest ball radius and the
@@ -211,7 +211,7 @@ def build_eps_net(
     hits = np.zeros(len(thetas), dtype=np.int64)
     remaining = mc_samples
     while remaining > 0:
-        m = min(remaining, 1_000_000)
+        m = min(remaining, MC_CHUNK)
         p_w = model.prob_one(model.bounds.sample(rng_vol, m))
         p_w.sort()
         start, stop, owner, _ = _ball_members(p_w, thetas, epsilon)
@@ -451,7 +451,7 @@ def validate_volume_inclusions(
     n_in = n_rev = n_out = 0
     remaining = mc_samples
     while remaining > 0:
-        m = min(remaining, 1_000_000)
+        m = min(remaining, MC_CHUNK)
         p_w = model.prob_one(model.bounds.sample(rng, m))
         kl_q = kl_bernoulli(theta_q, p_w)
         kl_rev = kl_bernoulli(p_w, theta_star)

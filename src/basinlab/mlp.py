@@ -82,15 +82,6 @@ class MlpModel:
     def pack(self, layers: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
         return np.concatenate([np.concatenate([w.ravel(), b]) for w, b in layers])
 
-    def weight_slices(self) -> list[tuple[int, slice]]:
-        """(layer_index, flat slice of its weight matrix) for every layer."""
-        out = []
-        pos = 0
-        for li, (o, i) in enumerate(self._shapes):
-            out.append((li, slice(pos, pos + o * i)))
-            pos += o * i + o
-        return out
-
     def forward(self, params: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Batched forward pass; tanh on hidden layers, linear output."""
         x = np.atleast_2d(np.asarray(x, dtype=float))

@@ -15,9 +15,7 @@ import numpy as np
 from .errors import FitWindowError, InvalidInputError
 from .landscapes import Landscape
 from .linalg import linear_fit
-from .rng import rng_stream
-
-_MC_BATCH = 1_000_000
+from .rng import MC_CHUNK, rng_stream
 
 
 @dataclass
@@ -78,7 +76,7 @@ def volume_curve(
     hits = np.zeros(len(epsilons), dtype=np.int64)
     remaining = samples
     while remaining > 0:
-        n = min(remaining, _MC_BATCH)
+        n = min(remaining, MC_CHUNK)
         values = landscape.value(landscape.bounds.sample(rng, n))
         hits += np.count_nonzero(values[None, :] <= epsilons[:, None], axis=1)
         remaining -= n

@@ -138,6 +138,19 @@ class TestSubcommands:
         assert run(cfg_path, out, "quantize-sweep") == 0
 
 
+class TestTracerNames:
+    def test_benchmark_tracer_installs(self, monkeypatch):
+        # the benchmark's tracer patches basinlab names from outside src/; a
+        # refactor that drops one makes every traced run fail at start-up
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "benchmarks"))
+        from tracing import Tracer
+
+        tracer = Tracer()
+        with tracer.installed():
+            assert tracer.patched
+        assert not tracer.patched
+
+
 class TestDeterminism:
     def test_byte_identical_reruns(self, workdir, tmp_path):
         _, cfg_path, _ = workdir
@@ -155,10 +168,18 @@ class TestDeterminism:
 
 
 class TestErrors:
-    def test_unknown_config_key_exit_1(self, tmp_path):
+    @pytest.mark.parametrize("payload,key", [
+        ({"nonsense": 1}, "nonsense"),
+        ([1, 2], "config"),
+        ({"epsilons": "0.5"}, "epsilons"),
+        ({"epsilons": [float("nan")]}, "epsilons"),
+    ], ids=["unknown-key", "top-level-array", "epsilons-string", "epsilons-nan"])
+    def test_unknown_config_key_exit_1(self, tmp_path, capsys, payload, key):
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"nonsense": 1}))
-        assert main(["train-toy", "--config", str(bad)]) == 1
+        bad.write_text(json.dumps(payload))
+        assert main(["train-toy", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and f"config key {key!r}" in err
 
     def test_bad_epsilon_exit_1(self, workdir):
         _, cfg_path, out = workdir

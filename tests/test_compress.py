@@ -13,6 +13,7 @@ from basinlab import (
     critical_sigma,
     factorize,
     make_teacher_task,
+    noise_delta_loss,
     prune_and_retrain,
     quantization_delta_loss,
     quantize,
@@ -118,7 +119,7 @@ class TestLossMinClampSearch:
 
 class TestCriticalNq:
     def test_zero_params_floor(self):
-        nq = critical_nq(np.zeros(7), 0.5, lambda w: float(np.sum(w**2)))
+        nq = critical_nq(np.zeros(7), 0.5, lambda w: float(np.sum(w**2))).value
         assert nq == 4
 
     def test_tolerance_above_coarsest(self):
@@ -127,19 +128,23 @@ class TestCriticalNq:
         loss_eval = lambda v: float(np.sum((v - w) ** 2))
         # epsilon larger than the n_q=4 loss increase
         eps = quantization_delta_loss(w, 4, loss_eval) + 1.0
-        assert critical_nq(w, eps, loss_eval) == 4
+        assert critical_nq(w, eps, loss_eval).value == 4
 
     def test_matches_exhaustive_scan_on_mlp_checkpoint(self):
         task = make_teacher_task(MlpSpec(layer_sizes=(4, 8, 4)), 256, seed=4, teacher_gain=2.0)
         (ck,) = train_sgd(task, steps=2000, learning_rate=0.05, batch_size=32, seed=1,
                           checkpoint_schedule=(2000,))
         for eps in (0.5, 0.25):
-            found = critical_nq(ck.params, eps, task.full_loss)
+            res = critical_nq(ck.params, eps, task.full_loss)
+            found = res.value
             scan = next(
                 nq for nq in range(4, 200, 2)
                 if quantization_delta_loss(ck.params, nq, task.full_loss) <= eps
             )
             assert found == scan
+            # the search's own measurement is the one a fresh probe makes
+            assert res.delta_loss == quantization_delta_loss(ck.params, res.value, task.full_loss)
+            assert res.critical_value == res.value
 
     def test_unreachable_tolerance_raises(self):
         rng = rng_stream(5, 0)
@@ -171,7 +176,7 @@ class TestCriticalNq:
         task = make_teacher_task(MlpSpec(layer_sizes=(4, 8, 4)), 256, seed=6, teacher_gain=2.0)
         (ck,) = train_sgd(task, steps=1000, learning_rate=0.05, batch_size=32, seed=2,
                           checkpoint_schedule=(1000,))
-        nq = critical_nq(ck.params, 0.5, task.full_loss)
+        nq = critical_nq(ck.params, 0.5, task.full_loss).value
         assert quantization_delta_loss(ck.params, nq, task.full_loss) <= 0.5
         if nq > 4:
             assert quantization_delta_loss(ck.params, nq - 2, task.full_loss) > 0.5
@@ -230,15 +235,15 @@ class TestCriticalCompressionFraction:
         loss_eval = lambda p: model.loss(p, x, y)
         res = critical_compression_fraction(model, params, epsilon=1e-10, loss_eval=loss_eval,
                                             layer_selection=[0])
-        assert res.n_keep == 3
-        assert res.keep_fraction == pytest.approx(3 / 8)
+        assert res.value == 3 / 8
+        assert res.value == pytest.approx(3 / 8)
 
     def test_bracket_floor(self):
         model = MlpModel(MlpSpec(layer_sizes=(6, 6), loss="mse"))
         params = model.pack([(np.zeros((6, 6)), np.zeros(6))])
         res = critical_compression_fraction(model, params, epsilon=0.5,
                                             loss_eval=lambda p: 0.0, layer_selection=[0])
-        assert res.n_keep == 1
+        assert res.value == 1 / 6
 
     def test_matches_exhaustive_scan_on_mlp(self):
         task = make_teacher_task(MlpSpec(layer_sizes=(4, 16, 16, 4)), 256, seed=11, teacher_gain=2.0)
@@ -251,7 +256,10 @@ class TestCriticalCompressionFraction:
             j for j in range(1, 17)
             if task.full_loss(factorize(task.model, ck.params, j / 16).params) - base <= eps
         )
-        assert res.n_keep == scan
+        assert res.value == scan / 16
+        fresh = factorize(task.model, ck.params, res.value)
+        assert res.delta_loss == task.full_loss(fresh.params) - base
+        assert res.critical_value == fresh.compression_fraction
 
 
 class TestAddNoise:
@@ -281,14 +289,15 @@ class TestAddNoise:
 class TestCriticalSigma:
     def test_strict_minimum_with_zero_tolerance_returns_floor(self):
         loss_eval = lambda w: float(np.sum(w**2))
-        sig = critical_sigma(np.zeros(4), 0.0, "absolute", loss_eval, noise_draws=4, seed=0)
-        assert sig == 1e-6
+        res = critical_sigma(np.zeros(4), 0.0, "absolute", loss_eval, noise_draws=4, seed=0)
+        assert res.value == 1e-6
+        assert res.delta_loss == noise_delta_loss(np.zeros(4), 1e-6, "absolute", loss_eval, 4, 0)
 
     def test_quadratic_closed_form(self):
         # E[dLoss] = sigma^2 for K = w^2 at w* = 0, so sigma* = sqrt(eps)
         loss_eval = lambda w: float(np.sum(w**2))
         eps = 0.04
-        sig = critical_sigma(np.zeros(1), eps, "absolute", loss_eval, noise_draws=4096, seed=1)
+        sig = critical_sigma(np.zeros(1), eps, "absolute", loss_eval, noise_draws=4096, seed=1).value
         assert sig == pytest.approx(np.sqrt(eps), rel=0.05)
 
     def test_matches_exhaustive_grid_scan(self):
@@ -296,7 +305,10 @@ class TestCriticalSigma:
         (ck,) = train_sgd(task, steps=2000, learning_rate=0.05, batch_size=32, seed=1,
                           checkpoint_schedule=(2000,))
         eps = 0.5
-        sig = critical_sigma(ck.params, eps, "relative", task.full_loss, noise_draws=8, seed=2)
+        res = critical_sigma(ck.params, eps, "relative", task.full_loss, noise_draws=8, seed=2)
+        sig = res.value
+        assert res.delta_loss == noise_delta_loss(ck.params, sig, "relative", task.full_loss, 8, 2)
+        assert res.critical_value == sig
         # oracle: exhaustive geometric grid at 1% resolution with the same draws
         zs = [rng_stream(2, k).standard_normal(ck.params.shape) for k in range(8)]
         base = task.full_loss(ck.params)
