@@ -37,10 +37,6 @@ class SingularBernoulli:
         w = np.asarray(w, dtype=float)
         return 0.5 + w[..., 0] * w[..., 1]
 
-    def dist(self, w: np.ndarray) -> SimplexDist:
-        t = float(self.prob_one(np.asarray(w, dtype=float)))
-        return SimplexDist(np.array([1.0 - t, t]), lower_bound=self.m_simplex)
-
     @property
     def truth(self) -> SimplexDist:
         return SimplexDist(np.array([0.5, 0.5]), lower_bound=self.m_simplex)
@@ -59,10 +55,6 @@ class SingularBernoulli:
     def kl_from(self, theta_q: float, w: np.ndarray) -> np.ndarray:
         """KL(q || p_w) for q = Bernoulli(theta_q), vectorized over w."""
         return kl_bernoulli(theta_q, self.prob_one(w))
-
-    def kl_to(self, w: np.ndarray, theta_p: float) -> np.ndarray:
-        """KL(p_w || p) for p = Bernoulli(theta_p), vectorized over w."""
-        return kl_bernoulli(self.prob_one(w), theta_p)
 
     def kl_landscape(self) -> Landscape:
         """KL(truth || p_w) as a Landscape, ground truth (1/2, 2)."""

@@ -87,6 +87,24 @@ DEFAULT_CONFIG = {
 }
 
 
+def merge_config(path: str, default, value):
+    """`value` read from a user config in place of `default`: an object may
+    only set known keys, and where the default is an object or a list the
+    value must be one too."""
+    for kind, name in ((dict, "an object"), (list, "a list")):
+        if isinstance(default, kind) and not isinstance(value, kind):
+            raise ConfigError(path or "config", f"expected {name}")
+    if not isinstance(default, dict):
+        return value
+    merged = dict(default)
+    for key, sub in value.items():
+        key_path = f"{path}.{key}" if path else key
+        if key not in default:
+            raise ConfigError(key_path, "unknown key")
+        merged[key] = merge_config(key_path, default[key], sub)
+    return merged
+
+
 def load_config(path: str | None, seed: int | None, out: str | None, epsilons: str | None) -> dict:
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     if path is not None:
@@ -96,20 +114,7 @@ def load_config(path: str | None, seed: int | None, out: str | None, epsilons: s
             raise ConfigError("config", f"file not found: {path}")
         except json.JSONDecodeError as e:
             raise ConfigError("config", f"invalid JSON: {e}")
-        if not isinstance(user, dict):
-            raise ConfigError("config", "top level must be an object")
-        for key, value in user.items():
-            if key not in cfg:
-                raise ConfigError(key, "unknown key")
-            if isinstance(cfg[key], dict):
-                if not isinstance(value, dict):
-                    raise ConfigError(key, "expected an object")
-                for sub, sval in value.items():
-                    if sub not in cfg[key]:
-                        raise ConfigError(f"{key}.{sub}", "unknown key")
-                    cfg[key][sub] = sval
-            else:
-                cfg[key] = value
+        cfg = merge_config("", cfg, user)
     if seed is not None:
         cfg["seed"] = seed
     if out is not None:

@@ -87,7 +87,6 @@ class PruneResult:
     params: np.ndarray
     delta_loss: float
     n_pruned: int
-    pruned_units: list[tuple[int, int]]
     mask: np.ndarray
     no_op: bool
 
@@ -181,6 +180,28 @@ def quantization_delta_loss(
     raise InvalidInputError(f"unknown quantization mode {mode!r}")
 
 
+def _base_cached(params: np.ndarray, loss_eval: LossEval) -> LossEval:
+    """loss_eval that returns its value at `params` (this very array) from a
+    cache, so a search evaluates the unperturbed loss once, not per probe."""
+    base = loss_eval(params)
+    return lambda w: base if w is params else loss_eval(w)
+
+
+def _lowest_passing(dl: Callable[[int], float], epsilon: float, lo: int, hi: int) -> int:
+    """Smallest k in (lo, hi] with dl(k) <= epsilon, given dl(lo) > epsilon >= dl(hi):
+    bisection treating dl as non-increasing, then a walk down while k - 1 passes
+    too, so the result passes and its predecessor does not, as measured."""
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if dl(mid) <= epsilon:
+            hi = mid
+        else:
+            lo = mid
+    while dl(hi - 1) <= epsilon:
+        hi -= 1
+    return hi
+
+
 def critical_nq(
     params: np.ndarray,
     epsilon: float,
@@ -198,6 +219,8 @@ def critical_nq(
     """
     if epsilon <= 0:
         raise InvalidInputError("epsilon must be positive")
+    params = np.asarray(params, dtype=float)
+    loss_eval = _base_cached(params, loss_eval)
     cache: dict[int, float] = {}
 
     def dl(nq):
@@ -205,8 +228,6 @@ def critical_nq(
             cache[nq] = quantization_delta_loss(params, nq, loss_eval, mode, search)
         return cache[nq]
 
-    if dl(4) <= epsilon:
-        return CriticalResult(4, cache[4], 4)
     hi = 4
     while dl(hi) > epsilon:
         hi *= 2
@@ -214,17 +235,9 @@ def critical_nq(
             raise UnreachableToleranceError(
                 f"delta loss still above {epsilon} at n_q={nq_cap}"
             )
-    lo = hi // 2  # dl(lo) > epsilon, dl(hi) <= epsilon
-    while hi - lo > 2:
-        mid = lo + 2 * ((hi - lo) // 4)
-        if dl(mid) <= epsilon:
-            hi = mid
-        else:
-            lo = mid
-    result = hi
-    while result > 4 and dl(result - 2) <= epsilon:
-        result -= 2
-    return CriticalResult(result, cache[result], result)
+    if hi > 4:  # search k = n_q / 2 between the last failing and the first passing power
+        hi = 2 * _lowest_passing(lambda k: dl(2 * k), epsilon, hi // 4, hi // 2)
+    return CriticalResult(hi, cache[hi], hi)
 
 
 def factorize(
@@ -307,19 +320,7 @@ def critical_compression_fraction(
         raise UnreachableToleranceError(
             f"delta loss above {epsilon} even at full rank (numerical error?)"
         )
-    if dl(1) <= epsilon:
-        j_star = 1
-    else:
-        lo, hi = 1, min_dim  # dl(lo) > eps, dl(hi) <= eps
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if dl(mid) <= epsilon:
-                hi = mid
-            else:
-                lo = mid
-        j_star = hi
-        while j_star > 1 and dl(j_star - 1) <= epsilon:
-            j_star -= 1
+    j_star = 1 if dl(1) <= epsilon else _lowest_passing(dl, epsilon, 1, min_dim)
     delta, frac = cache[j_star]
     return CriticalResult(j_star / min_dim, delta, frac)
 
@@ -383,6 +384,7 @@ def critical_sigma(
     if mode not in ("absolute", "relative"):
         raise InvalidInputError(f"unknown noise mode {mode!r}")
     params = np.asarray(params, dtype=float)
+    loss_eval = _base_cached(params, loss_eval)
 
     def dl(sigma):
         return noise_delta_loss(params, sigma, mode, loss_eval, noise_draws, seed)
@@ -467,7 +469,6 @@ def prune_and_retrain(
         params=best_params,
         delta_loss=best_loss - base,
         n_pruned=n_prune,
-        pruned_units=pruned,
         mask=mask,
         no_op=(n_prune == 0),
     )

@@ -19,8 +19,9 @@ import numpy as np
 
 from .bernoulli import SingularBernoulli
 from .errors import CoveringFailureError, EmptyBallError, InvalidInputError
-from .rng import MC_CHUNK, rng_stream
+from .rng import rng_stream
 from .simplex import SimplexDist, kl, kl_bernoulli
+from .volume import mc_volumes
 
 # Candidate grids are spaced at GRID_FACTOR of the smallest ball radius and the
 # net is built at BUILD_MARGIN * epsilon, so that covering the candidate set
@@ -46,7 +47,6 @@ class EpsilonNet:
     epsilon: float
     thetas: np.ndarray
     vr_volumes: np.ndarray
-    vr_standard_errors: np.ndarray
     code_lengths: np.ndarray
     mc_samples: int
     total_volume: float
@@ -206,32 +206,19 @@ def build_eps_net(
             raise CoveringFailureError(w_audit[worst], float(d_audit[worst]), epsilon)
 
     # Reversed-KL ball volumes with common random numbers across centers.
-    rng_vol = rng_stream(seed, 2)
-    total = model.bounds.volume()
-    hits = np.zeros(len(thetas), dtype=np.int64)
-    remaining = mc_samples
-    while remaining > 0:
-        m = min(remaining, MC_CHUNK)
-        p_w = model.prob_one(model.bounds.sample(rng_vol, m))
+    def count(w):
+        p_w = model.prob_one(w)
         p_w.sort()
         start, stop, owner, _ = _ball_members(p_w, thetas, epsilon)
-        hits += stop - start + np.bincount(owner, minlength=len(thetas))
-        remaining -= m
-    frac = hits / mc_samples
-    if np.any(frac == 0):
-        raise EmptyBallError(float(thetas[frac == 0][0]), epsilon, mc_samples)
-    vr = total * frac
-    se = total * np.sqrt(frac * (1 - frac) / mc_samples)
-    return EpsilonNet(
-        epsilon=float(epsilon),
-        thetas=thetas,
-        vr_volumes=vr,
-        vr_standard_errors=se,
-        code_lengths=np.log(total / vr),
-        mc_samples=mc_samples,
-        total_volume=total,
-        audit_samples=audit_samples,
-    )
+        return stop - start + np.bincount(owner, minlength=len(thetas))
+
+    vr, _ = mc_volumes(model.bounds, mc_samples, rng_stream(seed, 2), count)
+    if np.any(vr == 0):
+        raise EmptyBallError(float(thetas[vr == 0][0]), epsilon, mc_samples)
+    total = model.bounds.volume()
+    return EpsilonNet(epsilon=float(epsilon), thetas=thetas, vr_volumes=vr,
+                      code_lengths=np.log(total / vr), mc_samples=mc_samples,
+                      total_volume=total, audit_samples=audit_samples)
 
 
 def two_part_redundancy(
@@ -446,28 +433,16 @@ def validate_volume_inclusions(
     c = 1.0 / model.m_simplex
     outer = 0.5 * c * (c + 1.0) * epsilon
 
-    rng = rng_stream(seed, 0)
-    total = model.bounds.volume()
-    n_in = n_rev = n_out = 0
-    remaining = mc_samples
-    while remaining > 0:
-        m = min(remaining, MC_CHUNK)
-        p_w = model.prob_one(model.bounds.sample(rng, m))
+    def count(w):
+        p_w = model.prob_one(w)
         kl_q = kl_bernoulli(theta_q, p_w)
         kl_rev = kl_bernoulli(p_w, theta_star)
-        n_in += int(np.count_nonzero(kl_q <= epsilon))
-        n_rev += int(np.count_nonzero(kl_rev <= c * epsilon))
-        n_out += int(np.count_nonzero(kl_q <= outer))
-        remaining -= m
+        return np.count_nonzero([kl_q <= epsilon, kl_rev <= c * epsilon, kl_q <= outer], axis=1)
 
-    def vol_se(hits):
-        f = hits / mc_samples
-        return total * f, total * float(np.sqrt(f * (1 - f) / mc_samples))
-
-    v_in, se_in = vol_se(n_in)
-    v_rev, se_rev = vol_se(n_rev)
-    v_out, se_out = vol_se(n_out)
-    pointwise = n_in <= n_rev <= n_out
+    vols, ses = mc_volumes(model.bounds, mc_samples, rng_stream(seed, 0), count)
+    (v_in, v_rev, v_out), (se_in, se_rev, se_out) = vols.tolist(), ses.tolist()
+    # Distinct hit counts give distinct volumes, so this compares the counts.
+    pointwise = v_in <= v_rev <= v_out
     within = (
         v_in <= v_rev + 3.0 * np.hypot(se_in, se_rev)
         and v_rev <= v_out + 3.0 * np.hypot(se_rev, se_out)

@@ -10,10 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-# Every Monte Carlo loop draws its samples in chunks of at most this many,
-# which bounds the loop's memory whatever the requested sample count.
-MC_CHUNK = 1_000_000
-
 
 def rng_stream(seed: int, stream_id: int = 0) -> np.random.Generator:
     """Return the generator for stream `stream_id` of experiment `seed`."""

@@ -9,13 +9,18 @@ log(-log eps).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .errors import FitWindowError, InvalidInputError
-from .landscapes import Landscape
+from .landscapes import Bounds, Landscape
 from .linalg import linear_fit
-from .rng import MC_CHUNK, rng_stream
+from .rng import rng_stream
+
+# Monte Carlo draws are made in chunks of at most this many, which bounds the
+# memory of an estimate whatever the requested sample count.
+MC_CHUNK = 1_000_000
 
 
 @dataclass
@@ -39,7 +44,27 @@ class ScalingFit:
     r_squared: float
     epsilon_window: tuple[float, float]
     n_points: int
-    r_squared_by_multiplicity: dict[int, float] | None = None
+
+
+def mc_volumes(bounds: Bounds, samples: int, rng: np.random.Generator,
+               count: Callable[[np.ndarray], np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Estimate the volumes of several sets from one uniform sample of W.
+
+    `count(w)` returns, for a chunk of draws w, how many of them land in each
+    set. Returns (volumes, standard_errors): Vol(W) times each hit rate, and
+    the binomial SE of that rate scaled by Vol(W).
+    """
+    if samples < 1:
+        raise InvalidInputError("samples must be >= 1")
+    hits = 0
+    remaining = samples
+    while remaining > 0:
+        n = min(remaining, MC_CHUNK)
+        hits += count(bounds.sample(rng, n))
+        remaining -= n
+    total = bounds.volume()
+    p = np.asarray(hits) / samples
+    return total * p, total * np.sqrt(p * (1.0 - p) / samples)
 
 
 def mc_sublevel_volume(
@@ -69,25 +94,13 @@ def volume_curve(
     epsilons = np.sort(np.asarray(epsilons, dtype=float))[::-1]
     if np.any(epsilons <= 0):
         raise InvalidInputError("epsilons must be positive")
-    if samples < 1:
-        raise InvalidInputError("samples must be >= 1")
-    rng = rng_stream(seed, stream_id)
-    total = landscape.bounds.volume()
-    hits = np.zeros(len(epsilons), dtype=np.int64)
-    remaining = samples
-    while remaining > 0:
-        n = min(remaining, MC_CHUNK)
-        values = landscape.value(landscape.bounds.sample(rng, n))
-        hits += np.count_nonzero(values[None, :] <= epsilons[:, None], axis=1)
-        remaining -= n
-    p = hits / samples
-    return VolumeCurve(
-        epsilons=epsilons,
-        volumes=total * p,
-        standard_errors=total * np.sqrt(p * (1.0 - p) / samples),
-        mc_samples=samples,
-        total_volume=total,
-    )
+
+    def count(w):
+        return np.count_nonzero(landscape.value(w)[None, :] <= epsilons[:, None], axis=1)
+
+    volumes, ses = mc_volumes(landscape.bounds, samples, rng_stream(seed, stream_id), count)
+    return VolumeCurve(epsilons=epsilons, volumes=volumes, standard_errors=ses,
+                       mc_samples=samples, total_volume=landscape.bounds.volume())
 
 
 def fit_scaling(
@@ -127,22 +140,17 @@ def fit_scaling(
     weights = 1.0 / np.maximum(rel_u, 1e-12) ** 2
 
     def fit_for(m):
-        adjusted = log_vol - (m - 1) * log_log
-        res = linear_fit(log_eps, adjusted, weights=weights)
-        return res
+        return linear_fit(log_eps, log_vol - (m - 1) * log_log, weights=weights)
 
     if multiplicity_mode == "select_by_fit":
         fits = {m: fit_for(m) for m in (1, 2, 3)}
-        r2 = {m: f.r_squared for m, f in fits.items()}
-        best = max(r2, key=lambda m: r2[m])
+        best = max(fits, key=lambda m: fits[m].r_squared)
         res = fits[best]
-        extra = r2
     else:
         best = int(multiplicity_mode)
         if best < 1:
             raise InvalidInputError("multiplicity must be >= 1")
         res = fit_for(best)
-        extra = None
 
     return ScalingFit(
         lam=res.slope,
@@ -151,7 +159,6 @@ def fit_scaling(
         r_squared=res.r_squared,
         epsilon_window=(float(eps_u.min()), float(eps_u.max())),
         n_points=len(eps_u),
-        r_squared_by_multiplicity=extra,
     )
 
 

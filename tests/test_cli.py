@@ -173,7 +173,10 @@ class TestErrors:
         ([1, 2], "config"),
         ({"epsilons": "0.5"}, "epsilons"),
         ({"epsilons": [float("nan")]}, "epsilons"),
-    ], ids=["unknown-key", "top-level-array", "epsilons-string", "epsilons-nan"])
+        ({"model": {"layer_sizes": 5}}, "model.layer_sizes"),
+        ({"training": {"checkpoint_schedule": 3}}, "training.checkpoint_schedule"),
+    ], ids=["unknown-key", "top-level-array", "epsilons-string", "epsilons-nan",
+            "layer-sizes-int", "checkpoint-schedule-int"])
     def test_unknown_config_key_exit_1(self, tmp_path, capsys, payload, key):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(payload))

@@ -23,7 +23,17 @@ from basinlab import (
     svd,
     train_sgd,
 )
+from basinlab import compress
 from basinlab.errors import InvalidInputError, UnreachableToleranceError
+
+
+def counting(loss_eval, params):
+    """loss_eval that also counts its evaluations at `params` itself."""
+    def wrapped(w):
+        wrapped.base_evals += np.array_equal(w, params)
+        return loss_eval(w)
+    wrapped.base_evals = 0
+    return wrapped
 
 
 class TestQuantize:
@@ -146,6 +156,29 @@ class TestCriticalNq:
             assert res.delta_loss == quantization_delta_loss(ck.params, res.value, task.full_loss)
             assert res.critical_value == res.value
 
+    def test_probes_pinned_settings_and_evaluates_base_once(self, monkeypatch):
+        # the n_q probed, in order, on the scan test's checkpoint: the lists
+        # the search made before its bisection was shared with the rank search
+        task = make_teacher_task(MlpSpec(layer_sizes=(4, 8, 4)), 256, seed=4, teacher_gain=2.0)
+        (ck,) = train_sgd(task, steps=2000, learning_rate=0.05, batch_size=32, seed=1,
+                          checkpoint_schedule=(2000,))
+        probed = []
+        probe = compress.quantization_delta_loss
+        monkeypatch.setattr(compress, "quantization_delta_loss",
+                            lambda params, nq, *a: probed.append(nq) or probe(params, nq, *a))
+        expected = {
+            (0.5, "loss_min"): [4, 8, 16, 12, 10],
+            (0.25, "loss_min"): [4, 8, 16, 12, 14],
+            (0.5, "max_abs"): [4, 8, 16, 32, 24, 20, 18],
+            (0.25, "max_abs"): [4, 8, 16, 32, 24, 20, 18],
+        }
+        for (eps, mode), nqs in expected.items():
+            probed.clear()
+            loss_eval = counting(task.full_loss, ck.params)
+            critical_nq(ck.params, eps, loss_eval, mode=mode)
+            assert probed == nqs
+            assert loss_eval.base_evals == 1
+
     def test_unreachable_tolerance_raises(self):
         rng = rng_stream(5, 0)
         w = rng.uniform(-1, 1, 6)
@@ -261,6 +294,24 @@ class TestCriticalCompressionFraction:
         assert res.delta_loss == task.full_loss(fresh.params) - base
         assert res.critical_value == fresh.compression_fraction
 
+    def test_probes_pinned_settings(self, monkeypatch):
+        # the ranks j probed, in order, on the scan test's checkpoint
+        task = make_teacher_task(MlpSpec(layer_sizes=(4, 16, 16, 4)), 256, seed=11, teacher_gain=2.0)
+        (ck,) = train_sgd(task, steps=3000, learning_rate=0.05, batch_size=32, seed=1,
+                          checkpoint_schedule=(3000,))
+        probed = []
+        probe = compress.factorize
+        monkeypatch.setattr(compress, "factorize", lambda model, params, keep, *a:
+                            probed.append(round(keep * 16)) or probe(model, params, keep, *a))
+        expected = {0.1: [16, 1, 8, 12, 10, 9], 0.5: [16, 1, 8, 4, 6, 7],
+                    0.02: [16, 1, 8, 12, 10, 11]}
+        for eps, js in expected.items():
+            probed.clear()
+            loss_eval = counting(task.full_loss, ck.params)
+            critical_compression_fraction(task.model, ck.params, eps, loss_eval)
+            assert probed == js
+            assert loss_eval.base_evals == 1
+
 
 class TestAddNoise:
     def test_zero_sigma_identity(self):
@@ -322,6 +373,12 @@ class TestCriticalSigma:
         # agreement within one grid step
         step = grid[1] / grid[0]
         assert oracle / step <= sig <= oracle * step
+
+    def test_evaluates_base_once(self):
+        w = rng_stream(14, 0).uniform(-1, 1, 6)
+        loss_eval = counting(lambda v: float(np.sum(v**2)), w)
+        critical_sigma(w, 0.1, "relative", loss_eval)
+        assert loss_eval.base_evals == 1
 
     def test_no_crossing_raises(self):
         with pytest.raises(UnreachableToleranceError):

@@ -17,7 +17,7 @@ from basinlab import (
     validate_variance_bound,
     validate_volume_inclusions,
 )
-from basinlab import mdl
+from basinlab import mdl, volume
 from basinlab.errors import CoveringFailureError, EmptyBallError, InvalidInputError
 
 
@@ -280,6 +280,13 @@ class TestIntervalCounting:
         with pytest.raises(InvalidInputError):
             build_eps_net(model, 1e-2, seed=0, **kwargs)
 
+    def test_chunking_leaves_volumes_unchanged(self, model, monkeypatch):
+        whole = build_eps_net(model, 1e-2, mc_samples=10_500, seed=0)
+        monkeypatch.setattr(volume, "MC_CHUNK", 1_000)
+        chunked = build_eps_net(model, 1e-2, mc_samples=10_500, seed=0)
+        assert np.array_equal(chunked.thetas, whole.thetas)
+        assert np.array_equal(chunked.vr_volumes, whole.vr_volumes)
+
     def test_empty_ball_names_sample_count(self, model):
         with pytest.raises(EmptyBallError, match="mc_samples=200") as err:
             build_eps_net(model, 0.1 / 2**11, mc_samples=200, seed=0)
@@ -356,3 +363,18 @@ class TestVolumeInclusions:
     def test_precondition_enforced(self, model):
         with pytest.raises(InvalidInputError):
             validate_volume_inclusions(model, 0.5, 0.75, epsilon=1e-4, mc_samples=1000, seed=0)
+
+    def test_zero_samples_rejected(self, model):
+        with pytest.raises(InvalidInputError):
+            validate_volume_inclusions(model, 0.5, 0.5, epsilon=1e-2, mc_samples=0, seed=0)
+
+    def test_chunking_leaves_volumes_unchanged(self, model, monkeypatch):
+        def volumes():
+            chk = validate_volume_inclusions(model, 0.5, 0.52, epsilon=1e-2,
+                                             mc_samples=10_500, seed=3)
+            return np.array([chk.v_inner, chk.v_reversed, chk.v_outer,
+                             chk.se_inner, chk.se_reversed, chk.se_outer])
+
+        whole = volumes()
+        monkeypatch.setattr(volume, "MC_CHUNK", 1_000)
+        assert np.array_equal(volumes(), whole)

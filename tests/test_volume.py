@@ -10,8 +10,10 @@ from basinlab import (
     make_normal_crossing,
     make_quadratic,
     mc_sublevel_volume,
+    rng_stream,
     volume_curve,
 )
+from basinlab import volume
 from basinlab.errors import FitWindowError, InvalidInputError
 
 
@@ -68,6 +70,35 @@ class TestVolumeCurve:
         L = make_quadratic(2)
         curve = volume_curve(L, np.array([0.25]), 200_000, seed=5)
         assert abs(curve.volumes[0] - np.pi * 0.25) <= 3 * curve.standard_errors[0]
+
+
+class TestMcVolumes:
+    def test_draws_in_chunks_and_sums_counts(self, monkeypatch):
+        monkeypatch.setattr(volume, "MC_CHUNK", 1_000)
+        sizes = []
+
+        def count(w):
+            sizes.append(len(w))
+            return np.array([len(w), np.count_nonzero(w[:, 0] <= 0.0)])
+
+        bounds = Bounds.symmetric(2, 1.0)
+        vols, ses = volume.mc_volumes(bounds, 10_500, rng_stream(0, 0), count)
+        assert sizes == [1_000] * 10 + [500]
+        assert vols[0] == bounds.volume() and ses[0] == 0.0
+        assert abs(vols[1] - 2.0) <= 4 * ses[1]
+
+    def test_zero_samples_rejected(self):
+        with pytest.raises(InvalidInputError):
+            volume.mc_volumes(Bounds.symmetric(2, 1.0), 0, rng_stream(0, 0), len)
+
+    def test_chunking_leaves_volume_curve_unchanged(self, monkeypatch):
+        # Philox draws made in chunks are the draws of one call, in order
+        L = make_quadratic(2)
+        whole = volume_curve(L, default_ladder(), 10_500, seed=3)
+        monkeypatch.setattr(volume, "MC_CHUNK", 1_000)
+        chunked = volume_curve(L, default_ladder(), 10_500, seed=3)
+        assert np.array_equal(chunked.volumes, whole.volumes)
+        assert np.array_equal(chunked.standard_errors, whole.standard_errors)
 
 
 class TestFitScaling:
