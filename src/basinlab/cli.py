@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -87,21 +88,58 @@ DEFAULT_CONFIG = {
 }
 
 
+# Keys whose default does not fix their type: one prototype per type taken.
+ALTERNATIVES = {
+    "llc.burn_in": (0, None), "llc.preconditioner": ("none", dataclasses.asdict(Preconditioner())),
+    "volume.exponents": (None, [0]), "volume.active_dims": (None, [0]),
+    "volume.multiplicity_mode": ("select_by_fit", 0), "analyze.excluded_steps": ([0],),
+}
+# Checks of a well-typed value: (passes, message on failure); the counts first.
+VALUE_CHECKS = dict.fromkeys((
+    "data.n_samples", "training.steps", "training.batch_size", "llc.batch_size",
+    "prune.batch_size", "llc.chains", "llc.steps_per_chain", "llc.baseline_batches",
+    "noise.noise_draws", "volume.dim", "volume.samples", "mdl.mc_samples",
+), (lambda v: v >= 1, "must be >= 1")) | {
+    "epsilons": (lambda v: v and min(v) > 0, "must be a nonempty list of positive numbers"),
+    "volume.multiplicity_mode": (lambda v: v == "select_by_fit" or type(v) is int,
+                                 "expected 'select_by_fit' or an integer"),
+}
+TYPE_NAMES = {type(None): "null", bool: "a bool", int: "an integer", float: "a finite number",
+              str: "a string", list: "a list", dict: "an object"}
+
+
+def conforms(proto, value) -> bool:
+    """Whether `value` has the JSON type of `proto`, a list's items included.
+    A float takes an integer too; a bool is never an integer."""
+    if type(proto) is float:
+        return type(value) in (int, float) and abs(value) <= sys.float_info.max
+    items = value if type(value) is list and proto else ()
+    return type(value) is type(proto) and all(conforms(proto[0], v) for v in items)
+
+
+def describe(proto) -> str:
+    item = f", each item {describe(proto[0])}" if isinstance(proto, list) and proto else ""
+    return TYPE_NAMES[type(proto)] + item
+
+
 def merge_config(path: str, default, value):
-    """`value` read from a user config in place of `default`: an object may
-    only set known keys, and where the default is an object or a list the
-    value must be one too."""
-    for kind, name in ((dict, "an object"), (list, "a list")):
-        if isinstance(default, kind) and not isinstance(value, kind):
-            raise ConfigError(path or "config", f"expected {name}")
-    if not isinstance(default, dict):
+    """`value` read from a user config in place of `default`, checked against the
+    default's type (or ALTERNATIVES) and VALUE_CHECKS. An object may only set known
+    keys and is merged into its default; any other value is returned as written."""
+    protos = ALTERNATIVES.get(path, (default,))
+    matches = [p for p in protos if conforms(p, value)]
+    if not matches:
+        raise ConfigError(path or "config", "expected " + " or ".join(map(describe, protos)))
+    if path in VALUE_CHECKS and not VALUE_CHECKS[path][0](value):
+        raise ConfigError(path, VALUE_CHECKS[path][1])
+    if not isinstance(value, dict):
         return value
-    merged = dict(default)
+    merged = dict(default) if isinstance(default, dict) else {}
     for key, sub in value.items():
         key_path = f"{path}.{key}" if path else key
-        if key not in default:
+        if key not in matches[0]:
             raise ConfigError(key_path, "unknown key")
-        merged[key] = merge_config(key_path, default[key], sub)
+        merged[key] = merge_config(key_path, matches[0][key], sub)
     return merged
 
 
@@ -121,57 +159,28 @@ def load_config(path: str | None, seed: int | None, out: str | None, epsilons: s
         cfg["out"] = out
     if epsilons is not None:
         try:
-            cfg["epsilons"] = [float(tok) for tok in epsilons.split(",") if tok]
+            flag = [float(tok) for tok in epsilons.split(",") if tok]
         except ValueError:
             raise ConfigError("epsilons", f"cannot parse {epsilons!r}")
-    eps = cfg["epsilons"]
-    # `e > 0` rather than `e <= 0` also rejects NaN
-    if not isinstance(eps, list) or not eps or not all(
-            isinstance(e, (int, float)) and not isinstance(e, bool) and e > 0 for e in eps):
-        raise ConfigError("epsilons", "must be a nonempty list of positive numbers")
+        cfg["epsilons"] = merge_config("epsilons", DEFAULT_CONFIG["epsilons"], flag)
     return cfg
 
 
 def build_task(cfg: dict):
-    model = cfg["model"]
-    data = cfg["data"]
-    spec = MlpSpec(layer_sizes=tuple(model["layer_sizes"]), loss=model["loss"])
-    return make_teacher_task(
-        spec,
-        n_samples=int(data["n_samples"]),
-        seed=int(data["seed"]),
-        teacher_gain=float(data["teacher_gain"]),
-        input_scale=float(data["input_scale"]),
-    )
-
-
-def build_llc_config(cfg: dict) -> LlcConfig:
-    c = cfg["llc"]
-    pc = c["preconditioner"]
-    precond = Preconditioner(kind=pc) if isinstance(pc, str) else Preconditioner(**pc)
-    return LlcConfig(
-        nbeta=float(c["nbeta"]), gamma=float(c["gamma"]), step_size=float(c["step_size"]),
-        chains=int(c["chains"]), steps_per_chain=int(c["steps_per_chain"]),
-        burn_in=None if c["burn_in"] is None else int(c["burn_in"]),
-        batch_size=int(c["batch_size"]), baseline_batches=int(c["baseline_batches"]),
-        preconditioner=precond,
-    )
+    return make_teacher_task(MlpSpec(**cfg["model"]), **cfg["data"])
 
 
 def build_landscape(cfg: dict):
     v = cfg["volume"]
     name = v["landscape"]
-    d = int(v["dim"])
-    bounds = Bounds.symmetric(d, float(v["half_width"]))
+    bounds = Bounds.symmetric(v["dim"], v["half_width"])
     if name == "quadratic":
-        return make_quadratic(d, bounds)
+        return make_quadratic(v["dim"], bounds)
     if name == "normal_crossing":
         if not v["exponents"]:
             raise ConfigError("volume.exponents", "required for normal_crossing")
-        spec = NormalCrossingSpec(
-            dim=d, exponents=tuple(v["exponents"]),
-            active_dims=None if v["active_dims"] is None else tuple(v["active_dims"]),
-        )
+        spec = NormalCrossingSpec(dim=v["dim"], exponents=v["exponents"],
+                                  active_dims=v["active_dims"])
         return make_normal_crossing(spec, bounds)
     if name == "bernoulli_kl":
         return SingularBernoulli().kl_landscape()
@@ -183,11 +192,20 @@ def checkpoints_dir(cfg: dict) -> Path:
 
 
 def load_checkpoints(cfg: dict):
+    """The checkpoints under `out`. Each header must name the model and the
+    training seed of `cfg`; the data seed is not in the header."""
     d = checkpoints_dir(cfg)
     files = sorted(d.glob("ckpt_*.bin"))
     if not files:
         raise ConfigError("out", f"no checkpoint files under {d}; run train-toy first")
-    return [load_checkpoint(f) for f in files]
+    cks = [load_checkpoint(f) for f in files]
+    spec_hash = MlpSpec(**cfg["model"]).spec_hash()
+    for f, ck in zip(files, cks):
+        if ck.spec_hash != spec_hash:
+            raise ConfigError("model", f"{f} was trained with another model")
+        if ck.seed != cfg["training"]["seed"]:
+            raise ConfigError("training.seed", f"{f} was trained with seed {ck.seed}")
+    return cks
 
 
 def experiment_hash(cfg: dict) -> str:
@@ -221,14 +239,7 @@ def emit(cfg: dict, subcommand: str, files: dict[str, tuple[list[str], list[tupl
 
 
 def cmd_train_toy(cfg: dict) -> int:
-    task = build_task(cfg)
-    tr = cfg["training"]
-    cks = train_sgd(
-        task, steps=int(tr["steps"]), learning_rate=float(tr["learning_rate"]),
-        batch_size=int(tr["batch_size"]), seed=int(tr["seed"]),
-        checkpoint_schedule=tuple(tr["checkpoint_schedule"]),
-        out_dir=checkpoints_dir(cfg),
-    )
+    cks = train_sgd(build_task(cfg), **cfg["training"], out_dir=checkpoints_dir(cfg))
     emit(cfg, "train-toy", {
         "training.csv": (["step", "train_loss"], [(c.step, c.train_loss) for c in cks]),
     })
@@ -238,18 +249,21 @@ def cmd_train_toy(cfg: dict) -> int:
 
 def cmd_estimate_llc(cfg: dict) -> int:
     task = build_task(cfg)
-    llc_cfg = build_llc_config(cfg)
-    seed = int(cfg["llc"]["seed"])
+    llc = {k: v for k, v in cfg["llc"].items() if k not in ("seed", "write_traces")}
+    pc = llc["preconditioner"]
+    llc["preconditioner"] = Preconditioner(kind=pc) if isinstance(pc, str) else Preconditioner(**pc)
+    llc_cfg = LlcConfig(**llc)
+    seed, write_traces = cfg["llc"]["seed"], cfg["llc"]["write_traces"]
     rows = []
     trace_rows = []
     for ck in load_checkpoints(cfg):
         est = estimate_llc(task, llc_cfg, seed=seed, w_star=ck.params)
         rows.append((ck.step, est.lambda_hat, llc_cfg.nbeta, llc_cfg.gamma,
                      llc_cfg.step_size, llc_cfg.chains, seed))
-        if cfg["llc"]["write_traces"]:
+        if write_traces:
             trace_rows.extend((ck.step, s, c, loss) for s, c, loss in est.trace_rows())
     files = {}
-    if cfg["llc"]["write_traces"]:
+    if write_traces:
         files["llc_traces.csv"] = (["checkpoint_step", "step", "chain", "loss"], trace_rows)
     files["llc.csv"] = (["step", "lambda_hat", "nbeta", "gamma", "step_size", "chains", "seed"],
                         rows)
@@ -270,9 +284,9 @@ def sweep(cfg: dict, subcommand: str, scheme: str,
     rows = []
     for ck in load_checkpoints(cfg):
         for eps in cfg["epsilons"]:
-            res = search(task, ck.params, float(eps))
+            res = search(task, ck.params, eps)
             rows.append((ck.step, scheme, res.value, res.delta_loss, res.critical_value,
-                         float(eps), cfg["seed"]))
+                         eps, cfg["seed"]))
     name = f"sweep_{subcommand.removesuffix('-sweep')}.csv"
     d = emit(cfg, subcommand, {name: (SWEEP_HEADER, rows)})
     print(f"wrote {len(rows)} rows -> {d / name}")
@@ -280,9 +294,8 @@ def sweep(cfg: dict, subcommand: str, scheme: str,
 
 
 def cmd_quantize_sweep(cfg: dict) -> int:
-    q = cfg["quantize"]
     return sweep(cfg, "quantize-sweep", "quantize", lambda task, params, eps:
-                 critical_nq(params, eps, task.full_loss, mode=q["mode"], nq_cap=int(q["nq_cap"])))
+                 critical_nq(params, eps, task.full_loss, **cfg["quantize"]))
 
 
 def cmd_factorize_sweep(cfg: dict) -> int:
@@ -291,26 +304,19 @@ def cmd_factorize_sweep(cfg: dict) -> int:
 
 
 def cmd_noise_sweep(cfg: dict) -> int:
-    nz = cfg["noise"]
-    return sweep(cfg, "noise-sweep", f"noise_{nz['mode']}", lambda task, params, eps:
-                 critical_sigma(params, eps, nz["mode"], task.full_loss,
-                                noise_draws=int(nz["noise_draws"]), seed=int(nz["seed"])))
+    return sweep(cfg, "noise-sweep", f"noise_{cfg['noise']['mode']}", lambda task, params, eps:
+                 critical_sigma(params, eps, loss_eval=task.full_loss, **cfg["noise"]))
 
 
 def cmd_prune_sweep(cfg: dict) -> int:
     task = build_task(cfg)
-    pr = cfg["prune"]
+    pr = {k: v for k, v in cfg["prune"].items() if k != "keep_fractions"}
     rows = []
     for ck in load_checkpoints(cfg):
-        for frac in pr["keep_fractions"]:
-            res = prune_and_retrain(
-                task, ck.params, keep_fraction=float(frac),
-                learning_rate=float(pr["learning_rate"]),
-                retrain_steps=int(pr["retrain_steps"]),
-                batch_size=int(pr["batch_size"]), seed=int(pr["seed"]),
-            )
+        for frac in cfg["prune"]["keep_fractions"]:
+            res = prune_and_retrain(task, ck.params, keep_fraction=frac, **pr)
             # rugged curves: no critical-threshold search for pruning
-            rows.append((ck.step, "prune", float(frac), res.delta_loss, None,
+            rows.append((ck.step, "prune", frac, res.delta_loss, None,
                          cfg["epsilons"][0], cfg["seed"]))
     d = emit(cfg, "prune-sweep", {"sweep_prune.csv": (SWEEP_HEADER, rows)})
     print(f"wrote {len(rows)} rows -> {d / 'sweep_prune.csv'}")
@@ -320,11 +326,9 @@ def cmd_prune_sweep(cfg: dict) -> int:
 def cmd_volume_fit(cfg: dict) -> int:
     v = cfg["volume"]
     landscape = build_landscape(cfg)
-    ladder = default_ladder(int(v["ladder_min_k"]), int(v["ladder_max_k"]))
-    curve = volume_curve(landscape, ladder, int(v["samples"]), seed=int(v["seed"]))
-    mode = v["multiplicity_mode"]
-    fit = fit_scaling(curve, multiplicity_mode=mode if mode == "select_by_fit" else int(mode),
-                      max_epsilon=float(v["max_epsilon"]))
+    ladder = default_ladder(v["ladder_min_k"], v["ladder_max_k"])
+    curve = volume_curve(landscape, ladder, v["samples"], seed=v["seed"])
+    fit = fit_scaling(curve, v["multiplicity_mode"], max_epsilon=v["max_epsilon"])
     emit(cfg, "volume-fit", {
         "volume.csv": (["epsilon", "volume", "se"], list(zip(
             curve.epsilons.tolist(), curve.volumes.tolist(), curve.standard_errors.tolist()))),
@@ -340,18 +344,18 @@ def cmd_volume_fit(cfg: dict) -> int:
 
 def cmd_mdl_redundancy(cfg: dict) -> int:
     m = cfg["mdl"]
-    model = SingularBernoulli(m_simplex=float(m["m_simplex"]))
-    a = float(m["a"])
+    model = SingularBernoulli(m_simplex=m["m_simplex"])
+    a = m["a"]
     files = {}
     rows = []
     for k in m["n_powers"]:
-        n = 2 ** int(k)
-        net = build_eps_net(model, a / n, int(m["mc_samples"]), seed=int(m["net_seed"]))
+        n = 2 ** k
+        net = build_eps_net(model, a / n, m["mc_samples"], seed=m["net_seed"])
         files[f"net_n{n}.csv"] = (
             ["center_index", "p_one", "vr_volume", "code_length"],
             [(i, float(net.thetas[i]), float(net.vr_volumes[i]), float(net.code_lengths[i]))
              for i in range(net.n_centers)])
-        for s in range(int(m["n_seeds"])):
+        for s in range(m["n_seeds"]):
             run = two_part_redundancy(model, model.truth, n=n, a=a, seed=s, net=net)
             # lengths reported in bits at the CSV boundary
             rows.append((run.n, run.a, run.seed, run.code_length / LN2,
@@ -365,14 +369,13 @@ def cmd_mdl_redundancy(cfg: dict) -> int:
 
 def cmd_lemma_audit(cfg: dict) -> int:
     au = cfg["audit"]
-    n = int(au["instances"])
-    m_simplex = float(au["m_simplex"])
-    outcomes = int(au["outcomes"])
-    rng = rng_stream(int(au["seed"]), 0)
+    n = au["instances"]
+    m_simplex = au["m_simplex"]
+    rng = rng_stream(au["seed"], 0)
 
     def draw(count):
         return [SimplexDist(p, lower_bound=m_simplex)
-                for p in sample_restricted(rng, count, outcomes, m_simplex)]
+                for p in sample_restricted(rng, count, au["outcomes"], m_simplex)]
 
     results = []
     qs, ps, p2s = draw(n), draw(n), draw(n)
@@ -384,10 +387,9 @@ def cmd_lemma_audit(cfg: dict) -> int:
                                        for q, p in zip(qs, ps))))
 
     model = SingularBernoulli(m_simplex=m_simplex)
-    rng_inc = rng_stream(int(au["seed"]), 1)
+    rng_inc = rng_stream(au["seed"], 1)
     violations = 0
-    n_inc = int(au["inclusion_configs"])
-    for i in range(n_inc):
+    for i in range(au["inclusion_configs"]):
         eps = float(np.exp(rng_inc.uniform(np.log(1e-4), np.log(1e-1))))
         w_q = model.bounds.sample(rng_inc, 1)[0]
         theta_q = float(model.prob_one(w_q))
@@ -397,9 +399,9 @@ def cmd_lemma_audit(cfg: dict) -> int:
         ok = grid[kl_bernoulli(theta_q, grid) <= eps]
         theta_star = float(rng_inc.choice(ok))
         chk = validate_volume_inclusions(model, theta_q, theta_star, eps,
-                                         mc_samples=200_000, seed=int(au["seed"]) + i)
+                                         mc_samples=200_000, seed=au["seed"] + i)
         violations += not (chk.passed_pointwise and chk.passed_3se)
-    results.append(("volume_inclusion", n_inc, violations))
+    results.append(("volume_inclusion", au["inclusion_configs"], violations))
 
     emit(cfg, "lemma-audit", {"audit.csv": (["validator", "instances", "violations"], results)})
     total = sum(v for _, _, v in results)
@@ -419,7 +421,7 @@ def cmd_analyze(cfg: dict) -> int:
             raise ConfigError("analyze", f"missing input {p}")
     _, _, sweep_rows = csvio.read_csv(sweep_path)
     _, _, llc_rows = csvio.read_csv(llc_path)
-    eps = float(an["epsilon"])
+    eps = an["epsilon"]
     lam_by_step = {int(r[0]): float(r[1]) for r in llc_rows}
     joined = []
     for r in sweep_rows:
@@ -427,14 +429,11 @@ def cmd_analyze(cfg: dict) -> int:
         if row_eps == eps and crit != "" and step in lam_by_step:
             joined.append((step, lam_by_step[step], float(crit)))
     steps = [j[0] for j in joined]
-    lams = [j[1] for j in joined]
-    crits = [j[2] for j in joined]
-    result = analyze_fit(steps, lams, crits, excluded_steps=tuple(an["excluded_steps"]))
-    resid = []
-    fitted = {True: iter(result.fit.residuals.tolist())}
-    for i, (step, lam, crit) in enumerate(joined):
-        inc = bool(result.included[i])
-        resid.append((step, lam, crit, inc, next(fitted[True]) if inc else None))
+    result = analyze_fit(steps, [j[1] for j in joined], [j[2] for j in joined],
+                         excluded_steps=an["excluded_steps"])
+    fitted = iter(result.fit.residuals.tolist())
+    resid = [(*j, inc, next(fitted) if inc else None)
+             for j, inc in zip(joined, result.included.tolist())]
     emit(cfg, "analyze", {
         "analysis.csv": (
             ["scheme", "epsilon", "slope", "intercept", "r_squared", "n_included", "n_rows"],

@@ -67,8 +67,8 @@ class LlcConfig:
             raise InvalidInputError("nbeta and step_size must be positive")
         if self.gamma < 0:
             raise InvalidInputError("gamma must be nonnegative")
-        if self.chains < 1 or self.steps_per_chain < 1:
-            raise InvalidInputError("need at least one chain and one step")
+        if self.chains < 1 or self.steps_per_chain < 1 or self.baseline_batches < 1:
+            raise InvalidInputError("need at least one chain, one step and one baseline batch")
         if self.burn_in is not None and not (0 <= self.burn_in < self.steps_per_chain):
             raise InvalidInputError("burn_in must satisfy 0 <= burn_in < steps_per_chain")
 

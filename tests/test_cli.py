@@ -1,11 +1,17 @@
 import json
+import math
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from basinlab.cli import main
+from basinlab.cli import (
+    ALTERNATIVES, DEFAULT_CONFIG, VALUE_CHECKS, experiment_hash, load_config, main,
+)
 from basinlab.csvio import read_csv
+from basinlab.errors import ConfigError
 
 SMALL = {
     "epsilons": [0.5],
@@ -167,6 +173,84 @@ class TestDeterminism:
         assert blobs[outs[0]] == blobs[outs[1]]
 
 
+def leaf_paths(cfg, prefix=()):
+    for key, value in cfg.items():
+        if isinstance(value, dict):
+            yield from leaf_paths(value, prefix + (key,))
+        else:
+            yield prefix + (key,)
+
+
+def typed_like(proto, value) -> bool:
+    """The typing rule, restated: a float takes any number a double holds
+    finitely, a bool is no integer, a list's items take the type of the
+    prototype's items."""
+    if isinstance(proto, float):
+        return type(value) in (int, float) and abs(value) <= sys.float_info.max
+    if type(value) is not type(proto):
+        return False
+    return not (isinstance(value, list) and proto) or all(typed_like(proto[0], v) for v in value)
+
+
+SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3)
+EDGE_VALUES = st.sampled_from(
+    [math.nan, math.inf, -math.inf, 0, 1.5, True, None, "none", "rmsprop", "select_by_fit"])
+JSON_VALUES = st.one_of(
+    EDGE_VALUES, SCALARS, st.lists(EDGE_VALUES | SCALARS, max_size=3),
+    st.dictionaries(st.sampled_from(["kind", "decay", "stabilizer", "x"]),
+                    EDGE_VALUES | SCALARS, max_size=3))
+
+
+class TestConfigPass:
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(path=st.sampled_from(list(leaf_paths(DEFAULT_CONFIG))), value=JSON_VALUES)
+    def test_any_leaf_value_loads_typed_or_names_its_key(self, tmp_path, path, value):
+        payload = value
+        for key in reversed(path):
+            payload = {key: payload}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(payload))
+        key = ".".join(path)
+        default = DEFAULT_CONFIG
+        for k in path:
+            default = default[k]
+        valid = any(typed_like(p, value) for p in ALTERNATIVES.get(key, (default,)))
+        valid = valid and (key not in VALUE_CHECKS or bool(VALUE_CHECKS[key][0](value)))
+        try:
+            cfg = load_config(str(cfg_path), None, None, None)
+        except ConfigError as e:
+            assert not valid
+            assert e.key == key or e.key.startswith(key + "."), (e.key, key)
+            return
+        assert valid
+        got = cfg
+        for k in path:
+            got = got[k]
+        # returned as written: an integer in a float key stays an integer
+        assert json.dumps(got, sort_keys=True) == json.dumps(value, sort_keys=True)
+
+    def test_benchmark_configs_load_unchanged(self, monkeypatch, tmp_path):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "benchmarks"))
+        from workloads import WARMUP, WORKLOADS, merge
+
+        n = 0
+        for workload in WORKLOADS.values():
+            cfgs = list(workload(1, tmp_path).configs().values())
+            for cfg in cfgs + [merge(c, WARMUP) for c in cfgs]:
+                p = tmp_path / "cfg.json"
+                p.write_text(json.dumps(cfg, sort_keys=True))
+                loaded = load_config(str(p), None, None, None)
+                assert loaded == dict(cfg, out=DEFAULT_CONFIG["out"])
+                assert experiment_hash(loaded) == experiment_hash(cfg)
+                n += 1
+        assert n == 24
+
+    def test_default_config_hash_pinned(self):
+        assert experiment_hash(load_config(None, None, None, None)) == (
+            "f2b24e5ec3b00e790f0d3cf7707703a4c1414eafd9578d0e5e88516e4d4124ef")
+
+
 class TestErrors:
     @pytest.mark.parametrize("payload,key", [
         ({"nonsense": 1}, "nonsense"),
@@ -175,8 +259,27 @@ class TestErrors:
         ({"epsilons": [float("nan")]}, "epsilons"),
         ({"model": {"layer_sizes": 5}}, "model.layer_sizes"),
         ({"training": {"checkpoint_schedule": 3}}, "training.checkpoint_schedule"),
+        ({"data": {"n_samples": 1.5}}, "data.n_samples"),
+        ({"data": {"n_samples": True}}, "data.n_samples"),
+        ({"model": {"layer_sizes": [4, 16.7, 4]}}, "model.layer_sizes"),
+        ({"llc": {"write_traces": "false"}}, "llc.write_traces"),
+        ({"mdl": {"n_seeds": "3"}}, "mdl.n_seeds"),
+        ({"seed": "abc"}, "seed"),
+        ({"training": {"steps": [5]}}, "training.steps"),
+        ({"llc": {"preconditioner": {"kind": "rmsprop", "foo": 1}}}, "llc.preconditioner.foo"),
+        ({"llc": {"preconditioner": [1]}}, "llc.preconditioner"),
+        ({"llc": {"nbeta": float("nan")}}, "llc.nbeta"),
+        ({"epsilons": [float("inf")]}, "epsilons"),
+        ({"volume": {"multiplicity_mode": "abc"}}, "volume.multiplicity_mode"),
+        ({"volume": {"landscape": "normal_crossing", "exponents": "2"}}, "volume.exponents"),
+        ({"mdl": {"mc_samples": 0}}, "mdl.mc_samples"),
+        ({"llc": {"baseline_batches": 0}}, "llc.baseline_batches"),
     ], ids=["unknown-key", "top-level-array", "epsilons-string", "epsilons-nan",
-            "layer-sizes-int", "checkpoint-schedule-int"])
+            "layer-sizes-int", "checkpoint-schedule-int", "n-samples-float", "n-samples-bool",
+            "layer-sizes-float-item", "write-traces-string", "n-seeds-string", "seed-string",
+            "steps-list", "preconditioner-unknown-key", "preconditioner-list", "nbeta-nan",
+            "epsilons-inf", "multiplicity-mode-string", "exponents-string", "mc-samples-zero",
+            "baseline-batches-zero"])
     def test_unknown_config_key_exit_1(self, tmp_path, capsys, payload, key):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(payload))
@@ -184,10 +287,26 @@ class TestErrors:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and f"config key {key!r}" in err
 
-    def test_bad_epsilon_exit_1(self, workdir):
+    def test_bad_epsilon_exit_1(self, workdir, capsys):
         _, cfg_path, out = workdir
-        assert main(["quantize-sweep", "--config", str(cfg_path), "--out", str(out),
-                     "--epsilon", "-1"]) == 1
+        for bad in ("-1", "inf"):
+            assert main(["quantize-sweep", "--config", str(cfg_path), "--out", str(out),
+                         "--epsilon", bad]) == 1
+            assert "config key 'epsilons'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("override,key", [
+        ({"model": {"layer_sizes": [4, 8, 4]}}, "model"),
+        ({"model": {"loss": "xent"}}, "model"),
+        ({"training": dict(SMALL["training"], seed=99)}, "training.seed"),
+    ], ids=["layer-sizes", "loss", "training-seed"])
+    def test_checkpoint_provenance_exit_1(self, workdir, tmp_path, capsys, override, key):
+        # the checkpoints under `out` were trained by SMALL
+        _, _, out = workdir
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({**SMALL, **override}))
+        assert main(["estimate-llc", "--config", str(p), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and f"config key {key!r}" in err
 
     def test_missing_checkpoints_exit_1(self, workdir, tmp_path):
         _, cfg_path, _ = workdir

@@ -304,6 +304,10 @@ class TestConfigValidation:
         with pytest.raises(InvalidInputError):
             LlcConfig(step_size=0.0)
 
+    def test_zero_baseline_batches(self):
+        with pytest.raises(InvalidInputError):
+            LlcConfig(baseline_batches=0)
+
     def test_default_burn_in_is_tenth(self):
         cfg = LlcConfig(steps_per_chain=500)
         assert cfg.resolved_burn_in == 50
