@@ -99,7 +99,10 @@ VALUE_CHECKS = dict.fromkeys((
     "data.n_samples", "training.steps", "training.batch_size", "llc.batch_size",
     "prune.batch_size", "llc.chains", "llc.steps_per_chain", "llc.baseline_batches",
     "noise.noise_draws", "volume.dim", "volume.samples", "mdl.mc_samples",
+    "audit.instances", "audit.inclusion_configs",
 ), (lambda v: v >= 1, "must be >= 1")) | {
+    # checkpoint headers store the training seed as a u64
+    "training.seed": (lambda v: 0 <= v < 2**64, "must be in [0, 2**64)"),
     "epsilons": (lambda v: v and min(v) > 0, "must be a nonempty list of positive numbers"),
     "volume.multiplicity_mode": (lambda v: v == "select_by_fit" or type(v) is int,
                                  "expected 'select_by_fit' or an integer"),

@@ -128,6 +128,15 @@ class LlcEstimate:
                 yield t, c, float(self.trace[c, t])
 
 
+def _require_finite(w_new: np.ndarray) -> None:
+    """Raise ChainDivergedError unless every coordinate is finite. For a
+    (chains, d) stack it names the lowest non-finite row; the step is left -1
+    for the caller to fill in."""
+    if not np.all(np.isfinite(w_new)):
+        chain = int(np.argmin(np.isfinite(w_new).all(axis=-1))) if w_new.ndim > 1 else -1
+        raise ChainDivergedError(chain=chain, step=-1)
+
+
 def sgld_step(
     w: np.ndarray,
     grad_loss: np.ndarray,
@@ -139,13 +148,13 @@ def sgld_step(
     """One Langevin step against the tempered, localized potential.
 
     w' = w - (eps/2) [nbeta * grad_loss + gamma (w - w*)] + sqrt(eps) * noise,
-    clamped to the bounds when given.
+    clamped to the bounds when given. Elementwise, so w, grad_loss and noise
+    may be (chains, d) stacks that step every chain at once.
     """
     eps = cfg.step_size
     drift = cfg.nbeta * grad_loss + cfg.gamma * (w - w_star)
     w_new = w - 0.5 * eps * drift + np.sqrt(eps) * noise
-    if not np.all(np.isfinite(w_new)):
-        raise ChainDivergedError(chain=-1, step=-1)
+    _require_finite(w_new)
     return bounds.clamp(w_new) if bounds is not None else w_new
 
 
@@ -172,8 +181,7 @@ def psgld_step(
     scale = 1.0 / (np.sqrt(v_new) + pc.stabilizer)
     drift = tempered + cfg.gamma * (w - w_star)
     w_new = w - 0.5 * eps * scale * drift + np.sqrt(eps * scale) * noise
-    if not np.all(np.isfinite(w_new)):
-        raise ChainDivergedError(chain=-1, step=-1)
+    _require_finite(w_new)
     return (bounds.clamp(w_new) if bounds is not None else w_new), v_new
 
 
@@ -186,11 +194,15 @@ def estimate_llc(
     """Estimate the local learning coefficient at w_star.
 
     Chains start at w_star and draw from per-chain streams (stream c for
-    chain c), so the result is deterministic per seed and independent chains
-    can in principle run in parallel; the reduction averages chains in index
-    order. Negative estimates are returned as-is and flagged, not clipped.
-    Raises ChainDivergedError (with the partial trace attached) if a chain
-    produces a non-finite state.
+    chain c), so the result is deterministic per seed. The chains step in
+    lockstep as one (chains, d) array: each step evaluates every chain's loss
+    and gradient in one call, then chain c draws its noise from stream c
+    (after its minibatch, for MLP targets), the same draws in the same order
+    as running the chains one after another. The reduction averages chains
+    in index order. Negative estimates are returned as-is and flagged, not
+    clipped. Raises ChainDivergedError (with the partial trace of every
+    chain attached) at the earliest step at which a chain produces a
+    non-finite state, naming the lowest such chain at that step.
     """
     if isinstance(target, Landscape):
         if w_star is None:
@@ -201,8 +213,8 @@ def estimate_llc(
         bounds = target.bounds
         dim = target.dim
 
-        def loss_grad(w, rng):
-            return float(target.value(w)), target.grad(w)
+        def losses_grads(w, rngs):
+            return target.value(w), target.grad(w)
 
         baseline = float(target.value(w_star))
     elif isinstance(target, MlpTask):
@@ -212,9 +224,8 @@ def estimate_llc(
         bounds = None
         dim = target.model.n_params
 
-        def loss_grad(w, rng):
-            xb, yb = target.batch(rng, cfg.batch_size)
-            return target.model.loss_and_grad(w, xb, yb)
+        def losses_grads(w, rngs):
+            return target.model.losses_and_grads(w, *target.batches(rngs, cfg.batch_size))
 
         rng_base = rng_stream(seed, cfg.chains)
         baseline = float(
@@ -233,23 +244,25 @@ def estimate_llc(
     boundary_hits = 0
     use_pc = cfg.preconditioner.kind == "rmsprop"
 
-    for c in range(cfg.chains):
-        rng = rng_stream(seed, c)
-        w = w_star.copy()
-        v_acc = np.zeros(dim)
-        for t in range(cfg.steps_per_chain):
-            loss, grad = loss_grad(w, rng)
-            trace[c, t] = loss
-            noise = rng.standard_normal(dim)
-            try:
-                if use_pc:
-                    w, v_acc = psgld_step(w, grad, w_star, cfg, noise, v_acc, bounds)
-                else:
-                    w = sgld_step(w, grad, w_star, cfg, noise, bounds)
-            except ChainDivergedError:
-                raise ChainDivergedError(chain=c, step=t, diagnostics=trace[:, : t + 1])
-            if bounds is not None and np.any((w == bounds.lo) | (w == bounds.hi)):
-                boundary_hits += 1
+    rngs = [rng_stream(seed, c) for c in range(cfg.chains)]
+    w = np.tile(w_star, (cfg.chains, 1))
+    v_acc = np.zeros((cfg.chains, dim))
+    noise = np.empty((cfg.chains, dim))
+    for t in range(cfg.steps_per_chain):
+        losses, grad = losses_grads(w, rngs)
+        trace[:, t] = losses
+        for rng, row in zip(rngs, noise):
+            rng.standard_normal(out=row)
+        try:
+            if use_pc:
+                w, v_acc = psgld_step(w, grad, w_star, cfg, noise, v_acc, bounds)
+            else:
+                w = sgld_step(w, grad, w_star, cfg, noise, bounds)
+        except ChainDivergedError as e:
+            raise ChainDivergedError(chain=e.chain, step=t, diagnostics=trace[:, : t + 1])
+        if bounds is not None:
+            at_bound = (w == bounds.lo) | (w == bounds.hi)
+            boundary_hits += int(np.count_nonzero(at_bound.any(axis=1)))
 
     per_chain = trace[:, burn:].mean(axis=1)
     lam = float(cfg.nbeta * (per_chain.mean() - baseline))
@@ -262,4 +275,3 @@ def estimate_llc(
         seed=seed,
         boundary_hits=boundary_hits,
     )
-

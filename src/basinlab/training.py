@@ -34,6 +34,8 @@ class Checkpoint:
     spec_hash: int
 
     def to_bytes(self) -> bytes:
+        if not 0 <= self.seed < 2**64:
+            raise InvalidInputError(f"checkpoint seed {self.seed} does not fit in a u64")
         params = np.ascontiguousarray(self.params, dtype="<f8")
         header = _HEADER.pack(
             MAGIC, VERSION, len(params), self.step, self.seed, self.spec_hash, self.train_loss

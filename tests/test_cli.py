@@ -274,12 +274,17 @@ class TestErrors:
         ({"volume": {"landscape": "normal_crossing", "exponents": "2"}}, "volume.exponents"),
         ({"mdl": {"mc_samples": 0}}, "mdl.mc_samples"),
         ({"llc": {"baseline_batches": 0}}, "llc.baseline_batches"),
+        ({"training": {"seed": -1}}, "training.seed"),
+        ({"training": {"seed": 2**64}}, "training.seed"),
+        ({"audit": {"instances": 0}}, "audit.instances"),
+        ({"audit": {"inclusion_configs": 0}}, "audit.inclusion_configs"),
     ], ids=["unknown-key", "top-level-array", "epsilons-string", "epsilons-nan",
             "layer-sizes-int", "checkpoint-schedule-int", "n-samples-float", "n-samples-bool",
             "layer-sizes-float-item", "write-traces-string", "n-seeds-string", "seed-string",
             "steps-list", "preconditioner-unknown-key", "preconditioner-list", "nbeta-nan",
             "epsilons-inf", "multiplicity-mode-string", "exponents-string", "mc-samples-zero",
-            "baseline-batches-zero"])
+            "baseline-batches-zero", "training-seed-negative", "training-seed-above-u64",
+            "audit-instances-zero", "audit-inclusion-configs-zero"])
     def test_unknown_config_key_exit_1(self, tmp_path, capsys, payload, key):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(payload))

@@ -7,12 +7,17 @@ from basinlab import (
     Bounds,
     Landscape,
     LlcConfig,
+    LlcEstimate,
+    MlpModel,
+    MlpSpec,
+    MlpTask,
     NormalCrossingSpec,
     Preconditioner,
     estimate_llc,
     make_flat,
     make_normal_crossing,
     make_quadratic,
+    make_teacher_task,
     psgld_step,
     rng_stream,
     sgld_step,
@@ -38,6 +43,54 @@ def gibbs_expectation_quadrature(landscape, nbeta, gamma, n_nodes=400):
 
 
 CFG = LlcConfig(nbeta=30.0, gamma=1.0, step_size=1.2e-3, chains=4, steps_per_chain=2000, burn_in=200)
+
+
+def per_chain_oracle(target, cfg, seed, w_star=None):
+    """Reference sampler: chain c runs all its steps before chain c + 1
+    starts, one parameter vector per loss/gradient call."""
+    if isinstance(target, Landscape):
+        w_star = target.minimum if w_star is None else np.asarray(w_star, dtype=float)
+        bounds, dim = target.bounds, target.dim
+
+        def loss_grad(w, rng):
+            return float(target.value(w)), target.grad(w)
+
+        baseline = float(target.value(w_star))
+    else:
+        w_star = np.asarray(w_star, dtype=float)
+        bounds, dim = None, target.model.n_params
+
+        def loss_grad(w, rng):
+            return target.model.loss_and_grad(w, *target.batch(rng, cfg.batch_size))
+
+        rng_base = rng_stream(seed, cfg.chains)
+        baseline = float(np.mean([target.model.loss(w_star, *target.batch(rng_base, cfg.batch_size))
+                                  for _ in range(cfg.baseline_batches)]))
+    trace = np.zeros((cfg.chains, cfg.steps_per_chain))
+    hits = 0
+    for c in range(cfg.chains):
+        rng = rng_stream(seed, c)
+        w = w_star.copy()
+        v_acc = np.zeros(dim)
+        for t in range(cfg.steps_per_chain):
+            trace[c, t], grad = loss_grad(w, rng)
+            noise = rng.standard_normal(dim)
+            if cfg.preconditioner.kind == "rmsprop":
+                w, v_acc = psgld_step(w, grad, w_star, cfg, noise, v_acc, bounds)
+            else:
+                w = sgld_step(w, grad, w_star, cfg, noise, bounds)
+            hits += bounds is not None and bool(np.any((w == bounds.lo) | (w == bounds.hi)))
+    per_chain = trace[:, cfg.resolved_burn_in:].mean(axis=1)
+    return LlcEstimate(lambda_hat=float(cfg.nbeta * (per_chain.mean() - baseline)),
+                       per_chain_means=per_chain, baseline_loss=baseline, trace=trace,
+                       config=cfg, seed=seed, boundary_hits=hits)
+
+
+def xent_task(n_samples=256, seed=4):
+    """A 3-class task labelled by the argmax of a frozen teacher."""
+    teacher = make_teacher_task(MlpSpec(layer_sizes=(4, 8, 3)), n_samples, seed=seed)
+    model = MlpModel(MlpSpec(layer_sizes=(4, 8, 3), loss="xent"))
+    return MlpTask(model=model, x=teacher.x, y=np.argmax(teacher.y, axis=1))
 
 
 class TestSgldStep:
@@ -286,6 +339,27 @@ class TestEstimateLlc:
         assert e.value.chain == 0 and e.value.step == 0
         assert e.value.diagnostics is not None
 
+    def test_diverged_chain_named_by_earliest_step(self):
+        # chains 1 and 2 go non-finite at step 3, chain 0 never: the error
+        # names step 3 and the lower of the two chains at that step
+        calls = []
+
+        def grad(w):
+            g = 2.0 * np.asarray(w, dtype=float)
+            if len(calls) == 3:
+                g[1:] = np.inf
+            calls.append(None)
+            return g
+
+        L = Landscape(dim=2, bounds=Bounds.symmetric(2, 1.0),
+                      value=lambda w: np.sum(w * w, axis=-1), grad=grad)
+        cfg = LlcConfig(nbeta=30.0, gamma=1.0, step_size=1e-3, chains=3, steps_per_chain=10)
+        with pytest.raises(ChainDivergedError) as e:
+            estimate_llc(L, cfg, seed=0)
+        assert (e.value.chain, e.value.step) == (1, 3)
+        assert e.value.diagnostics.shape == (3, 4)
+        assert np.all(e.value.diagnostics[:, 1:] > 0)
+
     def test_trace_rows_align(self):
         est = estimate_llc(make_quadratic(1), LlcConfig(
             nbeta=30.0, gamma=1.0, step_size=1e-3, chains=2, steps_per_chain=50, burn_in=5), seed=0)
@@ -293,6 +367,41 @@ class TestEstimateLlc:
         assert len(rows) == 2 * 50
         assert rows[0][:2] == (0, 0)
         assert rows[-1][:2] == (49, 1)
+
+
+class TestLockstepMatchesPerChainOracle:
+    """Chains stepped in lockstep give the records of chains run one by one."""
+
+    @pytest.mark.parametrize("case", ["quadratic-boundary", "normal-crossing", "rmsprop",
+                                      "mlp-mse", "mlp-xent"])
+    def test_record_equals_oracle(self, case):
+        w_star = None
+        if case == "quadratic-boundary":
+            target = make_quadratic(2, Bounds.symmetric(2, 0.05))
+            cfg = LlcConfig(nbeta=30.0, gamma=1.0, step_size=1e-3, chains=3,
+                            steps_per_chain=300, burn_in=30)
+        elif case == "normal-crossing":
+            target = make_normal_crossing(NormalCrossingSpec(dim=3, exponents=(1, 2)))
+            cfg = LlcConfig(nbeta=30.0, gamma=1.0, step_size=1.2e-3, chains=4,
+                            steps_per_chain=300, burn_in=30)
+        elif case == "rmsprop":
+            target = make_quadratic(2)
+            cfg = LlcConfig(nbeta=30.0, gamma=1.0, step_size=1e-2, chains=3,
+                            steps_per_chain=300, burn_in=30,
+                            preconditioner=Preconditioner(kind="rmsprop", decay=0.9))
+        else:
+            target = (make_teacher_task(MlpSpec(layer_sizes=(4, 8, 4)), 256, seed=9)
+                      if case == "mlp-mse" else xent_task())
+            w_star = target.model.init_params(rng_stream(10, 0))
+            # the xent case also runs the preconditioner on an MLP
+            kind = "none" if case == "mlp-mse" else "rmsprop"
+            cfg = LlcConfig(nbeta=30.0, gamma=300.0, step_size=2e-4, chains=3,
+                            steps_per_chain=60, burn_in=6, batch_size=32, baseline_batches=4,
+                            preconditioner=Preconditioner(kind=kind))
+        est = estimate_llc(target, cfg, seed=11, w_star=w_star)
+        assert est.to_record() == per_chain_oracle(target, cfg, 11, w_star).to_record()
+        if case == "quadratic-boundary":
+            assert est.boundary_hits > 0
 
 
 class TestConfigValidation:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -108,3 +110,53 @@ class TestTeacherTask:
         task = make_teacher_task(MlpSpec(layer_sizes=(4, 8, 4)), 64, seed=9)
         with pytest.raises(InvalidInputError):
             estimate_llc(task, LlcConfig(), seed=0)
+
+
+class TestBuffers:
+    def test_full_loss_allocates_no_activation_temporaries(self):
+        # one (1024, 16) float64 activation is 131,072 bytes; after the
+        # first call allocates the buffers, no call allocates one again
+        task = make_teacher_task(MlpSpec(layer_sizes=(4, 16, 16, 4)), 1024, seed=13)
+        params = task.model.init_params(rng_stream(0, 0))
+        task.full_loss(params)
+        tracemalloc.start()
+        try:
+            task.full_loss(params)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 131_072
+
+    def test_forward_result_survives_later_calls(self):
+        model = MlpModel(MlpSpec(layer_sizes=(3, 5, 2)))
+        rng = rng_stream(5, 0)
+        x = rng.standard_normal((10, 3))
+        p1, p2 = model.init_params(rng), model.init_params(rng)
+        out = model.forward(p1, x)
+        kept = out.copy()
+        model.forward(p2, x)
+        model.loss_and_grad(p2, x, np.zeros((10, 2)))
+        assert np.array_equal(out, kept)
+
+
+class TestLossesAndGrads:
+    @pytest.mark.parametrize("loss_kind", ["mse", "xent"])
+    def test_rows_equal_single_path(self, loss_kind):
+        model = MlpModel(MlpSpec(layer_sizes=(4, 16, 16, 3), loss=loss_kind))
+        rng = rng_stream(6, 0)
+        k, b = 5, 64
+        params = np.stack([model.init_params(rng) for _ in range(k)])
+        x = rng.standard_normal((k, b, 4))
+        y = rng.standard_normal((k, b, 3)) if loss_kind == "mse" else rng.integers(0, 3, (k, b))
+        losses, grads = model.losses_and_grads(params, x, y)
+        assert losses.shape == (k,) and grads.shape == (k, model.n_params)
+        for r in range(k):
+            loss, grad = model.loss_and_grad(params[r], x[r], y[r])
+            assert losses[r] == loss
+            assert np.array_equal(grads[r], grad)
+
+    def test_shape_mismatch_rejected(self):
+        model = MlpModel(MlpSpec(layer_sizes=(3, 2)))
+        with pytest.raises(InvalidInputError):
+            model.losses_and_grads(np.zeros((2, model.n_params)), np.zeros((3, 4, 3)),
+                                   np.zeros((3, 4, 2)))

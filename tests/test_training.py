@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from basinlab import MlpSpec, load_checkpoint, make_teacher_task, save_checkpoint, train_sgd
+from basinlab import (
+    Checkpoint,
+    MlpSpec,
+    load_checkpoint,
+    make_teacher_task,
+    save_checkpoint,
+    train_sgd,
+)
 from basinlab.errors import InvalidInputError, TrainingDivergedError
 from basinlab.training import checkpoint_filename
 
@@ -82,3 +89,9 @@ class TestCheckpointFormat:
         p.write_bytes(b"BLCK\x01")
         with pytest.raises(InvalidInputError):
             load_checkpoint(p)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_u64_rejected(self, seed):
+        ck = Checkpoint(step=0, params=np.zeros(3), train_loss=0.0, seed=seed, spec_hash=0)
+        with pytest.raises(InvalidInputError):
+            ck.to_bytes()
