@@ -43,7 +43,7 @@ from .llc import LlcConfig, Preconditioner, estimate_llc
 from .mdl import build_eps_net, two_part_redundancy, validate_kl_l2, validate_triangle, validate_variance_bound, validate_volume_inclusions
 from .mlp import MlpSpec, MlpTask, make_teacher_task
 from .rng import rng_stream
-from .simplex import SimplexDist, kl_bernoulli, sample_restricted
+from .simplex import kl_bernoulli, sample_restricted
 from .training import load_checkpoint, train_sgd
 from .volume import default_ladder, fit_scaling, volume_curve
 
@@ -99,11 +99,14 @@ VALUE_CHECKS = dict.fromkeys((
     "data.n_samples", "training.steps", "training.batch_size", "llc.batch_size",
     "prune.batch_size", "llc.chains", "llc.steps_per_chain", "llc.baseline_batches",
     "noise.noise_draws", "volume.dim", "volume.samples", "mdl.mc_samples",
-    "audit.instances", "audit.inclusion_configs",
-), (lambda v: v >= 1, "must be >= 1")) | {
+    "audit.instances", "audit.inclusion_configs", "mdl.n_seeds",
+), (lambda v: v >= 1, "must be >= 1")) | dict.fromkeys(
+    ("mdl.a", "volume.half_width", "audit.m_simplex"), (lambda v: v > 0, "must be positive")) | {
     # checkpoint headers store the training seed as a u64
     "training.seed": (lambda v: 0 <= v < 2**64, "must be in [0, 2**64)"),
     "epsilons": (lambda v: v and min(v) > 0, "must be a nonempty list of positive numbers"),
+    "mdl.n_powers": (lambda v: len(v) > 0, "must be a nonempty list"),
+    "audit.outcomes": (lambda v: v >= 2, "must be >= 2"),
     "volume.multiplicity_mode": (lambda v: v == "select_by_fit" or type(v) is int,
                                  "expected 'select_by_fit' or an integer"),
 }
@@ -374,20 +377,16 @@ def cmd_lemma_audit(cfg: dict) -> int:
     au = cfg["audit"]
     n = au["instances"]
     m_simplex = au["m_simplex"]
+    if m_simplex * au["outcomes"] >= 1:
+        raise ConfigError("audit.m_simplex", "m_simplex * outcomes must be below 1")
     rng = rng_stream(au["seed"], 0)
-
-    def draw(count):
-        return [SimplexDist(p, lower_bound=m_simplex)
-                for p in sample_restricted(rng, count, au["outcomes"], m_simplex)]
-
-    results = []
-    qs, ps, p2s = draw(n), draw(n), draw(n)
-    results.append(("kl_l2", n, sum(not validate_kl_l2(q, p, m_simplex).passed
-                                    for q, p in zip(qs, ps))))
-    results.append(("triangle", n, sum(not validate_triangle(q, p, p2, m_simplex).passed
-                                       for q, p, p2 in zip(qs, ps, p2s))))
-    results.append(("variance", n, sum(not validate_variance_bound(q, p).passed
-                                       for q, p in zip(qs, ps))))
+    qs, ps, p2s = (sample_restricted(rng, n, au["outcomes"], m_simplex) for _ in range(3))
+    # one stacked call per validator; `passed` is an array over the n instances
+    results = [(name, n, int(np.count_nonzero(np.logical_not(chk.passed)))) for name, chk in (
+        ("kl_l2", validate_kl_l2(qs, ps, m_simplex)),
+        ("triangle", validate_triangle(qs, ps, p2s, m_simplex)),
+        ("variance", validate_variance_bound(qs, ps)),
+    )]
 
     model = SingularBernoulli(m_simplex=m_simplex)
     rng_inc = rng_stream(au["seed"], 1)

@@ -331,13 +331,25 @@ def add_noise(w: np.ndarray, sigma: float, mode: str, seed: int, stream_id: int 
     absolute: w + sigma * z; relative: w + w * sigma * z, with z standard
     normal per coordinate.
     """
+    w = np.asarray(w, dtype=float)
+    return _perturb(w, rng_stream(seed, stream_id).standard_normal(w.shape), sigma, mode)
+
+
+def _perturb(w: np.ndarray, z: np.ndarray, sigma: float, mode: str) -> np.ndarray:
     if sigma < 0:
         raise InvalidInputError("sigma must be nonnegative")
     if mode not in ("absolute", "relative"):
         raise InvalidInputError(f"unknown noise mode {mode!r}")
-    w = np.asarray(w, dtype=float)
-    z = rng_stream(seed, stream_id).standard_normal(w.shape)
     return w + sigma * z if mode == "absolute" else w + w * sigma * z
+
+
+def _noise_delta(params: np.ndarray, mode: str, loss_eval: LossEval, noise_draws: int, seed: int):
+    """sigma -> noise_delta_loss(params, sigma, ...), with the base loss and the
+    unit perturbations of add_noise (streams 0 .. noise_draws - 1) made once."""
+    base = loss_eval(params)
+    draws = [rng_stream(seed, k).standard_normal(params.shape) for k in range(noise_draws)]
+    return lambda sigma: float(np.mean([loss_eval(_perturb(params, z, sigma, mode))
+                                        for z in draws])) - base
 
 
 def noise_delta_loss(
@@ -349,13 +361,7 @@ def noise_delta_loss(
     seed: int = 0,
 ) -> float:
     """Mean loss increase over the seeded noise draws at a fixed sigma."""
-    params = np.asarray(params, dtype=float)
-    base = loss_eval(params)
-    losses = [
-        loss_eval(add_noise(params, sigma, mode, seed, stream_id=k))
-        for k in range(noise_draws)
-    ]
-    return float(np.mean(losses)) - base
+    return _noise_delta(np.asarray(params, dtype=float), mode, loss_eval, noise_draws, seed)(sigma)
 
 
 def critical_sigma(
@@ -370,24 +376,18 @@ def critical_sigma(
 ) -> CriticalResult:
     """Largest sigma whose mean loss increase over the noise draws is within epsilon.
 
-    The same noise_draws unit perturbations are reused at every sigma, so the
-    measured curve is continuous in sigma and the geometric bisection brackets
-    a single crossing. If even the lower search bound exceeds the tolerance,
-    that bound is returned; if the tolerance is never exceeded by the upper
-    bound there is no crossing to report and the search errors out. The
-    result's value and critical_value are sigma.
+    The same noise_draws unit perturbations, drawn once, are reused at every
+    sigma, so the measured curve is continuous in sigma and the geometric
+    bisection brackets a single crossing. If even the lower search bound
+    exceeds the tolerance, that bound is returned; if the tolerance is never
+    exceeded by the upper bound there is no crossing to report and the search
+    errors out. The result's value and critical_value are sigma.
     """
     if epsilon < 0:
         raise InvalidInputError("epsilon must be nonnegative")
     if noise_draws < 1:
         raise InvalidInputError("noise_draws must be >= 1")
-    if mode not in ("absolute", "relative"):
-        raise InvalidInputError(f"unknown noise mode {mode!r}")
-    params = np.asarray(params, dtype=float)
-    loss_eval = _base_cached(params, loss_eval)
-
-    def dl(sigma):
-        return noise_delta_loss(params, sigma, mode, loss_eval, noise_draws, seed)
+    dl = _noise_delta(np.asarray(params, dtype=float), mode, loss_eval, noise_draws, seed)
 
     lo, hi = sigma_bounds
     dl_lo = dl(lo)

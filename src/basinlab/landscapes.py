@@ -48,7 +48,12 @@ class Bounds:
         return np.clip(w, self.lo, self.hi)
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return rng.uniform(self.lo, self.hi, size=(n, self.dim))
+        # A cube passes scalar bounds: the same lo + (hi - lo) * u kernel as the
+        # array call, so the same draws and end state, without the broadcast.
+        lo, hi = self.lo, self.hi
+        if lo.size and (lo == lo[0]).all() and (hi == hi[0]).all():
+            lo, hi = lo[0], hi[0]
+        return rng.uniform(lo, hi, size=(n, self.dim))
 
 
 @dataclass

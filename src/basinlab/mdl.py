@@ -278,18 +278,18 @@ def two_part_redundancy(
 
 @dataclass
 class BoundsCheck:
-    lower: float
-    value: float
-    upper: float
-    passed: bool
+    lower: float | np.ndarray
+    value: float | np.ndarray
+    upper: float | np.ndarray
+    passed: bool | np.ndarray
 
 
 @dataclass
 class TriangleCheck:
-    lhs: float
-    rhs: float
+    lhs: float | np.ndarray
+    rhs: float | np.ndarray
     constant: float
-    passed: bool
+    passed: bool | np.ndarray
 
 
 @dataclass
@@ -325,51 +325,67 @@ class InclusionCheck:
 _AUDIT_SLACK = 1e-9
 
 
-def _require_restricted(dist: SimplexDist, m_simplex: float, name: str):
-    if dist.probs.min() < m_simplex - 1e-12:
-        raise InvalidInputError(f"{name} is outside the restricted simplex (m={m_simplex})")
+# A validator takes one SimplexDist per argument, or stacked (n, k) probability
+# rows for n instances; each field of its result is then an array over them.
+Dists = SimplexDist | np.ndarray
 
 
-def validate_kl_l2(q: SimplexDist, p: SimplexDist, m_simplex: float) -> BoundsCheck:
+def _rows(*dists: Dists) -> list[np.ndarray]:
+    return [d.probs if isinstance(d, SimplexDist) else np.asarray(d, dtype=float) for d in dists]
+
+
+def _require_restricted(m_simplex: float, **rows):
+    if m_simplex <= 0:
+        raise InvalidInputError("the simplex lower bound m must be positive")
+    for name, r in rows.items():
+        if np.any(r < m_simplex - 1e-12):
+            raise InvalidInputError(f"{name} is outside the restricted simplex (m={m_simplex})")
+
+
+def _scalars(*fields):  # Python scalars for one instance, arrays for a stack
+    return [f if np.ndim(f) else np.asarray(f).item() for f in fields]
+
+
+def validate_kl_l2(q: Dists, p: Dists, m_simplex: float) -> BoundsCheck:
     """Check (1/2)||p-q||^2 <= KL(q||p) <= (1/(2m))||p-q||^2."""
-    _require_restricted(q, m_simplex, "q")
-    _require_restricted(p, m_simplex, "p")
-    sq = float(np.sum((p.probs - q.probs) ** 2))
+    q, p = _rows(q, p)
+    _require_restricted(m_simplex, q=q, p=p)
+    sq = np.sum((p - q) ** 2, axis=-1)
     val = kl(q, p)
     lower = 0.5 * sq
     upper = sq / (2.0 * m_simplex)
-    return BoundsCheck(lower, val, upper,
-                       lower - _AUDIT_SLACK <= val <= upper + _AUDIT_SLACK)
+    return BoundsCheck(*_scalars(lower, val, upper,
+                                 (lower - _AUDIT_SLACK <= val) & (val <= upper + _AUDIT_SLACK)))
 
 
-def validate_triangle(q: SimplexDist, p: SimplexDist, p2: SimplexDist, m_simplex: float) -> TriangleCheck:
+def validate_triangle(q: Dists, p: Dists, p2: Dists, m_simplex: float) -> TriangleCheck:
     """Check KL(p||p2) <= C * (KL(q||p) + KL(q||p2)) with C = 1/(2m)."""
-    for name, d in (("q", q), ("p", p), ("p2", p2)):
-        _require_restricted(d, m_simplex, name)
+    q, p, p2 = _rows(q, p, p2)
+    _require_restricted(m_simplex, q=q, p=p, p2=p2)
     c = 1.0 / (2.0 * m_simplex)
     lhs = kl(p, p2)
     rhs = c * (kl(q, p) + kl(q, p2))
-    return TriangleCheck(lhs, rhs, c, lhs <= rhs + _AUDIT_SLACK)
+    return TriangleCheck(*_scalars(lhs, rhs, c, lhs <= rhs + _AUDIT_SLACK))
 
 
-def validate_variance_bound(q: SimplexDist, p: SimplexDist) -> BoundsCheck:
+def validate_variance_bound(q: Dists, p: Dists) -> BoundsCheck:
     """Check (c - KL) KL <= Var_q[log q/p] <= (c' - KL) KL.
 
     c = 2 / max(1, e^-m_inf) and c' = 2 / min(1, e^-M), where M and m_inf are
     the sup and inf of the log ratio; both must be finite.
     """
-    if np.any(q.probs <= 0) or np.any(p.probs <= 0):
+    q, p = _rows(q, p)
+    if np.any(q <= 0) or np.any(p <= 0):
         raise InvalidInputError("log ratio must be finite on the whole outcome space")
-    ell = np.log(q.probs / p.probs)
-    m_inf, m_sup = float(ell.min()), float(ell.max())
+    ell = np.log(q / p)
     d = kl(q, p)
-    variance = float(np.sum(q.probs * ell**2) - d**2)
-    c = 2.0 / max(1.0, np.exp(-m_inf))
-    c_prime = 2.0 / min(1.0, np.exp(-m_sup))
+    variance = np.sum(q * ell**2, axis=-1) - d * d
+    c = 2.0 / np.maximum(1.0, np.exp(-ell.min(axis=-1)))
+    c_prime = 2.0 / np.minimum(1.0, np.exp(-ell.max(axis=-1)))
     lower = (c - d) * d
     upper = (c_prime - d) * d
-    return BoundsCheck(lower, variance, upper,
-                       lower - _AUDIT_SLACK <= variance <= upper + _AUDIT_SLACK)
+    return BoundsCheck(*_scalars(lower, variance, upper, (lower - _AUDIT_SLACK <= variance)
+                                 & (variance <= upper + _AUDIT_SLACK)))
 
 
 def validate_kn_fluctuation(

@@ -38,16 +38,18 @@ class SimplexDist:
         return len(self.probs)
 
 
-def kl(q: SimplexDist | np.ndarray, p: SimplexDist | np.ndarray) -> float:
-    """KL(q || p) = sum q log(q/p) in nats; zero iff q == p."""
+def kl(q: SimplexDist | np.ndarray, p: SimplexDist | np.ndarray):
+    """KL(q || p) = sum q log(q/p) in nats over the last axis; zero iff q == p.
+    A float for two distributions, an array for stacked (n, k) probability rows."""
     qv = q.probs if isinstance(q, SimplexDist) else np.asarray(q, dtype=float)
     pv = p.probs if isinstance(p, SimplexDist) else np.asarray(p, dtype=float)
-    if qv.shape != pv.shape:
+    if qv.shape[-1:] != pv.shape[-1:]:
         raise InvalidInputError("distributions live on different outcome spaces")
     if np.any(pv <= 0):
         raise InvalidInputError("second argument has a zero probability; KL is infinite")
-    mask = qv > 0
-    return float(np.sum(qv[mask] * np.log(qv[mask] / pv[mask])))
+    with np.errstate(divide="ignore", invalid="ignore"):  # rounding can dip a few ulps below 0
+        d = np.maximum(np.sum(np.where(qv > 0, qv * np.log(qv / pv), 0.0), axis=-1), 0.0)
+    return float(d) if d.ndim == 0 else d
 
 
 def kl_bernoulli(theta_q, theta_p):
@@ -55,6 +57,8 @@ def kl_bernoulli(theta_q, theta_p):
     tq = np.asarray(theta_q, dtype=float)
     tp = np.asarray(theta_p, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
+        if tq.ndim == 0 and 0 < tq < 1:  # both terms selected: skip the np.where copies
+            return tq * np.log(tq / tp) + (1 - tq) * np.log((1 - tq) / (1 - tp))
         a = np.where(tq > 0, tq * np.log(tq / tp), 0.0)
         b = np.where(tq < 1, (1 - tq) * np.log((1 - tq) / (1 - tp)), 0.0)
     return a + b

@@ -96,7 +96,8 @@ def volume_curve(
         raise InvalidInputError("epsilons must be positive")
 
     def count(w):
-        return np.count_nonzero(landscape.value(w)[None, :] <= epsilons[:, None], axis=1)
+        v = landscape.value(w)  # one pass per rung, no (rungs x chunk) matrix
+        return np.array([np.count_nonzero(v <= e) for e in epsilons])
 
     volumes, ses = mc_volumes(landscape.bounds, samples, rng_stream(seed, stream_id), count)
     return VolumeCurve(epsilons=epsilons, volumes=volumes, standard_errors=ses,

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import sys
@@ -201,6 +202,26 @@ JSON_VALUES = st.one_of(
                     EDGE_VALUES | SCALARS, max_size=3))
 
 
+class TestGoldenBytes:
+    """Outputs pinned by sha256, captured before the Monte Carlo kernels were
+    sped up, so that no later speedup moves them unnoticed. volume.csv rests
+    on uniform draws, +, *, <= and sqrt only, so its bytes do not depend on
+    the machine; audit.csv holds integer counts. The manifest line carries the
+    experiment hash, so a change of DEFAULT_CONFIG moves both digests too."""
+
+    @pytest.mark.parametrize("command,payload,name,digest", [
+        ("volume-fit", {"volume": {"landscape": "quadratic", "dim": 2, "samples": 200_000}},
+         "volume.csv", "dc82c8d94badde869381b04cb71329b3f490ff47360981ab8ae6624d4757da00"),
+        ("lemma-audit", {"audit": {"instances": 2000, "inclusion_configs": 2}},
+         "audit.csv", "ca9d79e3ad9da31ece5b4dceb5bd9d17be04c78f2f3da8904b03f30ebd6e5f5d"),
+    ], ids=["volume-fit", "lemma-audit"])
+    def test_output_digest_pinned(self, tmp_path, command, payload, name, digest):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(payload))
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        assert hashlib.sha256((tmp_path / "o" / name).read_bytes()).hexdigest() == digest
+
+
 class TestConfigPass:
     @settings(max_examples=300, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -278,19 +299,39 @@ class TestErrors:
         ({"training": {"seed": 2**64}}, "training.seed"),
         ({"audit": {"instances": 0}}, "audit.instances"),
         ({"audit": {"inclusion_configs": 0}}, "audit.inclusion_configs"),
+        ({"audit": {"m_simplex": 0.0}}, "audit.m_simplex"),
+        ({"audit": {"m_simplex": -0.1}}, "audit.m_simplex"),
+        ({"audit": {"outcomes": 1}}, "audit.outcomes"),
+        ({"mdl": {"n_seeds": 0}}, "mdl.n_seeds"),
+        ({"mdl": {"n_powers": []}}, "mdl.n_powers"),
+        ({"mdl": {"a": 0}}, "mdl.a"),
+        ({"mdl": {"a": -0.1}}, "mdl.a"),
+        ({"volume": {"half_width": 0.0}}, "volume.half_width"),
+        ({"volume": {"half_width": -1}}, "volume.half_width"),
     ], ids=["unknown-key", "top-level-array", "epsilons-string", "epsilons-nan",
             "layer-sizes-int", "checkpoint-schedule-int", "n-samples-float", "n-samples-bool",
             "layer-sizes-float-item", "write-traces-string", "n-seeds-string", "seed-string",
             "steps-list", "preconditioner-unknown-key", "preconditioner-list", "nbeta-nan",
             "epsilons-inf", "multiplicity-mode-string", "exponents-string", "mc-samples-zero",
             "baseline-batches-zero", "training-seed-negative", "training-seed-above-u64",
-            "audit-instances-zero", "audit-inclusion-configs-zero"])
+            "audit-instances-zero", "audit-inclusion-configs-zero", "audit-m-simplex-zero",
+            "audit-m-simplex-negative", "audit-outcomes-one", "mdl-n-seeds-zero",
+            "mdl-n-powers-empty", "mdl-a-zero", "mdl-a-negative", "volume-half-width-zero",
+            "volume-half-width-negative"])
     def test_unknown_config_key_exit_1(self, tmp_path, capsys, payload, key):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(payload))
         assert main(["train-toy", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and f"config key {key!r}" in err
+
+    def test_audit_simplex_bound_too_large_exit_1(self, tmp_path, capsys):
+        # m * outcomes >= 1 leaves no restricted simplex to sample
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"audit": {"m_simplex": 0.25, "outcomes": 4}}))
+        assert main(["lemma-audit", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "config key 'audit.m_simplex'" in err
 
     def test_bad_epsilon_exit_1(self, workdir, capsys):
         _, cfg_path, out = workdir

@@ -344,6 +344,17 @@ class TestCriticalSigma:
         assert res.value == 1e-6
         assert res.delta_loss == noise_delta_loss(np.zeros(4), 1e-6, "absolute", loss_eval, 4, 0)
 
+    def test_draws_each_unit_perturbation_once_per_search(self, monkeypatch):
+        streams = []
+        monkeypatch.setattr(compress, "rng_stream", lambda seed, k: streams.append(k) or
+                            rng_stream(seed, k))
+        loss_eval = lambda w: float(np.sum(w**2))
+        res = critical_sigma(np.zeros(4), 0.04, "absolute", loss_eval, noise_draws=4, seed=0)
+        assert streams == [0, 1, 2, 3]
+        monkeypatch.undo()
+        assert res.delta_loss == noise_delta_loss(np.zeros(4), res.value, "absolute", loss_eval,
+                                                  4, 0)
+
     def test_quadratic_closed_form(self):
         # E[dLoss] = sigma^2 for K = w^2 at w* = 0, so sigma* = sqrt(eps)
         loss_eval = lambda w: float(np.sum(w**2))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from fractions import Fraction
+from hypothesis import given, settings, strategies as st
 from itertools import product
 
 from basinlab import (
@@ -138,3 +139,36 @@ class TestBounds:
     def test_invalid_bounds_rejected(self):
         with pytest.raises(InvalidInputError):
             Bounds([1.0, 0.0], [0.0, 1.0])
+
+
+@st.composite
+def boxes(draw):
+    """(lo, hi) of a box in 0 to 6 dimensions, a cube about half the time."""
+    d = draw(st.integers(0, 6))
+    coord = st.floats(-10.0, 10.0, allow_subnormal=False)
+    width = st.floats(1e-3, 10.0)
+    if draw(st.booleans()):
+        lo, w = draw(coord), draw(width)
+        return [lo] * d, [lo + w] * d
+    lo = draw(st.lists(coord, min_size=d, max_size=d))
+    return lo, [x + draw(width) for x in lo]
+
+
+class TestBoundsSample:
+    @settings(max_examples=200, deadline=None)
+    @given(box=boxes(), chunks=st.lists(st.sampled_from([0, 1, 2, 7, 100]), min_size=1,
+                                        max_size=4), seed=st.integers(0, 2**32))
+    def test_same_draws_and_end_state_as_array_bounds(self, box, chunks, seed):
+        lo, hi = box
+        b = Bounds(lo, hi)
+        ours, ref = rng_stream(seed, 5), rng_stream(seed, 5)
+        for n in chunks:
+            got = b.sample(ours, n)
+            assert got.shape == (n, b.dim)
+            assert np.array_equal(got, ref.uniform(np.array(lo), np.array(hi), size=(n, b.dim)))
+        assert ours.random() == ref.random()
+
+    def test_cube_detection_does_not_mix_coordinates(self):
+        # equal lo but different hi: each coordinate keeps its own range
+        w = Bounds([0.0, 0.0], [1.0, 100.0]).sample(rng_stream(0, 0), 10_000)
+        assert w[:, 0].max() <= 1.0 < w[:, 1].max()

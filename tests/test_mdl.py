@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -100,6 +102,73 @@ class TestVarianceBound:
         rng = rng_stream(14, 0)
         for q, p in zip(restricted(rng, 1000), restricted(rng, 1000)):
             assert validate_variance_bound(q, p).passed
+
+
+def kl_loop(q, p):
+    return float(np.sum(q * np.log(q / p)))
+
+
+def kl_l2_reference(q, p, p2, m, slack):
+    """One instance of each lemma check as a scalar loop would make it."""
+    sq = float(np.sum((p - q) ** 2))
+    return 0.5 * sq - slack <= kl_loop(q, p) <= sq / (2 * m) + slack
+
+
+def triangle_reference(q, p, p2, m, slack):
+    return kl_loop(p, p2) <= (kl_loop(q, p) + kl_loop(q, p2)) / (2 * m) + slack
+
+
+def variance_reference(q, p, p2, m, slack):
+    ell = np.log(q / p)
+    d = kl_loop(q, p)
+    var = float(np.sum(q * ell**2)) - d**2
+    c, c_prime = 2 / max(1.0, np.exp(-ell.min())), 2 / min(1.0, np.exp(-ell.max()))
+    return (c - d) * d - slack <= var <= (c_prime - d) * d + slack
+
+
+class TestStackedValidators:
+    # A negative slack fails the instances closest to the bound, so that both
+    # flags occur: the slack per validator sits inside its spread of margins.
+    @pytest.mark.parametrize("slack,check,reference", [
+        (-0.02, lambda q, p, p2, m: validate_kl_l2(q, p, m), kl_l2_reference),
+        (-1.0, validate_triangle, triangle_reference),
+        (-0.02, lambda q, p, p2, m: validate_variance_bound(q, p), variance_reference),
+    ], ids=["kl_l2", "triangle", "variance"])
+    def test_stack_equals_per_instance_loop(self, monkeypatch, slack, check, reference):
+        monkeypatch.setattr(mdl, "_AUDIT_SLACK", slack)
+        m, n = 0.05, 10_000
+        rng = rng_stream(15, 0)
+        rows = [sample_restricted(rng, n, 3, m) for _ in range(3)]
+        stacked = check(*rows, m)
+        loop = [check(*(SimplexDist(r, lower_bound=m) for r in inst), m) for inst in zip(*rows)]
+        flags = [reference(*inst, m, slack) for inst in zip(*rows)]
+        assert 0 < sum(flags) < n
+        assert np.array_equal(stacked.passed, flags)
+        # each row's fields equal the one-instance call's, bit for bit
+        for f in dataclasses.fields(stacked):
+            got, want = getattr(stacked, f.name), [getattr(c, f.name) for c in loop]
+            if np.ndim(got) == 0:  # the triangle constant
+                assert set(want) == {got}
+            else:
+                assert got.shape == (n,) and np.array_equal(got, want), f.name
+
+    def test_single_instance_fields_are_python_scalars(self):
+        q = SimplexDist(np.array([0.3, 0.3, 0.4]), lower_bound=0.2)
+        p = SimplexDist(np.array([0.25, 0.35, 0.4]), lower_bound=0.2)
+        for chk in (validate_kl_l2(q, p, 0.2), validate_triangle(q, p, q, 0.2),
+                    validate_variance_bound(q, p)):
+            assert all(type(getattr(chk, f.name)) in (float, bool)
+                       for f in dataclasses.fields(chk))
+
+    def test_stack_outside_simplex_or_nonpositive_m_rejected(self):
+        rows = sample_restricted(rng_stream(16, 0), 50, 3, 0.2)
+        bad = rows.copy()
+        bad[7] = [0.05, 0.5, 0.45]
+        with pytest.raises(InvalidInputError, match="p is outside"):
+            validate_kl_l2(rows, bad, 0.2)
+        for m in (0.0, -0.1):
+            with pytest.raises(InvalidInputError):
+                validate_triangle(rows, rows, rows, m)
 
 
 class TestKnFluctuation:

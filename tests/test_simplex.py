@@ -67,6 +67,32 @@ class TestKl:
             assert d[i] == pytest.approx(two_point_kl(q1, 0.45), rel=1e-12)
 
 
+def kl_bernoulli_where(theta_q, theta_p):
+    """kl_bernoulli with both np.where selections, for any theta_q."""
+    tq, tp = np.asarray(theta_q, dtype=float), np.asarray(theta_p, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = np.where(tq > 0, tq * np.log(tq / tp), 0.0)
+        b = np.where(tq < 1, (1 - tq) * np.log((1 - tq) / (1 - tp)), 0.0)
+    return a + b
+
+
+class TestKlBernoulliScalarPath:
+    P = np.concatenate([np.linspace(0.0, 1.0, 1001), [1e-300, 1 - 1e-16, np.nan]])
+
+    @given(theta_q=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_where_path(self, theta_q):
+        assert np.array_equal(kl_bernoulli(theta_q, self.P), kl_bernoulli_where(theta_q, self.P),
+                              equal_nan=True)
+        got = kl_bernoulli(theta_q, 0.3)
+        assert type(got) is np.float64 and got == kl_bernoulli_where(theta_q, 0.3)
+
+    @pytest.mark.parametrize("theta_q", [0.0, 1.0, 0, 1])
+    def test_boundary_theta_unchanged(self, theta_q):
+        assert np.array_equal(kl_bernoulli(theta_q, self.P), kl_bernoulli_where(theta_q, self.P),
+                              equal_nan=True)
+
+
 class TestRestrictedSampling:
     def test_lower_bound_respected(self):
         rng = rng_stream(0, 0)

@@ -66,6 +66,19 @@ class TestVolumeCurve:
         with pytest.raises(InvalidInputError):
             volume_curve(make_quadratic(2), default_ladder(), 0, seed=0)
 
+    def test_hits_equal_the_rung_by_sample_comparison(self):
+        # a third of the values sit exactly on a rung, where <= must count them
+        ladder = default_ladder(2, 14)
+        L = make_quadratic(2)
+        value = L.value
+        L.value = lambda w: np.where(w[:, 0] < -1 / 3, ladder[(w[:, 1] > 0) * 5], value(w))
+        curve = volume_curve(L, ladder, 30_000, seed=8, stream_id=2)
+        v = L.value(L.bounds.sample(rng_stream(8, 2), 30_000))
+        eps = np.sort(ladder)[::-1]
+        hits = np.count_nonzero(v[None, :] <= eps[:, None], axis=1)
+        assert np.count_nonzero(np.isin(v, ladder)) > 9_000
+        assert np.array_equal(curve.volumes, L.bounds.volume() * (hits / 30_000))
+
     def test_matches_single_estimates_in_distribution(self):
         L = make_quadratic(2)
         curve = volume_curve(L, np.array([0.25]), 200_000, seed=5)
