@@ -101,7 +101,9 @@ VALUE_CHECKS = dict.fromkeys((
     "noise.noise_draws", "volume.dim", "volume.samples", "mdl.mc_samples",
     "audit.instances", "audit.inclusion_configs", "mdl.n_seeds",
 ), (lambda v: v >= 1, "must be >= 1")) | dict.fromkeys(
-    ("mdl.a", "volume.half_width", "audit.m_simplex"), (lambda v: v > 0, "must be positive")) | {
+    ("mdl.a", "volume.half_width"), (lambda v: v > 0, "must be positive")) | dict.fromkeys(
+    # the CLI's Bernoulli box [-0.5, 0.5]^2 keeps p_w in [0.25, 0.75], so m <= 0.25
+    ("audit.m_simplex", "mdl.m_simplex"), (lambda v: 0 < v <= 0.25, "must be in (0, 0.25]")) | {
     # checkpoint headers store the training seed as a u64
     "training.seed": (lambda v: 0 <= v < 2**64, "must be in [0, 2**64)"),
     "epsilons": (lambda v: v and min(v) > 0, "must be a nonempty list of positive numbers"),

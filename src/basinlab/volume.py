@@ -18,9 +18,10 @@ from .landscapes import Bounds, Landscape
 from .linalg import linear_fit
 from .rng import rng_stream
 
-# Monte Carlo draws are made in chunks of at most this many, which bounds the
-# memory of an estimate whatever the requested sample count.
-MC_CHUNK = 1_000_000
+# Monte Carlo draws are made in chunks of at most this many, which bounds memory
+# at any sample count. 2^17 keeps a chunk's draws, values and masks in L2 (2^18
+# spills out); each chunk costs mdl one more sort and bisection, so not 2^16.
+MC_CHUNK = 2**17
 
 
 @dataclass

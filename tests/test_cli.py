@@ -204,17 +204,30 @@ JSON_VALUES = st.one_of(
 
 class TestGoldenBytes:
     """Outputs pinned by sha256, captured before the Monte Carlo kernels were
-    sped up, so that no later speedup moves them unnoticed. volume.csv rests
-    on uniform draws, +, *, <= and sqrt only, so its bytes do not depend on
-    the machine; audit.csv holds integer counts. The manifest line carries the
-    experiment hash, so a change of DEFAULT_CONFIG moves both digests too."""
+    sped up, so that no later speedup moves them unnoticed. The quadratic and
+    normal-crossing volume.csv rest on uniform draws, +, *, <= and sqrt only,
+    so their bytes do not depend on the machine; the Bernoulli KL one also
+    goes through libm log. audit.csv holds integer counts. The manifest line
+    carries the experiment hash, so a change of DEFAULT_CONFIG moves every
+    digest too."""
 
     @pytest.mark.parametrize("command,payload,name,digest", [
         ("volume-fit", {"volume": {"landscape": "quadratic", "dim": 2, "samples": 200_000}},
          "volume.csv", "dc82c8d94badde869381b04cb71329b3f490ff47360981ab8ae6624d4757da00"),
         ("lemma-audit", {"audit": {"instances": 2000, "inclusion_configs": 2}},
          "audit.csv", "ca9d79e3ad9da31ece5b4dceb5bd9d17be04c78f2f3da8904b03f30ebd6e5f5d"),
-    ], ids=["volume-fit", "lemma-audit"])
+        # three mc-geometry benchmark geometries at its size: 1M samples, ladder to 2^-14
+        ("volume-fit", {"volume": {"landscape": "normal_crossing", "exponents": [1],
+                                   "active_dims": [0], "samples": 1_000_000, "ladder_max_k": 14}},
+         "volume.csv", "ae2328b58c6df072125350bc386c17f03df94158ce3f02c7a9e4888948503f74"),
+        ("volume-fit", {"volume": {"landscape": "normal_crossing", "exponents": [2],
+                                   "active_dims": [0], "samples": 1_000_000, "ladder_max_k": 14}},
+         "volume.csv", "16065e48ed6c9d912b557de119030bdd85d27ec944474f281095a0cfd290ed57"),
+        ("volume-fit", {"volume": {"landscape": "bernoulli_kl", "samples": 1_000_000,
+                                   "ladder_max_k": 14}},
+         "volume.csv", "172d5c0fec2b56b8cfc7fe485b19059fa3573bbf777a51fcc52ed67e616c0175"),
+    ], ids=["volume-fit", "lemma-audit", "volume-fit-nc-k1", "volume-fit-nc-k2",
+            "volume-fit-bernoulli-kl"])
     def test_output_digest_pinned(self, tmp_path, command, payload, name, digest):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(payload))
@@ -308,6 +321,8 @@ class TestErrors:
         ({"mdl": {"a": -0.1}}, "mdl.a"),
         ({"volume": {"half_width": 0.0}}, "volume.half_width"),
         ({"volume": {"half_width": -1}}, "volume.half_width"),
+        ({"audit": {"m_simplex": 0.3}}, "audit.m_simplex"),
+        ({"mdl": {"m_simplex": 0.3}}, "mdl.m_simplex"),
     ], ids=["unknown-key", "top-level-array", "epsilons-string", "epsilons-nan",
             "layer-sizes-int", "checkpoint-schedule-int", "n-samples-float", "n-samples-bool",
             "layer-sizes-float-item", "write-traces-string", "n-seeds-string", "seed-string",
@@ -317,7 +332,7 @@ class TestErrors:
             "audit-instances-zero", "audit-inclusion-configs-zero", "audit-m-simplex-zero",
             "audit-m-simplex-negative", "audit-outcomes-one", "mdl-n-seeds-zero",
             "mdl-n-powers-empty", "mdl-a-zero", "mdl-a-negative", "volume-half-width-zero",
-            "volume-half-width-negative"])
+            "volume-half-width-negative", "audit-m-simplex-above-box", "mdl-m-simplex-above-box"])
     def test_unknown_config_key_exit_1(self, tmp_path, capsys, payload, key):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(payload))

@@ -122,6 +122,47 @@ class TestLandscapeContracts:
         assert np.all(L.grad(w) == 0.0)
 
 
+def kernel_inputs(d, seed):
+    """Draws of shape (d,), (n, d) and (c, n, d), some beyond |w| = 1."""
+    rng = rng_stream(seed, 0)
+    return [rng.uniform(-2.0, 2.0, size=shape) for shape in ((d,), (5_000, d), (3, 700, d))]
+
+
+def pow_form(spec, w):
+    """The normal-crossing value through libm pow, the reference for the kernel."""
+    active, ks = np.array(spec.active_dims), np.array(spec.exponents)
+    return np.prod(w[..., active] ** (2 * ks), axis=-1)
+
+
+class TestValueKernels:
+    @pytest.mark.parametrize("d", range(1, 8))
+    def test_quadratic_bit_identical_to_numpy_sum(self, d):
+        L = make_quadratic(d)
+        for w in kernel_inputs(d, d):
+            assert np.array_equal(L.value(w), np.sum(w * w, axis=-1))
+
+    @pytest.mark.parametrize("exponents,dim", [((1,), 2), ((1, 1), 3), ((1, 1, 1), 3)])
+    def test_normal_crossing_k1_bit_identical_to_pow(self, exponents, dim):
+        # On an (n, d) stack, the shape volume_curve passes, numpy's power loop
+        # squares an exponent of 2; on other shapes it may call libm pow, which
+        # can round w * w one ulp off, so there the value is the exact square.
+        spec = NormalCrossingSpec(dim=dim, exponents=exponents)
+        L = make_normal_crossing(spec)
+        active = list(spec.active_dims)
+        for w in kernel_inputs(dim, len(exponents)):
+            assert np.array_equal(L.value(w), np.prod(w[..., active] * w[..., active], axis=-1))
+            if w.ndim == 2:
+                assert np.array_equal(L.value(w), pow_form(spec, w))
+
+    @pytest.mark.parametrize("exponents", [(2,), (3,), (1, 2), (2, 2), (1, 1, 3)])
+    def test_normal_crossing_within_ulps_of_pow(self, exponents):
+        # products of squares round differently from pow; 6 ulps measured at most
+        spec = NormalCrossingSpec(dim=len(exponents) + 1, exponents=exponents)
+        L = make_normal_crossing(spec)
+        for w in kernel_inputs(spec.dim, sum(exponents)):
+            np.testing.assert_array_max_ulp(L.value(w), pow_form(spec, w), maxulp=8)
+
+
 class TestBounds:
     def test_volume(self):
         assert Bounds.symmetric(2, 1.0).volume() == pytest.approx(4.0)

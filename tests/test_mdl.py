@@ -356,6 +356,13 @@ class TestIntervalCounting:
         assert np.array_equal(chunked.thetas, whole.thetas)
         assert np.array_equal(chunked.vr_volumes, whole.vr_volumes)
 
+    def test_default_chunk_matches_one_large_chunk(self, model, monkeypatch):
+        chunked = build_eps_net(model, 0.1 / 2**8, mc_samples=300_000, seed=0)
+        monkeypatch.setattr(volume, "MC_CHUNK", 10**6)
+        whole = build_eps_net(model, 0.1 / 2**8, mc_samples=300_000, seed=0)
+        assert np.array_equal(chunked.thetas, whole.thetas)
+        assert np.array_equal(chunked.vr_volumes, whole.vr_volumes)
+
     def test_empty_ball_names_sample_count(self, model):
         with pytest.raises(EmptyBallError, match="mc_samples=200") as err:
             build_eps_net(model, 0.1 / 2**11, mc_samples=200, seed=0)

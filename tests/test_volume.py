@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -112,6 +114,26 @@ class TestMcVolumes:
         chunked = volume_curve(L, default_ladder(), 10_500, seed=3)
         assert np.array_equal(chunked.volumes, whole.volumes)
         assert np.array_equal(chunked.standard_errors, whole.standard_errors)
+
+    def test_default_chunk_matches_one_large_chunk(self, monkeypatch):
+        L = make_normal_crossing(NormalCrossingSpec(dim=2, exponents=(2,), active_dims=(0,)))
+        chunked = volume_curve(L, default_ladder(2, 14), 300_000, seed=7)
+        monkeypatch.setattr(volume, "MC_CHUNK", 10**6)
+        whole = volume_curve(L, default_ladder(2, 14), 300_000, seed=7)
+        assert np.array_equal(chunked.volumes, whole.volumes)
+        assert np.array_equal(chunked.standard_errors, whole.standard_errors)
+
+    def test_warm_curve_memory_is_one_chunk(self):
+        # 1M draws at once would hold 16 MB of samples alone
+        L, ladder = make_quadratic(2), default_ladder(2, 14)
+        volume_curve(L, ladder, 1_000_000, seed=0)
+        tracemalloc.start()
+        try:
+            volume_curve(L, ladder, 1_000_000, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 class TestFitScaling:
