@@ -35,7 +35,9 @@ class SingularBernoulli:
 
     def prob_one(self, w: np.ndarray) -> np.ndarray:
         w = np.asarray(w, dtype=float)
-        return 0.5 + w[..., 0] * w[..., 1]
+        p = w[..., 0] * w[..., 1]
+        p += 0.5  # in place: the bits of 0.5 + w1 * w2 without a second array
+        return p
 
     @property
     def truth(self) -> SimplexDist:

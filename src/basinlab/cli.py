@@ -161,6 +161,8 @@ def load_config(path: str | None, seed: int | None, out: str | None, epsilons: s
         except json.JSONDecodeError as e:
             raise ConfigError("config", f"invalid JSON: {e}")
         cfg = merge_config("", cfg, user)
+        if cfg["volume"]["landscape"] == "bernoulli_kl" and cfg["volume"]["dim"] != 2:
+            raise ConfigError("volume.dim", "must be 2 for bernoulli_kl, a two-parameter model")
     if seed is not None:
         cfg["seed"] = seed
     if out is not None:

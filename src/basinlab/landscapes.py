@@ -48,13 +48,18 @@ class Bounds:
     def clamp(self, w: np.ndarray) -> np.ndarray:
         return np.clip(w, self.lo, self.hi)
 
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        # A cube passes scalar bounds: the same lo + (hi - lo) * u kernel as the
-        # array call, so the same draws and end state, without the broadcast.
-        lo, hi = self.lo, self.hi
-        if lo.size and (lo == lo[0]).all() and (hi == hi[0]).all():
-            lo, hi = lo[0], hi[0]
-        return rng.uniform(lo, hi, size=(n, self.dim))
+    def sample(self, rng: np.random.Generator, n: int, out: np.ndarray | None = None) -> np.ndarray:
+        """n uniform draws, filled into `out` (a C-contiguous (n, dim) float array)
+        if given: the draws and end state of rng.uniform(lo, hi, size=(n, dim)),
+        whose kernel is lo + (hi - lo) * u."""
+        if out is None:
+            out = np.empty((n, self.dim))
+        rng.random(out=out)
+        # column by column: a broadcast (n, d) * (d,) runs one d-long loop per row
+        for col, lo, width in zip(out.T, self.lo.tolist(), (self.hi - self.lo).tolist()):
+            col *= width
+            col += lo
+        return out
 
 
 @dataclass

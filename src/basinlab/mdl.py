@@ -452,8 +452,10 @@ def validate_volume_inclusions(
     def count(w):
         p_w = model.prob_one(w)
         kl_q = kl_bernoulli(theta_q, p_w)
-        kl_rev = kl_bernoulli(p_w, theta_star)
-        return np.count_nonzero([kl_q <= epsilon, kl_rev <= c * epsilon, kl_q <= outer], axis=1)
+        n_inner, n_outer = np.count_nonzero(kl_q <= epsilon), np.count_nonzero(kl_q <= outer)
+        del kl_q  # before kl_rev, so one chunk-sized KL array is alive at a time
+        n_rev = np.count_nonzero(kl_bernoulli(p_w, theta_star) <= c * epsilon)
+        return np.array([n_inner, n_rev, n_outer])
 
     vols, ses = mc_volumes(model.bounds, mc_samples, rng_stream(seed, 0), count)
     (v_in, v_rev, v_out), (se_in, se_rev, se_out) = vols.tolist(), ses.tolist()

@@ -56,9 +56,24 @@ def kl_bernoulli(theta_q, theta_p):
     """Vectorized KL between Bernoulli(theta_q) and Bernoulli(theta_p), in nats."""
     tq = np.asarray(theta_q, dtype=float)
     tp = np.asarray(theta_p, dtype=float)
+    # q inside (0, 1) selects both terms (a NaN fails the test); with one side
+    # an array and the other a scalar, the np.where path's operations run in
+    # place, in the same order, so only the result and one scratch are alive
+    if tq.ndim == 0:
+        in_place = tp.ndim > 0 and 0 < tq < 1
+    else:
+        in_place = tp.ndim == 0 and tq.size > 0 and 0 < tq.min() and tq.max() < 1
     with np.errstate(divide="ignore", invalid="ignore"):
-        if tq.ndim == 0 and 0 < tq < 1:  # both terms selected: skip the np.where copies
-            return tq * np.log(tq / tp) + (1 - tq) * np.log((1 - tq) / (1 - tp))
+        if in_place:
+            one_q = 1 - tq
+            b = np.divide(one_q, 1 - tp)
+            np.log(b, out=b)
+            b *= one_q
+            a = np.divide(tq, tp, out=one_q if tq.ndim else None)
+            np.log(a, out=a)
+            a *= tq
+            a += b
+            return a
         a = np.where(tq > 0, tq * np.log(tq / tp), 0.0)
         b = np.where(tq < 1, (1 - tq) * np.log((1 - tq) / (1 - tp)), 0.0)
     return a + b

@@ -21,6 +21,8 @@ from .rng import rng_stream
 # Monte Carlo draws are made in chunks of at most this many, which bounds memory
 # at any sample count. 2^17 keeps a chunk's draws, values and masks in L2 (2^18
 # spills out); each chunk costs mdl one more sort and bisection, so not 2^16.
+# The chunks share one draw array, refilled in place: glibc trims a freed heap
+# top back to the kernel, so a fresh array per chunk faults its pages in again.
 MC_CHUNK = 2**17
 
 
@@ -52,17 +54,17 @@ def mc_volumes(bounds: Bounds, samples: int, rng: np.random.Generator,
     """Estimate the volumes of several sets from one uniform sample of W.
 
     `count(w)` returns, for a chunk of draws w, how many of them land in each
-    set. Returns (volumes, standard_errors): Vol(W) times each hit rate, and
-    the binomial SE of that rate scaled by Vol(W).
+    set; w is a view of one draw array refilled for every chunk, so `count`
+    must not keep it. Returns (volumes, standard_errors): Vol(W) times each
+    hit rate, and the binomial SE of that rate scaled by Vol(W).
     """
     if samples < 1:
         raise InvalidInputError("samples must be >= 1")
     hits = 0
-    remaining = samples
-    while remaining > 0:
-        n = min(remaining, MC_CHUNK)
-        hits += count(bounds.sample(rng, n))
-        remaining -= n
+    w = np.empty((min(samples, MC_CHUNK), bounds.dim))
+    for start in range(0, samples, len(w)):
+        n = min(samples - start, len(w))
+        hits += count(bounds.sample(rng, n, out=w[:n]))
     total = bounds.volume()
     p = np.asarray(hits) / samples
     return total * p, total * np.sqrt(p * (1.0 - p) / samples)

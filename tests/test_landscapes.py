@@ -209,6 +209,20 @@ class TestBoundsSample:
             assert np.array_equal(got, ref.uniform(np.array(lo), np.array(hi), size=(n, b.dim)))
         assert ours.random() == ref.random()
 
+    @settings(max_examples=200, deadline=None)
+    @given(box=boxes(), chunks=st.lists(st.sampled_from([0, 1, 2, 7, 100]), min_size=1,
+                                        max_size=4), seed=st.integers(0, 2**32))
+    def test_out_form_fills_in_place_with_the_same_draws(self, box, chunks, seed):
+        lo, hi = box
+        b = Bounds(lo, hi)
+        buf = np.full((max(chunks), b.dim), np.nan)
+        ours, ref = rng_stream(seed, 5), rng_stream(seed, 5)
+        for n in chunks:
+            out = buf[:n]
+            assert b.sample(ours, n, out=out) is out
+            assert np.array_equal(out, ref.uniform(np.array(lo), np.array(hi), size=(n, b.dim)))
+        assert ours.random() == ref.random()
+
     def test_cube_detection_does_not_mix_coordinates(self):
         # equal lo but different hi: each coordinate keeps its own range
         w = Bounds([0.0, 0.0], [1.0, 100.0]).sample(rng_stream(0, 0), 10_000)

@@ -93,6 +93,38 @@ class TestKlBernoulliScalarPath:
                               equal_nan=True)
 
 
+class TestKlBernoulliInPlace:
+    @staticmethod
+    def interior(seed, shape):
+        # uniform draws plus the extremes of (0, 1), shuffled into the given shape
+        r, size = rng_stream(seed, 0), int(np.prod(shape))
+        u = np.concatenate([[1e-300, 1 - 1e-16, 0.5], r.uniform(1e-12, 1.0, size=max(0, size - 3))])
+        return r.permutation(u[:size]).reshape(shape)
+
+    @given(seed=st.integers(0, 2**32), shape=st.sampled_from([(1,), (2,), (257,), (4, 33)]),
+           theta=st.floats(0.0, 1.0) | st.just(np.nan))
+    @settings(max_examples=200, deadline=None)
+    def test_both_orientations_equal_where_path(self, seed, shape, theta):
+        arr = self.interior(seed, shape)
+        kept = arr.copy()
+        for q, p in ((arr, theta), (min(max(theta, 1e-9), 1 - 1e-9), arr)):
+            got = kl_bernoulli(q, p)
+            assert got.shape == shape
+            assert np.array_equal(got, kl_bernoulli_where(q, p), equal_nan=True)
+        assert np.array_equal(arr, kept)  # the in-place kernel writes only its own arrays
+
+    @pytest.mark.parametrize("edge", [0.0, 1.0, np.nan])
+    def test_array_q_with_an_edge_value_takes_where_path(self, edge):
+        q = self.interior(3, (100,))
+        q[17] = edge
+        got = kl_bernoulli(q, 0.4)
+        assert np.array_equal(got, kl_bernoulli_where(q, 0.4), equal_nan=True)
+        assert np.isfinite(got[17])  # np.where picks 0.0 where the in-place terms give NaN
+
+    def test_empty_array_q(self):
+        assert kl_bernoulli(np.empty(0), 0.4).shape == (0,)
+
+
 class TestRestrictedSampling:
     def test_lower_bound_respected(self):
         rng = rng_stream(0, 0)

@@ -1,8 +1,15 @@
+import json
+import os
+import platform
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import basinlab
 from basinlab import (
     Bounds,
     NormalCrossingSpec,
@@ -123,6 +130,33 @@ class TestMcVolumes:
         assert np.array_equal(chunked.volumes, whole.volumes)
         assert np.array_equal(chunked.standard_errors, whole.standard_errors)
 
+    def test_chunks_refill_one_draw_array(self, monkeypatch):
+        monkeypatch.setattr(volume, "MC_CHUNK", 1_000)
+        chunks = []
+
+        def count(w):
+            chunks.append(w)  # kept only to compare memory; a real count must not keep w
+            return np.array([len(w)])
+
+        volume.mc_volumes(Bounds.symmetric(2, 1.0), 10_500, rng_stream(0, 0), count)
+        assert len(chunks) == 11 and all(np.shares_memory(chunks[0], w) for w in chunks)
+
+    def test_box_volumes_equal_one_uniform_call_at_any_chunk(self, monkeypatch):
+        bounds = Bounds([-1.0, 0.0, 2.0], [1.0, 3.0, 2.5])
+
+        def count(w):
+            return np.array([np.count_nonzero(w[:, 0] <= 0.0),
+                             np.count_nonzero(w.sum(axis=1) <= 4.0)])
+
+        w = rng_stream(4, 0).uniform(bounds.lo, bounds.hi, size=(300_000, 3))
+        expected = bounds.volume() * (count(w) / 300_000)
+        default = volume.mc_volumes(bounds, 300_000, rng_stream(4, 0), count)
+        monkeypatch.setattr(volume, "MC_CHUNK", 1_000)
+        small = volume.mc_volumes(bounds, 300_000, rng_stream(4, 0), count)
+        assert np.array_equal(default[0], expected)
+        for a, b in zip(default, small):
+            assert np.array_equal(a, b)
+
     def test_warm_curve_memory_is_one_chunk(self):
         # 1M draws at once would hold 16 MB of samples alone
         L, ladder = make_quadratic(2), default_ladder(2, 14)
@@ -134,6 +168,45 @@ class TestMcVolumes:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
+
+
+# A second, warm call of each kernel in a fresh process, with its minor page faults.
+FAULT_PROBE = '''
+import json, resource
+from basinlab import (NormalCrossingSpec, default_ladder, make_normal_crossing, make_quadratic,
+                      volume_curve)
+from basinlab.bernoulli import SingularBernoulli
+from basinlab.mdl import validate_volume_inclusions
+
+model, ladder = SingularBernoulli(), default_ladder(2, 14)
+calls = {
+    "quadratic": lambda: volume_curve(make_quadratic(2), ladder, 1_000_000, seed=0),
+    "nc-k2": lambda: volume_curve(make_normal_crossing(NormalCrossingSpec(2, (2,), (0,))),
+                                  ladder, 1_000_000, seed=0),
+    "bernoulli-kl": lambda: volume_curve(model.kl_landscape(), ladder, 1_000_000, seed=0),
+    "inclusions": lambda: validate_volume_inclusions(model, 0.52, 0.5205, 0.01, 200_000, seed=3),
+}
+faults = {}
+for name, call in calls.items():
+    call()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    call()
+    faults[name] = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+print(json.dumps(faults))
+'''
+
+
+@pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
+                    reason="the budget is for glibc, which trims a freed heap top")
+def test_warm_monte_carlo_calls_reuse_their_pages():
+    # a chunk that allocates and frees megabytes faults them in again on the next chunk
+    src = str(Path(basinlab.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    run = subprocess.run([sys.executable, "-c", FAULT_PROBE], env=env, capture_output=True,
+                         text=True, check=True)
+    faults = json.loads(run.stdout)
+    assert max(faults.values()) <= 1_500, faults
 
 
 class TestFitScaling:
