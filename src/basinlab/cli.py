@@ -88,6 +88,8 @@ DEFAULT_CONFIG = {
 }
 
 
+# The values of volume.landscape, each one that build_landscape builds.
+LANDSCAPES = ("quadratic", "normal_crossing", "bernoulli_kl")
 # Keys whose default does not fix their type: one prototype per type taken.
 ALTERNATIVES = {
     "llc.burn_in": (0, None), "llc.preconditioner": ("none", dataclasses.asdict(Preconditioner())),
@@ -111,6 +113,8 @@ VALUE_CHECKS = dict.fromkeys((
     "audit.outcomes": (lambda v: v >= 2, "must be >= 2"),
     "volume.multiplicity_mode": (lambda v: v == "select_by_fit" or type(v) is int,
                                  "expected 'select_by_fit' or an integer"),
+    "volume.landscape": (lambda v: v in LANDSCAPES,
+                         "must be one of " + ", ".join(map(repr, LANDSCAPES))),
 }
 TYPE_NAMES = {type(None): "null", bool: "a bool", int: "an integer", float: "a finite number",
               str: "a string", list: "a list", dict: "an object"}
@@ -181,6 +185,7 @@ def build_task(cfg: dict):
 
 
 def build_landscape(cfg: dict):
+    """The landscape `volume.landscape` names, one of LANDSCAPES (load_config checks)."""
     v = cfg["volume"]
     name = v["landscape"]
     bounds = Bounds.symmetric(v["dim"], v["half_width"])
@@ -192,9 +197,7 @@ def build_landscape(cfg: dict):
         spec = NormalCrossingSpec(dim=v["dim"], exponents=v["exponents"],
                                   active_dims=v["active_dims"])
         return make_normal_crossing(spec, bounds)
-    if name == "bernoulli_kl":
-        return SingularBernoulli().kl_landscape()
-    raise ConfigError("volume.landscape", f"unknown landscape {name!r}")
+    return SingularBernoulli().kl_landscape()  # bernoulli_kl
 
 
 def checkpoints_dir(cfg: dict) -> Path:

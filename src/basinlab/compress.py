@@ -91,14 +91,21 @@ class PruneResult:
     no_op: bool
 
 
-def quantize(w: np.ndarray, spec: QuantizationSpec) -> np.ndarray:
+def quantize(w: np.ndarray, spec: QuantizationSpec, out: np.ndarray | None = None) -> np.ndarray:
     """Clamp each coordinate to [-m, m], then round to the nearest grid value.
 
-    Idempotent and odd-symmetric; ties round half to even.
+    Idempotent and odd-symmetric; ties round half to even. Writes into `out`
+    (which may be `w` itself) when given, else into a new array; either way
+    the clip, divide, round and multiply run in place on that one array.
     """
     w = np.asarray(w, dtype=float)
-    clamped = np.clip(w, -spec.m_clamp, spec.m_clamp)
-    return np.round(clamped / spec.delta) * spec.delta
+    if out is None:
+        out = np.empty_like(w)
+    np.clip(w, -spec.m_clamp, spec.m_clamp, out=out)
+    out /= spec.delta
+    np.rint(out, out=out)
+    out *= spec.delta
+    return out
 
 
 def quantize_max_abs(params: np.ndarray, n_q: int, loss_eval: LossEval) -> tuple[float, float]:
@@ -117,13 +124,19 @@ def quantize_loss_min_m(
     n_q: int,
     loss_eval: LossEval,
     search: MSearchConfig | None = None,
+    stop: float | None = None,
 ) -> tuple[float, float]:
     """Search the clamp value m for the lowest post-quantization loss.
 
-    Sweeps a geometric grid over [lo_factor * max|w|, max|w|] (the top end is
-    always a candidate, so this mode never does worse than quantize_max_abs),
-    then refines around the best grid point by golden section, keeping the
-    best value seen anywhere. Returns (m_star, delta_loss).
+    Sweeps a geometric grid over [lo_factor * max|w|, max|w|] from the top
+    down (the top end is always a candidate, so this mode never does worse
+    than quantize_max_abs), then refines around the best grid point by golden
+    section, keeping the best value seen anywhere. Returns (m_star, delta_loss).
+
+    With `stop` set, the sweep ends at the first grid point whose delta_loss
+    is finite and <= stop, returning that point: the complete search's best
+    is no higher, so it passes too, and only the verdict delta_loss <= stop
+    is exact. A sweep that meets no such point goes on as the complete search.
     """
     search = search or MSearchConfig()
     params = np.asarray(params, dtype=float)
@@ -131,12 +144,17 @@ def quantize_loss_min_m(
     base = loss_eval(params)
     if max_abs == 0.0:
         return 1.0, 0.0
+    buf = np.empty_like(params)
 
     def q_loss(m):
-        return loss_eval(quantize(params, QuantizationSpec(n_q=n_q, m_clamp=m)))
+        return loss_eval(quantize(params, QuantizationSpec(n_q=n_q, m_clamp=m), out=buf))
 
     ms = np.geomspace(search.lo_factor * max_abs, max_abs, search.grid_points)
-    losses = np.array([q_loss(m) for m in ms])
+    losses = np.empty(len(ms))
+    for i in reversed(range(len(ms))):
+        f = losses[i] = q_loss(ms[i])
+        if stop is not None and np.isfinite(f) and f - base <= stop:
+            return float(ms[i]), float(f) - base
     if not np.any(np.isfinite(losses)):
         raise QuantizationFailedError(
             f"all {len(ms)} clamp candidates gave non-finite loss at n_q={n_q}"
@@ -172,19 +190,28 @@ def quantization_delta_loss(
     loss_eval: LossEval,
     mode: str = "loss_min",
     search: MSearchConfig | None = None,
+    stop: float | None = None,
 ) -> float:
+    """Loss increase of quantizing `params` to n_q levels; with `stop` set,
+    exact only as the verdict delta_loss <= stop (see quantize_loss_min_m)."""
     if mode == "loss_min":
-        return quantize_loss_min_m(params, n_q, loss_eval, search)[1]
+        return quantize_loss_min_m(params, n_q, loss_eval, search, stop)[1]
     if mode == "max_abs":
         return quantize_max_abs(params, n_q, loss_eval)[1]
     raise InvalidInputError(f"unknown quantization mode {mode!r}")
 
 
-def _base_cached(params: np.ndarray, loss_eval: LossEval) -> LossEval:
-    """loss_eval that returns its value at `params` (this very array) from a
-    cache, so a search evaluates the unperturbed loss once, not per probe."""
-    base = loss_eval(params)
-    return lambda w: base if w is params else loss_eval(w)
+def _memoized(loss_eval: LossEval, memo: dict[bytes, float]) -> LossEval:
+    """loss_eval that looks each vector up in `memo` by its bytes, and
+    evaluates and records there only the vectors it does not hold."""
+
+    def evaluate(w):
+        key = w.tobytes()
+        if key not in memo:
+            memo[key] = loss_eval(w)
+        return memo[key]
+
+    return evaluate
 
 
 def _lowest_passing(dl: Callable[[int], float], epsilon: float, lo: int, hi: int) -> int:
@@ -215,17 +242,27 @@ def critical_nq(
     Exponential bracketing then bisection over even values, treating the loss
     increase as non-increasing in n_q; a final verification walk guarantees
     the returned n_q satisfies delta_loss <= epsilon and its predecessor does
-    not, as measured. The result's value and critical_value are n_q.
+    not, as measured. Each probe stops at its verdict (stop=epsilon); the
+    returned n_q's delta_loss is that of the complete clamp search, which
+    reuses every loss that n_q's probe evaluated. The result's value and
+    critical_value are n_q.
     """
     if epsilon <= 0:
         raise InvalidInputError("epsilon must be positive")
     params = np.asarray(params, dtype=float)
-    loss_eval = _base_cached(params, loss_eval)
+    base = {params.tobytes(): loss_eval(params)}
     cache: dict[int, float] = {}
+    # the losses each probe evaluated, the unperturbed one included; a failing
+    # probe's are dropped, since the search returns a passing n_q
+    memos: dict[int, dict[bytes, float]] = {}
 
     def dl(nq):
         if nq not in cache:
-            cache[nq] = quantization_delta_loss(params, nq, loss_eval, mode, search)
+            memos[nq] = dict(base)
+            cache[nq] = quantization_delta_loss(params, nq, _memoized(loss_eval, memos[nq]),
+                                                mode, search, epsilon)
+            if cache[nq] > epsilon:
+                del memos[nq]
         return cache[nq]
 
     hi = 4
@@ -237,6 +274,9 @@ def critical_nq(
             )
     if hi > 4:  # search k = n_q / 2 between the last failing and the first passing power
         hi = 2 * _lowest_passing(lambda k: dl(2 * k), epsilon, hi // 4, hi // 2)
+    if mode == "loss_min":  # complete the search the probe of hi may have stopped
+        evaluate = _memoized(loss_eval, memos[hi])
+        return CriticalResult(hi, quantize_loss_min_m(params, hi, evaluate, search)[1], hi)
     return CriticalResult(hi, cache[hi], hi)
 
 

@@ -137,10 +137,13 @@ class MlpModel:
             y = np.atleast_2d(np.asarray(y, dtype=float))
             if y.shape != out.shape:
                 raise InvalidInputError(f"targets shape {y.shape} != outputs {out.shape}")
+            if not need_grad:
+                # the residual goes into the output buffer, which nothing reads later
+                np.subtract(out, y, out=out)
+                np.square(out, out=out)
+                return float(np.sum(out) / n), None
             diff = out - y
             loss = float(np.sum(diff * diff) / n)
-            if not need_grad:
-                return loss, None
             delta = 2.0 * diff / n
         else:
             y = np.asarray(y)

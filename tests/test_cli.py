@@ -324,6 +324,7 @@ class TestErrors:
         ({"audit": {"m_simplex": 0.3}}, "audit.m_simplex"),
         ({"mdl": {"m_simplex": 0.3}}, "mdl.m_simplex"),
         ({"volume": {"landscape": "bernoulli_kl", "dim": 5}}, "volume.dim"),
+        ({"volume": {"landscape": "foo"}}, "volume.landscape"),
     ], ids=["unknown-key", "top-level-array", "epsilons-string", "epsilons-nan",
             "layer-sizes-int", "checkpoint-schedule-int", "n-samples-float", "n-samples-bool",
             "layer-sizes-float-item", "write-traces-string", "n-seeds-string", "seed-string",
@@ -334,7 +335,7 @@ class TestErrors:
             "audit-m-simplex-negative", "audit-outcomes-one", "mdl-n-seeds-zero",
             "mdl-n-powers-empty", "mdl-a-zero", "mdl-a-negative", "volume-half-width-zero",
             "volume-half-width-negative", "audit-m-simplex-above-box", "mdl-m-simplex-above-box",
-            "bernoulli-kl-dim-not-2"])
+            "bernoulli-kl-dim-not-2", "landscape-unknown"])
     def test_unknown_config_key_exit_1(self, tmp_path, capsys, payload, key):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(payload))

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from basinlab import (
+    CriticalResult,
     MlpModel,
     MlpSpec,
     MSearchConfig,
@@ -24,7 +25,97 @@ from basinlab import (
     train_sgd,
 )
 from basinlab import compress
-from basinlab.errors import InvalidInputError, UnreachableToleranceError
+from basinlab.errors import InvalidInputError, QuantizationFailedError, UnreachableToleranceError
+
+
+def reference_quantize(w, spec):
+    """quantize as one allocating expression, before it ran in place."""
+    return np.round(np.clip(w, -spec.m_clamp, spec.m_clamp) / spec.delta) * spec.delta
+
+
+def reference_loss_min_m(params, n_q, loss_eval, search):
+    """The clamp search run to completion: the whole grid, bottom up, then
+    golden section around its argmin, keeping the best value seen."""
+    max_abs = float(np.max(np.abs(params)))
+    base = loss_eval(params)
+    if max_abs == 0.0:
+        return 1.0, 0.0
+
+    def q_loss(m):
+        return loss_eval(reference_quantize(params, QuantizationSpec(n_q=n_q, m_clamp=m)))
+
+    ms = np.geomspace(search.lo_factor * max_abs, max_abs, search.grid_points)
+    losses = np.array([q_loss(m) for m in ms])
+    if not np.any(np.isfinite(losses)):
+        raise QuantizationFailedError("all clamp candidates non-finite")
+    losses[~np.isfinite(losses)] = np.inf
+    best = int(np.argmin(losses))
+    best_m, best_loss = float(ms[best]), float(losses[best])
+    a, b = float(ms[max(best - 1, 0)]), float(ms[min(best + 1, len(ms) - 1)])
+    golden = (np.sqrt(5.0) - 1.0) / 2.0
+    c, d = b - golden * (b - a), a + golden * (b - a)
+    fc, fd = q_loss(c), q_loss(d)
+    while (b - a) > search.rel_tol * max_abs:
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - golden * (b - a)
+            fc = q_loss(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + golden * (b - a)
+            fd = q_loss(d)
+        for m, f in ((c, fc), (d, fd)):
+            if np.isfinite(f) and f < best_loss:
+                best_m, best_loss = float(m), float(f)
+    return best_m, best_loss - base
+
+
+def reference_critical_nq(params, epsilon, loss_eval, mode="loss_min", nq_cap=2**16):
+    """critical_nq with every probe a complete search."""
+    def probe(nq):
+        if mode == "loss_min":
+            return reference_loss_min_m(params, nq, loss_eval, MSearchConfig())[1]
+        m = float(np.max(np.abs(params)))
+        q = reference_quantize(params, QuantizationSpec(n_q=nq, m_clamp=m))
+        return loss_eval(q) - loss_eval(params)
+
+    cache = {}
+
+    def dl(nq):
+        if nq not in cache:
+            cache[nq] = probe(nq)
+        return cache[nq]
+
+    hi = 4
+    while dl(hi) > epsilon:
+        hi *= 2
+        if hi > nq_cap:
+            raise UnreachableToleranceError(f"delta loss still above {epsilon} at n_q={nq_cap}")
+    if hi > 4:
+        hi = 2 * compress._lowest_passing(lambda k: dl(2 * k), epsilon, hi // 4, hi // 2)
+    return CriticalResult(hi, cache[hi], hi)
+
+
+def outcome(search, *args, **kwargs):
+    """A critical_nq-like search's result, delta_loss bit for bit (NaN included),
+    or the type of the error it raised."""
+    try:
+        res = search(*args, **kwargs)
+    except (QuantizationFailedError, UnreachableToleranceError) as e:
+        return type(e)
+    return res.value, float(res.delta_loss).hex(), res.critical_value
+
+
+@pytest.fixture(scope="module")
+def checkpoints():
+    """The scan test's 4-8-4 checkpoint and a 4-16-16-4 one, each with its full loss."""
+    out = {}
+    for sizes in ((4, 8, 4), (4, 16, 16, 4)):
+        task = make_teacher_task(MlpSpec(layer_sizes=sizes), 256, seed=4, teacher_gain=2.0)
+        (ck,) = train_sgd(task, steps=2000, learning_rate=0.05, batch_size=32, seed=1,
+                          checkpoint_schedule=(2000,))
+        out["-".join(map(str, sizes))] = (ck.params, task.full_loss)
+    return out
 
 
 def counting(loss_eval, params):
@@ -89,6 +180,11 @@ class TestQuantize:
         assert np.array_equal(quantize(q, spec), q)
         assert np.array_equal(quantize(-w, spec), -q)
         assert np.all(np.abs(q) <= m * (1 + 1e-12))
+        # in place, into a given array or into w itself, bit for bit
+        assert q.tobytes() == reference_quantize(w, spec).tobytes()
+        out = np.empty_like(w)
+        assert quantize(w, spec, out=out) is out and out.tobytes() == q.tobytes()
+        assert quantize(w, spec, out=w) is w and w.tobytes() == q.tobytes()
 
 
 class TestLossMinClampSearch:
@@ -178,6 +274,55 @@ class TestCriticalNq:
             critical_nq(ck.params, eps, loss_eval, mode=mode)
             assert probed == nqs
             assert loss_eval.base_evals == 1
+
+    @pytest.mark.parametrize("mode", ["loss_min", "max_abs"])
+    @pytest.mark.parametrize("eps", [0.25, 0.5, 1.0])
+    @pytest.mark.parametrize("name", ["4-8-4", "4-16-16-4"])
+    def test_equals_complete_search_on_checkpoints(self, checkpoints, name, eps, mode):
+        params, loss_eval = checkpoints[name]
+        assert (outcome(critical_nq, params, eps, loss_eval, mode=mode)
+                == outcome(reference_critical_nq, params, eps, loss_eval, mode=mode))
+
+    @pytest.mark.parametrize("where", ["top", "off_grid"])
+    @pytest.mark.parametrize("broken", [None, np.nan, np.inf, -np.inf])
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.integers(1, 12),
+        eps=st.floats(1e-3, 2.0),
+        mode=st.sampled_from(["loss_min", "max_abs"]),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_equals_complete_search_on_quadratics(self, seed, dim, eps, mode, broken, where):
+        # `broken` replaces the loss at the clamps the search meets first (the
+        # top of the grid) or at every clamp off the grid (the golden-section
+        # points): a non-finite loss never counts as a passing one
+        rng = rng_stream(seed, 0)
+        w = rng.uniform(-2, 2, dim)
+        a = rng.uniform(0.1, 4.0, dim)
+        max_abs = np.max(np.abs(w))
+        grid = np.geomspace(0.1 * max_abs, max_abs, MSearchConfig().grid_points)
+
+        def loss_eval(v):
+            m = np.max(np.abs(v))  # the clamp, up to rounding
+            off = m >= 0.8 * max_abs if where == "top" else not np.any(np.isclose(m, grid))
+            if broken is not None and off and not np.array_equal(v, w):
+                return broken
+            return float(np.sum(a * (v - w) ** 2))
+
+        assert (outcome(critical_nq, w, eps, loss_eval, mode=mode)
+                == outcome(reference_critical_nq, w, eps, loss_eval, mode=mode))
+
+    def test_evaluations_pinned_and_never_repeated(self, checkpoints):
+        # the scan test's checkpoint. With every probe complete and the base
+        # loss evaluated once, both searches make 375 evaluations. At 0.5 the
+        # passing probes stop at their verdict; at 0.25 the one passing probe
+        # (n_q = 16) runs complete, and the final search evaluates nothing again
+        params, full_loss = checkpoints["4-8-4"]
+        for eps, n_evals in {0.5: 302, 0.25: 375}.items():
+            seen = []
+            critical_nq(params, eps, lambda w: seen.append(w.tobytes()) or full_loss(w))
+            assert len(seen) == n_evals
+            assert len(set(seen)) == n_evals
 
     def test_unreachable_tolerance_raises(self):
         rng = rng_stream(5, 0)

@@ -79,6 +79,17 @@ class TestLossAndGrad:
         with pytest.raises(InvalidInputError):
             model.loss_and_grad(np.zeros(model.n_params), np.zeros((0, 3)), np.zeros((0, 2)))
 
+    @pytest.mark.parametrize("loss_kind", ["mse", "xent"])
+    def test_loss_equals_loss_and_grad(self, loss_kind):
+        # the forward-only branch reduces the same residual, bit for bit
+        model = MlpModel(MlpSpec(layer_sizes=(4, 16, 16, 3), loss=loss_kind))
+        rng = rng_stream(11, 0)
+        for n in (1, 7, 1024):
+            params = model.init_params(rng)
+            x = rng.standard_normal((n, 4))
+            y = rng.standard_normal((n, 3)) if loss_kind == "mse" else rng.integers(0, 3, n)
+            assert model.loss(params, x, y) == model.loss_and_grad(params, x, y)[0]
+
     def test_target_shape_mismatch_rejected(self):
         model = MlpModel(MlpSpec(layer_sizes=(3, 2)))
         with pytest.raises(InvalidInputError):
@@ -126,6 +137,22 @@ class TestBuffers:
         finally:
             tracemalloc.stop()
         assert peak < 131_072
+
+    @pytest.mark.parametrize("n_out", [4, 16])
+    def test_warm_full_loss_allocates_only_the_ufunc_buffer(self, n_out):
+        # numpy buffers the broadcast bias add in np.getbufsize() float64s
+        # (64 KiB); the mse loss forms its residual in the output buffer, so
+        # no (1024, n_out) temporary adds to that at any output width
+        task = make_teacher_task(MlpSpec(layer_sizes=(4, 16, 16, n_out)), 1024, seed=13)
+        params = task.model.init_params(rng_stream(0, 0))
+        task.full_loss(params)
+        tracemalloc.start()
+        try:
+            task.full_loss(params)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * np.getbufsize() + 4096
 
     def test_forward_result_survives_later_calls(self):
         model = MlpModel(MlpSpec(layer_sizes=(3, 5, 2)))
