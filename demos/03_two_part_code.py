@@ -21,7 +21,7 @@ model = SingularBernoulli()
 q = model.truth
 
 print("epsilon-net anatomy at eps = 1e-3:\n")
-net = build_eps_net(model, epsilon=1e-3, mc_samples=500_000, seed=0)
+net = build_eps_net(model, epsilon=1e-3)
 order = np.argsort(net.thetas)
 print(f"  {net.n_centers} centers; overlap mass {net.overlap_mass:.3f}")
 print(f"  {'p(1)':>8} {'V^R':>10} {'nats':>8}")
@@ -36,7 +36,7 @@ a = 0.1
 ns = [2**k for k in range(6, 15)]
 medians = []
 for n in ns:
-    net = build_eps_net(model, a / n, mc_samples=500_000, seed=0)
+    net = build_eps_net(model, a / n)
     runs = [two_part_redundancy(model, q, n=n, a=a, seed=s, net=net) for s in range(50)]
     med = float(np.median([r.redundancy for r in runs]))
     medians.append(med)
@@ -54,6 +54,6 @@ print("\ngrid-constant tradeoff at n = 2^14 (finer grids cost description length
 print("coarser grids cost data length):\n")
 n = 2**14
 for a_try in (0.1, 1.0, 10.0):
-    net = build_eps_net(model, a_try / n, mc_samples=500_000, seed=0)
+    net = build_eps_net(model, a_try / n)
     runs = [two_part_redundancy(model, q, n=n, a=a_try, seed=s, net=net) for s in range(50)]
     print(f"  a = {a_try:5g}: median R_n = {np.median([r.redundancy for r in runs]):6.3f} nats")

@@ -50,6 +50,7 @@ from .mdl import (
     EpsilonNet,
     RedundancyRun,
     build_eps_net,
+    mc_ball_volumes,
     two_part_redundancy,
     validate_kl_l2,
     validate_kn_fluctuation,
@@ -62,4 +63,4 @@ from .rng import rng_stream
 from .simplex import SimplexDist, kl, kl_bernoulli, sample_restricted
 from .training import Checkpoint, load_checkpoint, save_checkpoint, train_sgd
 from .csvio import __version__
-from .volume import ScalingFit, VolumeCurve, default_ladder, fit_scaling, mc_sublevel_volume, volume_curve
+from .volume import ScalingFit, VolumeCurve, default_ladder, fit_scaling, volume_curve

@@ -52,6 +52,26 @@ class SingularBernoulli:
         vals = self.prob_one(corners)
         return float(vals.min()), float(vals.max())
 
+    def interval_volume(self, lo, hi) -> np.ndarray:
+        """Vol{w : lo <= p_w <= hi}, exact, vectorized over the interval edges.
+
+        On a box [-h1, h1] x [-h2, h2], |w1 w2| / (h1 h2) is a product of two
+        uniforms, so P(|w1 w2| <= x) = u (1 - ln u) with u = x / (h1 h2); the
+        law of w1 w2 is symmetric about 0. An empty interval (lo > hi) has
+        volume 0 and the whole image has exactly Vol(W).
+        """
+        if not np.array_equal(self.bounds.lo, -self.bounds.hi):
+            raise InvalidInputError("closed-form volumes need a box symmetric about 0")
+        scale = float(np.prod(self.bounds.hi))
+
+        def signed_mass(p):  # 2 P(p_w <= p) - 1
+            s = np.asarray(p, dtype=float) - 0.5
+            u = np.minimum(np.abs(s) / scale, 1.0)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                return np.sign(s) * np.where(u > 0, u * (1.0 - np.log(u)), 0.0)
+
+        return self.bounds.volume() * np.maximum(signed_mass(hi) - signed_mass(lo), 0.0) / 2
+
     # -- KL geometry -------------------------------------------------------
 
     def kl_from(self, theta_q: float, w: np.ndarray) -> np.ndarray:

@@ -57,25 +57,19 @@ class QuantizationFailedError(RuntimeError):
 
 
 class CoveringFailureError(RuntimeError):
-    """An audit sample found a model distribution not covered by the net."""
+    """Some model distributions lie farther than KL epsilon from every net center.
 
-    def __init__(self, witness, distance: float, epsilon: float):
-        self.witness = witness
-        self.distance = distance
+    `gap` holds the first and last uncovered p of one stretch of the image;
+    `neighbors` are the centers whose balls end just before and begin just
+    after it (None at an end of the image).
+    """
+
+    def __init__(self, gap: tuple[float, float], neighbors: tuple, epsilon: float):
+        self.gap = gap
+        self.neighbors = neighbors
         self.epsilon = epsilon
+        near = " and ".join(f"p={c:.9g}" for c in neighbors if c is not None)
         super().__init__(
-            f"covering audit failed: witness {witness} at KL {distance:.3e} > epsilon {epsilon:.3e}"
-        )
-
-
-class EmptyBallError(RuntimeError):
-    """No Monte Carlo draw fell in a net center's ball, so its volume is unknown."""
-
-    def __init__(self, center: float, epsilon: float, mc_samples: int):
-        self.center = center
-        self.epsilon = epsilon
-        self.mc_samples = mc_samples
-        super().__init__(
-            f"the ball of net center p={center:.6g} at epsilon {epsilon:.3e} drew 0 of "
-            f"mc_samples={mc_samples} Monte Carlo samples; raise mc_samples"
+            f"covering failed: p in [{gap[0]:.9g}, {gap[1]:.9g}] lies farther than KL "
+            f"epsilon {epsilon:.3e} from every center, between the balls of {near}"
         )

@@ -1,11 +1,11 @@
 """Two-part codes on a finite outcome space.
 
 The sender and receiver share an epsilon-net of model distributions. A
-hypothesis is coded with log(Vol(W) / V^R) nats, where V^R is the parameter
-volume mapping into the reversed-KL ball around the chosen net center, so
-hypotheses that occupy more parameter volume get shorter codes. The data are
-then coded with the chosen center, and the redundancy of the whole message
-decomposes exactly as code_length + n * K_n(center).
+hypothesis is coded with log(Vol(W) / V^R) nats, where V^R is the exact
+parameter volume mapping into the reversed-KL ball around the chosen net
+center, so hypotheses that occupy more parameter volume get shorter codes.
+The data are then coded with the chosen center, and the redundancy of the
+whole message decomposes exactly as code_length + n * K_n(center).
 
 Also here: numerical validators for the inequalities that make the KL
 divergence behave like a squared metric on the restricted simplex.
@@ -18,39 +18,36 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bernoulli import SingularBernoulli
-from .errors import CoveringFailureError, EmptyBallError, InvalidInputError
+from .errors import CoveringFailureError, InvalidInputError
 from .rng import rng_stream
 from .simplex import SimplexDist, kl, kl_bernoulli
 from .volume import mc_volumes
 
 # Candidate grids are spaced at GRID_FACTOR of the smallest ball radius and the
 # net is built at BUILD_MARGIN * epsilon, so that covering the candidate set
-# implies covering the continuum at the full epsilon (audited below).
+# implies covering the continuum at the full epsilon (checked exactly below).
 _BUILD_MARGIN = 0.9
 _GRID_FACTOR = 0.04
 _MAX_CANDIDATES = 200_000
-# Bound on the rounding error of kl_bernoulli: a few ulps of its two terms,
-# each at most log(1 / min(t, 1 - t)) in size, is far below this.
-_KL_ROUNDING = 1e-12
 
 
 @dataclass
 class EpsilonNet:
     """Finite set of model distributions covering the image within KL epsilon.
 
-    Centers are Bernoulli success probabilities; `vr_volumes[i]` estimates
-    Vol{w : KL(p_w || center_i) <= epsilon} and `code_lengths[i]` is
-    log(Vol(W) / vr_volumes[i]) in nats (non-negative, zero when one center
-    covers every parameter).
+    Centers are Bernoulli success probabilities; `edges[i]` is the interval
+    (lo, hi) of p that the ball {p : KL(p || center_i) <= epsilon} spans,
+    `vr_volumes[i]` its exact parameter volume Vol{w : lo <= p_w <= hi}, and
+    `code_lengths[i]` is log(Vol(W) / vr_volumes[i]) in nats (non-negative,
+    zero when one center covers every parameter).
     """
 
     epsilon: float
     thetas: np.ndarray
+    edges: np.ndarray
     vr_volumes: np.ndarray
     code_lengths: np.ndarray
-    mc_samples: int
     total_volume: float
-    audit_samples: int
 
     @property
     def n_centers(self) -> int:
@@ -99,87 +96,68 @@ def _candidate_thetas(model: SingularBernoulli, epsilon: float) -> np.ndarray:
     return np.linspace(lo, hi, n)
 
 
-def _ball_members(x: np.ndarray, thetas: np.ndarray, epsilon: float):
-    """Which of the sorted samples x lie in each ball {p : KL(p || t) <= epsilon}.
+def _ball_edges(centers, radius, image: tuple[float, float], reverse: bool = True):
+    """Edges (lo, hi) of the KL balls around `centers`, clipped to `image`.
 
-    A reversed-KL ball is an interval of p containing t, because KL(p || t)
-    is convex in p and zero at t. Vectorized bisection over x, on each side
-    of every center, finds the run x[start:stop] that lies inside even when
-    kl_bernoulli is off by _KL_ROUNDING, and the flanks on either side whose
-    membership that error could flip. Only flank samples are tested with the
-    predicate kl_bernoulli(p, t) <= epsilon itself, so membership equals the
-    predicate on every sample.
-
-    Returns (start, stop, owner, idx): x[start[i]:stop[i]] lie in ball i,
-    and so does each flank sample x[idx[j]] in ball owner[j], outside that run.
+    The ball of center t is {p : KL(p || t) <= radius} when `reverse` (a net
+    ball) and {p : KL(t || p) <= radius} otherwise (a sandwich ball); centers
+    and radii broadcast. Either ball is an interval of p around t, because
+    the KL is convex in p with its zero at t. One vectorized float bisection
+    per side runs until its two brackets are adjacent floats, so each edge
+    passes the predicate kl_bernoulli(...) <= radius and the next float
+    outward fails it, unless the edge is the clip bound.
     """
-    k, m = len(thetas), len(x)
-    c = np.searchsorted(x, thetas)
-    zeros, ends = np.zeros(k, dtype=np.intp), np.full(k, m, dtype=np.intp)
-    # Four searches per center, each for the first index whose test holds:
-    # left of t the test is KL <= tau, right of t it is KL > tau.
-    lo = np.concatenate([zeros, zeros, c, c])
-    hi = np.concatenate([c, c, ends, ends])
-    t = np.tile(thetas, 4)
-    slack = 2.0 * _KL_ROUNDING
-    tau = np.repeat([epsilon + slack, epsilon - slack, epsilon - slack, epsilon + slack], k)
-    right = np.repeat([False, False, True, True], k)
-    active = lo < hi
-    while active.any():
-        mid = (lo + hi) // 2
-        found = (kl_bernoulli(x[np.minimum(mid, m - 1)], t) <= tau) != right
-        hi = np.where(active & found, mid, hi)
-        lo = np.where(active & ~found, mid + 1, lo)
-        active = lo < hi
-    out_left, start, stop, out_right = lo.reshape(4, k)
-    # Flank samples of all centers in one predicate call: x[idx[j]] with center owner[j].
-    first = np.concatenate([out_left, stop])
-    lengths = np.concatenate([start - out_left, out_right - stop])
-    owner = np.repeat(np.tile(np.arange(k), 2), lengths)
-    idx = np.arange(lengths.sum()) + np.repeat(first - (np.cumsum(lengths) - lengths), lengths)
-    inside = kl_bernoulli(x[idx], thetas[owner]) <= epsilon
-    return start, stop, owner[inside], idx[inside]
+    t, r = (np.tile(x.ravel(), 2) for x in np.broadcast_arrays(
+        np.asarray(centers, dtype=float), np.asarray(radius, dtype=float)))
+    k = len(t) // 2
+
+    def inside(p):
+        return (kl_bernoulli(p, t) if reverse else kl_bernoulli(t, p)) <= r
+
+    outer = np.repeat(np.asarray(image, dtype=float), k)  # failing bracket
+    inner = np.where(inside(outer), outer, t)  # passing bracket
+    while (active := np.nextafter(outer, inner) != inner).any():
+        mid = 0.5 * (inner + outer)  # strictly between two non-adjacent floats
+        ok = inside(mid)
+        inner = np.where(active & ok, mid, inner)
+        outer = np.where(active & ~ok, mid, outer)
+    return inner[:k], inner[k:]
 
 
-def _covers(x: np.ndarray, thetas: np.ndarray, epsilon: float) -> bool:
-    """True when every sorted sample x lies within KL epsilon of some center."""
-    start, stop, _, idx = _ball_members(x, thetas, epsilon)
-    depth = np.cumsum(np.bincount(start, minlength=len(x) + 1)
-                      - np.bincount(stop, minlength=len(x) + 1))
-    covered = depth[:-1] > 0
-    covered[idx] = True
-    return bool(covered.all())
+def _check_covering(thetas, lo, hi, image: tuple[float, float], epsilon: float) -> None:
+    """Raise CoveringFailureError unless the balls [lo_i, hi_i] around
+    `thetas` hold every float of `image`.
+
+    Taken in order of their left edges, each ball must start no later than
+    the float after the farthest point, `reach`, that the balls before it
+    have reached. Sentinels one float outside the image stand for its ends.
+    """
+    order = np.argsort(lo, kind="stable")
+    starts = np.append(lo[order], np.nextafter(image[1], np.inf))
+    reach = np.maximum.accumulate(np.insert(hi[order], 0, np.nextafter(image[0], -np.inf)))
+    gaps = np.flatnonzero(np.nextafter(reach, np.inf) < starts)
+    if len(gaps):
+        g = gaps[0]
+        before = float(thetas[order[np.argmax(hi[order[:g]])]]) if g else None
+        after = float(thetas[order[g]]) if g < len(order) else None
+        raise CoveringFailureError(
+            (float(np.nextafter(reach[g], np.inf)), float(np.nextafter(starts[g], -np.inf))),
+            (before, after), epsilon)
 
 
-def build_eps_net(
-    model: SingularBernoulli,
-    epsilon: float,
-    mc_samples: int,
-    seed: int,
-    audit_samples: int = 10_000,
-) -> EpsilonNet:
-    """Construct, audit, and weigh an epsilon-net for the model image.
+def build_eps_net(model: SingularBernoulli, epsilon: float) -> EpsilonNet:
+    """Construct, check, and weigh an epsilon-net for the model image.
 
-    Greedy farthest-point covering over a dense pushforward grid of the
-    image. The covering property (every model distribution within KL epsilon
-    of some center) is audited on `audit_samples` uniform parameter draws; a
-    violation raises CoveringFailureError with the witness. Each center's
-    V^R is then estimated from `mc_samples` uniform draws; a ball that none
-    of them hits raises EmptyBallError.
-
-    Both the audit and the volume estimate rest on each ball
-    {p : KL(p || t) <= epsilon} being an interval of p around t (the KL is
-    convex in p with its zero at t): the draws are sorted once and each
-    ball is located by bisection, so the cost is O(N log N + k log N) for N
-    draws and k centers instead of O(k N). Membership is decided by the
-    same predicate kl_bernoulli(p, t) <= epsilon as a sample-by-sample scan,
-    so the counts are identical to one.
+    Greedy farthest-point covering over a dense grid of the image. Each
+    center's ball {p : KL(p || t) <= epsilon} is an interval of p (see
+    `_ball_edges`), so the covering property (every model distribution
+    within KL epsilon of some center) holds exactly when the sorted balls
+    tile image_interval(). A stretch of floats that no ball holds raises
+    CoveringFailureError naming it and its neighboring centers. Each V^R is
+    the closed-form parameter volume of its interval; nothing is sampled.
     """
     if epsilon <= 0:
         raise InvalidInputError("epsilon must be positive")
-    for name, value in (("mc_samples", mc_samples), ("audit_samples", audit_samples)):
-        if value < 1:
-            raise InvalidInputError(f"{name} must be >= 1")
     cands = _candidate_thetas(model, epsilon)
     eps_build = _BUILD_MARGIN * epsilon
 
@@ -192,33 +170,30 @@ def build_eps_net(
         dist = np.minimum(dist, kl_bernoulli(cands, cands[j]))
     thetas = cands[np.sort(center_idx)]
 
-    # Covering audit on fresh uniform parameter draws, at the full epsilon.
-    # The per-center distances are computed only to name the witness.
-    rng_audit = rng_stream(seed, 1)
-    w_audit = model.bounds.sample(rng_audit, audit_samples)
-    p_audit = model.prob_one(w_audit)
-    if not _covers(np.sort(p_audit), thetas, epsilon):
-        d_audit = np.min(
-            np.stack([kl_bernoulli(p_audit, t) for t in thetas]), axis=0
-        )
-        worst = int(np.argmax(d_audit))
-        if d_audit[worst] > epsilon:
-            raise CoveringFailureError(w_audit[worst], float(d_audit[worst]), epsilon)
-
-    # Reversed-KL ball volumes with common random numbers across centers.
-    def count(w):
-        p_w = model.prob_one(w)
-        p_w.sort()
-        start, stop, owner, _ = _ball_members(p_w, thetas, epsilon)
-        return stop - start + np.bincount(owner, minlength=len(thetas))
-
-    vr, _ = mc_volumes(model.bounds, mc_samples, rng_stream(seed, 2), count)
-    if np.any(vr == 0):
-        raise EmptyBallError(float(thetas[vr == 0][0]), epsilon, mc_samples)
+    image = model.image_interval()
+    lo, hi = _ball_edges(thetas, epsilon, image)
+    _check_covering(thetas, lo, hi, image, epsilon)
+    vr = model.interval_volume(lo, hi)
     total = model.bounds.volume()
-    return EpsilonNet(epsilon=float(epsilon), thetas=thetas, vr_volumes=vr,
-                      code_lengths=np.log(total / vr), mc_samples=mc_samples,
-                      total_volume=total, audit_samples=audit_samples)
+    return EpsilonNet(epsilon=float(epsilon), thetas=thetas, edges=np.stack([lo, hi], axis=1),
+                      vr_volumes=vr, code_lengths=np.log(total / vr), total_volume=total)
+
+
+def mc_ball_volumes(model: SingularBernoulli, net: EpsilonNet, samples: int, seed: int):
+    """Monte Carlo estimates of the net's V^R, a cross-check of the exact ones.
+
+    Counts `samples` uniform parameter draws from rng_stream(seed, 2) into
+    each ball's exact edges, with one sort and two searchsorted calls per
+    chunk. Returns (volumes, standard_errors) as volume.mc_volumes does.
+    """
+    lo, hi = net.edges.T
+
+    def count(w):
+        p = model.prob_one(w)
+        p.sort()
+        return np.searchsorted(p, hi, side="right") - np.searchsorted(p, lo)
+
+    return mc_volumes(model.bounds, samples, rng_stream(seed, 2), count)
 
 
 def two_part_redundancy(
@@ -226,10 +201,8 @@ def two_part_redundancy(
     q: SimplexDist,
     n: int,
     a: float = 1.0,
-    mc_samples: int = 1_000_000,
     seed: int = 0,
     net: EpsilonNet | None = None,
-    net_seed: int = 0,
 ) -> RedundancyRun:
     """Run the two-part code once at grid tolerance epsilon = a / n.
 
@@ -248,7 +221,7 @@ def two_part_redundancy(
         raise InvalidInputError("q is not realizable in the model image")
     epsilon = a / n
     if net is None:
-        net = build_eps_net(model, epsilon, mc_samples, seed=net_seed)
+        net = build_eps_net(model, epsilon)
     elif abs(net.epsilon - epsilon) > 1e-12 * epsilon:
         raise InvalidInputError("provided net was built at a different tolerance")
 
@@ -315,9 +288,6 @@ class InclusionCheck:
     v_inner: float
     v_reversed: float
     v_outer: float
-    se_inner: float
-    se_reversed: float
-    se_outer: float
     passed_pointwise: bool
     passed_3se: bool
 
@@ -431,15 +401,15 @@ def validate_volume_inclusions(
     theta_q: float,
     theta_star: float,
     epsilon: float,
-    mc_samples: int,
-    seed: int = 0,
 ) -> InclusionCheck:
     """Check the volume sandwich V_q(eps) <= V^R_{p*}(C eps) <= V_q(C(C+1)/2 eps).
 
     Requires KL(q || p*) <= epsilon; C = 1/m_simplex (twice the triangle
-    constant). The three volumes share one sample set, so when the pointwise
-    inclusions hold the ordering of the estimates is exact, not just within
-    Monte Carlo error.
+    constant). V_q(r) is the volume of {w : KL(q || p_w) <= r} and V^R that
+    of {w : KL(p_w || p*) <= r}; each set is an interval of p (see
+    `_ball_edges`), so all three volumes are exact. `passed_pointwise` says
+    the three intervals are nested, `passed_3se` that the volumes are
+    ordered: with no Monte Carlo error, 3 SE is zero.
     """
     d_qstar = float(kl_bernoulli(theta_q, theta_star))
     if d_qstar > epsilon:
@@ -447,27 +417,15 @@ def validate_volume_inclusions(
             f"precondition KL(q||p*) <= epsilon violated ({d_qstar:.3e} > {epsilon:.3e})"
         )
     c = 1.0 / model.m_simplex
-    outer = 0.5 * c * (c + 1.0) * epsilon
-
-    def count(w):
-        p_w = model.prob_one(w)
-        kl_q = kl_bernoulli(theta_q, p_w)
-        n_inner, n_outer = np.count_nonzero(kl_q <= epsilon), np.count_nonzero(kl_q <= outer)
-        del kl_q  # before kl_rev, so one chunk-sized KL array is alive at a time
-        n_rev = np.count_nonzero(kl_bernoulli(p_w, theta_star) <= c * epsilon)
-        return np.array([n_inner, n_rev, n_outer])
-
-    vols, ses = mc_volumes(model.bounds, mc_samples, rng_stream(seed, 0), count)
-    (v_in, v_rev, v_out), (se_in, se_rev, se_out) = vols.tolist(), ses.tolist()
-    # Distinct hit counts give distinct volumes, so this compares the counts.
-    pointwise = v_in <= v_rev <= v_out
-    within = (
-        v_in <= v_rev + 3.0 * np.hypot(se_in, se_rev)
-        and v_rev <= v_out + 3.0 * np.hypot(se_rev, se_out)
-    )
+    image = model.image_interval()
+    (lo_in, lo_out), (hi_in, hi_out) = _ball_edges(
+        theta_q, [epsilon, 0.5 * c * (c + 1.0) * epsilon], image, reverse=False)
+    (lo_rev,), (hi_rev,) = _ball_edges(theta_star, c * epsilon, image)
+    v_in, v_rev, v_out = model.interval_volume(
+        [lo_in, lo_rev, lo_out], [hi_in, hi_rev, hi_out]).tolist()
     return InclusionCheck(
         epsilon=epsilon, constant=c,
         v_inner=v_in, v_reversed=v_rev, v_outer=v_out,
-        se_inner=se_in, se_reversed=se_rev, se_outer=se_out,
-        passed_pointwise=bool(pointwise), passed_3se=bool(within),
+        passed_pointwise=bool(lo_out <= lo_rev <= lo_in and hi_in <= hi_rev <= hi_out),
+        passed_3se=v_in <= v_rev <= v_out,
     )

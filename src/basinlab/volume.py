@@ -20,7 +20,8 @@ from .rng import rng_stream
 
 # Monte Carlo draws are made in chunks of at most this many, which bounds memory
 # at any sample count. 2^17 keeps a chunk's draws, values and masks in L2 (2^18
-# spills out); each chunk costs mdl one more sort and bisection, so not 2^16.
+# spills out). The one per-chunk cost in mdl is its V^R cross-check, a sort and
+# two searchsorted calls with no bisection, which is no slower at 2^16.
 # The chunks share one draw array, refilled in place: glibc trims a freed heap
 # top back to the kernel, so a fresh array per chunk faults its pages in again.
 MC_CHUNK = 2**17
@@ -68,18 +69,6 @@ def mc_volumes(bounds: Bounds, samples: int, rng: np.random.Generator,
     total = bounds.volume()
     p = np.asarray(hits) / samples
     return total * p, total * np.sqrt(p * (1.0 - p) / samples)
-
-
-def mc_sublevel_volume(
-    landscape: Landscape, epsilon: float, samples: int, seed: int, stream_id: int = 0
-) -> tuple[float, float]:
-    """Estimate Vol{w : K(w) <= epsilon} by uniform sampling of W.
-
-    Returns (volume, standard_error); the SE is the binomial SE of the hit
-    rate scaled by Vol(W).
-    """
-    curve = volume_curve(landscape, np.array([epsilon]), samples, seed, stream_id)
-    return float(curve.volumes[0]), float(curve.standard_errors[0])
 
 
 def volume_curve(

@@ -126,7 +126,7 @@ def test_c04_redundancy_slope():
     ns = [2**k for k in range(6, 15)]
     medians = []
     for n in ns:
-        net = build_eps_net(model, a / n, mc_samples=1_000_000, seed=0)
+        net = build_eps_net(model, a / n)
         runs = [two_part_redundancy(model, model.truth, n=n, a=a, seed=s, net=net)
                 for s in range(50)]
         medians.append(float(np.median([r.redundancy for r in runs])))
@@ -169,8 +169,7 @@ def test_c06_volume_inclusion_sandwich():
         theta_q = float(model.prob_one(model.bounds.sample(rng, 1)[0]))
         ok = grid[kl_bernoulli(theta_q, grid) <= eps]
         theta_star = float(rng.choice(ok))
-        chk = validate_volume_inclusions(model, theta_q, theta_star, eps,
-                                         mc_samples=200_000, seed=600 + i)
+        chk = validate_volume_inclusions(model, theta_q, theta_star, eps)
         assert chk.passed_3se, f"config {i}: eps={eps}"
         assert chk.passed_pointwise
     report(6, "volume inclusion sandwich: 20/20 configurations within 3 SE "

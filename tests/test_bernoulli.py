@@ -1,5 +1,8 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from basinlab import Bounds, SingularBernoulli, fit_scaling, rng_stream, volume_curve
 from basinlab.errors import InvalidInputError
@@ -47,6 +50,45 @@ class TestModel:
         assert model.mle_theta(0, 100) == 0.25
         assert model.mle_theta(100, 100) == 0.75
         assert model.mle_theta(52, 100) == pytest.approx(0.52)
+
+
+# the default square box and a rectangle, both symmetric about 0
+BOXES = {"square": Bounds.symmetric(2, 0.5), "rectangle": Bounds([-0.5, -0.3], [0.5, 0.3])}
+
+
+@functools.cache
+def sorted_image_draws(box: str) -> np.ndarray:
+    """p_w of 1M uniform draws from the box, sorted."""
+    model = SingularBernoulli(BOXES[box])
+    return np.sort(model.prob_one(model.bounds.sample(rng_stream(21, 0), 1_000_000)))
+
+
+class TestIntervalVolume:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(box=st.sampled_from(sorted(BOXES)), a=st.floats(0, 1), b=st.floats(0, 1))
+    def test_matches_monte_carlo_within_4se(self, box, a, b):
+        model = SingularBernoulli(BOXES[box])
+        image = model.image_interval()
+        lo, hi = sorted(image[0] + (image[1] - image[0]) * np.array([a, b]))
+        p = sorted_image_draws(box)
+        rate = (np.searchsorted(p, hi, side="right") - np.searchsorted(p, lo)) / len(p)
+        total = model.bounds.volume()
+        exact = float(model.interval_volume(lo, hi))
+        # the SE of the estimate under the exact rate, nonzero for a small interval
+        se = total * np.sqrt(exact / total * (1 - exact / total) / len(p))
+        assert abs(total * rate - exact) <= 4 * se
+
+    @pytest.mark.parametrize("box", sorted(BOXES))
+    def test_whole_image_is_exact_and_empty_interval_is_zero(self, box):
+        model = SingularBernoulli(BOXES[box])
+        lo, hi = model.image_interval()
+        assert model.interval_volume(lo, hi) == model.bounds.volume()
+        assert model.interval_volume([hi, 0.5, 0.4], [lo, 0.5, 0.3]).tolist() == [0.0] * 3
+
+    def test_box_not_symmetric_about_zero_rejected(self):
+        for bounds in (Bounds([-0.5, -0.4], [0.5, 0.5]), Bounds([-0.3, -0.5], [0.5, 0.5])):
+            with pytest.raises(InvalidInputError, match="symmetric"):
+                SingularBernoulli(bounds).interval_volume(0.3, 0.4)
 
 
 class TestKlLandscape:

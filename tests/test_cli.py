@@ -116,8 +116,25 @@ class TestSubcommands:
         # net dumps accompany the redundancy rows
         for n in (64, 256):
             _, net_header, net_rows = read_csv(out / f"net_n{n}.csv")
-            assert net_header == ["center_index", "p_one", "vr_volume", "code_length"]
+            assert net_header == ["center_index", "p_one", "vr_volume", "code_length",
+                                  "vr_mc", "vr_mc_se"]
             assert len(net_rows) >= 1
+
+    def test_net_seed_and_mc_samples_move_only_the_cross_check(self, workdir, tmp_path):
+        # the exact V^R feed the code lengths; the Monte Carlo columns are reported only
+        _, cfg_path, out = workdir
+        cfg = dict(SMALL, mdl=dict(SMALL["mdl"], net_seed=5, mc_samples=30_000))
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        other = tmp_path / "o"
+        assert run(cfg_path, out, "mdl-redundancy") == 0
+        assert main(["mdl-redundancy", "--config", str(p), "--out", str(other)]) == 0
+        assert read_csv(out / "redundancy.csv")[1:] == read_csv(other / "redundancy.csv")[1:]
+        for n in (64, 256):
+            (_, header, rows), (_, _, moved) = (read_csv(d / f"net_n{n}.csv") for d in (out, other))
+            mc = header.index("vr_mc")
+            assert [r[:mc] for r in rows] == [r[:mc] for r in moved]
+            assert all(r[mc:] != m[mc:] for r, m in zip(rows, moved))
 
     def test_lemma_audit_passes(self, workdir):
         _, cfg_path, out = workdir
@@ -414,16 +431,6 @@ class TestErrors:
         out = tmp_path / "o"
         assert main([command, "--config", str(p), "--out", str(out)]) == 1
         assert not list(out.glob("*.csv"))
-
-    def test_empty_net_ball_exit_2(self, tmp_path, capsys):
-        # a 200-sample estimate leaves an edge ball of the n = 2^11 net empty
-        cfg = dict(SMALL)
-        cfg["mdl"] = dict(SMALL["mdl"], n_powers=[11], mc_samples=200)
-        p = tmp_path / "cfg.json"
-        p.write_text(json.dumps(cfg))
-        assert main(["mdl-redundancy", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
-        err = capsys.readouterr().err
-        assert "mc_samples=200" in err and "epsilon 4.883e-05" in err and "covering" not in err
 
     def test_diverging_training_exit_2(self, tmp_path):
         cfg = dict(SMALL)

@@ -18,7 +18,6 @@ from basinlab import (
     fit_scaling,
     make_normal_crossing,
     make_quadratic,
-    mc_sublevel_volume,
     rng_stream,
     volume_curve,
 )
@@ -26,32 +25,38 @@ from basinlab import volume
 from basinlab.errors import FitWindowError, InvalidInputError
 
 
+def one_rung(landscape, epsilon, samples, seed, stream_id=0):
+    """(volume, SE) of the one-epsilon volume curve."""
+    curve = volume_curve(landscape, np.array([epsilon]), samples, seed, stream_id)
+    return float(curve.volumes[0]), float(curve.standard_errors[0])
+
+
 class TestMcVolume:
     def test_disk_area(self):
         L = make_quadratic(2)
-        vol, se = mc_sublevel_volume(L, 0.25, 100_000, seed=1)
+        vol, se = one_rung(L, 0.25, 100_000, seed=1)
         assert abs(vol - np.pi * 0.25) <= 3 * se
 
     def test_slab_volume(self):
         L = make_normal_crossing(NormalCrossingSpec(dim=2, exponents=(1,), active_dims=(0,)))
-        vol, se = mc_sublevel_volume(L, 0.01, 200_000, seed=2)
+        vol, se = one_rung(L, 0.01, 200_000, seed=2)
         assert abs(vol - 0.4) <= 3 * se
 
     def test_full_cover(self):
         L = make_quadratic(2)  # max K on [-1,1]^2 is 2
-        vol, se = mc_sublevel_volume(L, 2.5, 10_000, seed=3)
+        vol, se = one_rung(L, 2.5, 10_000, seed=3)
         assert vol == pytest.approx(4.0)
         assert se == 0.0
 
     def test_invalid_epsilon(self):
         with pytest.raises(InvalidInputError):
-            mc_sublevel_volume(make_quadratic(2), -1.0, 100, seed=0)
+            one_rung(make_quadratic(2), -1.0, 100, seed=0)
 
     def test_unbiasedness_against_reference(self):
         L = make_quadratic(2)
-        ref, ref_se = mc_sublevel_volume(L, 0.125, 10_000_000, seed=100)
+        ref, ref_se = one_rung(L, 0.125, 10_000_000, seed=100)
         estimates = np.array(
-            [mc_sublevel_volume(L, 0.125, 20_000, seed=101, stream_id=k)[0] for k in range(50)]
+            [one_rung(L, 0.125, 20_000, seed=101, stream_id=k)[0] for k in range(50)]
         )
         mean_se = np.sqrt(ref_se**2 + (estimates.std(ddof=1) / np.sqrt(50)) ** 2)
         assert abs(estimates.mean() - ref) <= 2 * mean_se
@@ -69,7 +74,7 @@ class TestVolumeCurve:
         ladder = default_ladder(2, 8)
         curve = volume_curve(L, ladder, 150_000, seed=12, stream_id=3)
         for eps, vol, se in zip(curve.epsilons, curve.volumes, curve.standard_errors):
-            assert mc_sublevel_volume(L, float(eps), 150_000, seed=12, stream_id=3) == (vol, se)
+            assert one_rung(L, float(eps), 150_000, seed=12, stream_id=3) == (vol, se)
 
     def test_zero_samples_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -176,15 +181,16 @@ import json, resource
 from basinlab import (NormalCrossingSpec, default_ladder, make_normal_crossing, make_quadratic,
                       volume_curve)
 from basinlab.bernoulli import SingularBernoulli
-from basinlab.mdl import validate_volume_inclusions
+from basinlab.mdl import build_eps_net, mc_ball_volumes
 
 model, ladder = SingularBernoulli(), default_ladder(2, 14)
+net = build_eps_net(model, 0.1 / 2**14)
 calls = {
     "quadratic": lambda: volume_curve(make_quadratic(2), ladder, 1_000_000, seed=0),
     "nc-k2": lambda: volume_curve(make_normal_crossing(NormalCrossingSpec(2, (2,), (0,))),
                                   ladder, 1_000_000, seed=0),
     "bernoulli-kl": lambda: volume_curve(model.kl_landscape(), ladder, 1_000_000, seed=0),
-    "inclusions": lambda: validate_volume_inclusions(model, 0.52, 0.5205, 0.01, 200_000, seed=3),
+    "net-cross-check": lambda: mc_ball_volumes(model, net, 1_000_000, seed=0),
 }
 faults = {}
 for name, call in calls.items():
