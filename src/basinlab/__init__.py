@@ -53,7 +53,6 @@ from .mdl import (
     mc_ball_volumes,
     two_part_redundancy,
     validate_kl_l2,
-    validate_kn_fluctuation,
     validate_triangle,
     validate_variance_bound,
     validate_volume_inclusions,

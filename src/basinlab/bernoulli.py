@@ -74,10 +74,6 @@ class SingularBernoulli:
 
     # -- KL geometry -------------------------------------------------------
 
-    def kl_from(self, theta_q: float, w: np.ndarray) -> np.ndarray:
-        """KL(q || p_w) for q = Bernoulli(theta_q), vectorized over w."""
-        return kl_bernoulli(theta_q, self.prob_one(w))
-
     def kl_landscape(self) -> Landscape:
         """KL(truth || p_w) as a Landscape, ground truth (1/2, 2)."""
 

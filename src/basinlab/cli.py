@@ -113,6 +113,8 @@ VALUE_CHECKS = dict.fromkeys((
     "audit.outcomes": (lambda v: v >= 2, "must be >= 2"),
     "volume.multiplicity_mode": (lambda v: v == "select_by_fit" or type(v) is int,
                                  "expected 'select_by_fit' or an integer"),
+    # the teacher task makes regression targets, which only mse reads
+    "model.loss": (lambda v: v == "mse", "must be 'mse', the loss of the teacher's targets"),
     "volume.landscape": (lambda v: v in LANDSCAPES,
                          "must be one of " + ", ".join(map(repr, LANDSCAPES))),
 }

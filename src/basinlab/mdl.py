@@ -13,7 +13,7 @@ divergence behave like a squared metric on the restricted simplex.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,9 +57,6 @@ class EpsilonNet:
     def overlap_mass(self) -> float:
         """Sum of V^R over centers relative to Vol(W); 1 would mean a partition."""
         return float(self.vr_volumes.sum() / self.total_volume)
-
-    def centers(self, lower_bound: float = 0.0) -> list[SimplexDist]:
-        return [SimplexDist(np.array([1 - t, t]), lower_bound=lower_bound) for t in self.thetas]
 
     def nearest(self, theta: float) -> int:
         """Index of the center minimizing KL(Bernoulli(theta) || center).
@@ -266,22 +263,6 @@ class TriangleCheck:
 
 
 @dataclass
-class FluctuationReport:
-    """Empirical distribution of n * (K_n - KL) against the Bernstein tail."""
-
-    n: int
-    trials: int
-    kl: float
-    values: np.ndarray = field(repr=False)
-    mean: float = 0.0
-    standard_error: float = 0.0
-    p99_abs: float = 0.0
-    t_grid: np.ndarray = field(default=None, repr=False)
-    empirical_tail: np.ndarray = field(default=None, repr=False)
-    bernstein_tail: np.ndarray = field(default=None, repr=False)
-
-
-@dataclass
 class InclusionCheck:
     epsilon: float
     constant: float
@@ -356,44 +337,6 @@ def validate_variance_bound(q: Dists, p: Dists) -> BoundsCheck:
     upper = (c_prime - d) * d
     return BoundsCheck(*_scalars(lower, variance, upper, (lower - _AUDIT_SLACK <= variance)
                                  & (variance <= upper + _AUDIT_SLACK)))
-
-
-def validate_kn_fluctuation(
-    q: SimplexDist, p: SimplexDist, n: int, trials: int, seed: int = 0
-) -> FluctuationReport:
-    """Sample n * (K_n - KL) over many datasets and report its tail behavior.
-
-    K_n is the empirical mean of log q/p over n i.i.d. draws from q. The
-    report compares the two-sided empirical tail with the Bernstein-type
-    bound 2 exp(-t^2 / (C + M t / 3)), using the exactly computable
-    C = n * Var_q[log q/p] and M = max |log q/p - KL|.
-    """
-    if np.any(p.probs <= 0) or np.any(q.probs <= 0):
-        raise InvalidInputError("log ratio must be finite on the whole outcome space")
-    rng = rng_stream(seed, 0)
-    ell = np.log(q.probs / p.probs)
-    d = kl(q, p)
-    counts = rng.multinomial(n, q.probs, size=trials)
-    k_n = counts @ ell / n
-    values = n * (k_n - d)
-
-    variance = float(np.sum(q.probs * ell**2) - d**2)
-    big_m = float(np.max(np.abs(ell - d)))
-    c_bern = n * variance
-    t_grid = np.linspace(0.5, max(1.0, np.percentile(np.abs(values), 99.9)), 24)
-    empirical = np.array([(np.abs(values) >= t).mean() for t in t_grid])
-    denom = c_bern + big_m * t_grid / 3.0
-    with np.errstate(divide="ignore"):
-        # degenerate q == p has no fluctuation at all; the bound collapses to 0
-        bound = np.where(denom > 0, 2.0 * np.exp(-(t_grid**2) / np.where(denom > 0, denom, 1.0)), 0.0)
-
-    return FluctuationReport(
-        n=n, trials=trials, kl=d, values=values,
-        mean=float(values.mean()),
-        standard_error=float(values.std(ddof=1) / np.sqrt(trials)),
-        p99_abs=float(np.percentile(np.abs(values), 99)),
-        t_grid=t_grid, empirical_tail=empirical, bernstein_tail=bound,
-    )
 
 
 def validate_volume_inclusions(

@@ -44,8 +44,10 @@ class MlpSpec:
 
 @dataclass
 class MlpModel:
-    """The network of `spec`. Forward passes write each layer's activations
-    into buffers kept per batch shape and reused by later calls, so a call
+    """The network of `spec`. One body evaluates loss and gradient for one
+    parameter vector (`loss_and_grad`) and for a stack of them
+    (`losses_and_grads`). Forward passes write each layer's activations into
+    buffers kept per batch shape and reused by later calls, so a call
     allocates no activation-sized temporaries; no result is a view of one."""
 
     spec: MlpSpec
@@ -75,12 +77,15 @@ class MlpModel:
             chunks.append(np.zeros(o))
         return np.concatenate(chunks)
 
-    def unpack(self, params: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    def _checked(self, params: np.ndarray, stacked: bool) -> np.ndarray:
         params = np.asarray(params, dtype=float)
-        if params.shape != (self.n_params,):
-            raise InvalidInputError(
-                f"expected {self.n_params} parameters, got shape {params.shape}"
-            )
+        if params.ndim != 1 + stacked or params.shape[-1] != self.n_params:
+            want = f"(K, {self.n_params})" if stacked else self.n_params
+            raise InvalidInputError(f"expected {want} parameters, got shape {params.shape}")
+        return params
+
+    def unpack(self, params: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+        params = self._checked(params, stacked=False)
         return [(params[span_w].reshape(shape), params[span_b])
                 for shape, (span_w, span_b) in zip(self._shapes, self._spans)]
 
@@ -94,23 +99,80 @@ class MlpModel:
             bufs = self._buffers[lead] = [np.empty(lead + (o,)) for o, _ in self._shapes]
         return bufs
 
-    def _activations(self, layers, x: np.ndarray) -> list[np.ndarray]:
-        """[x, h_1, ..., out] for one parameter vector; all but x are buffers
-        that the next call with the same batch size overwrites."""
+    def _activations(self, params: np.ndarray, x: np.ndarray):
+        """Layer views of `params` (leading shape L + (n_params,)) and the
+        activations [x, h_1, ..., out] of x (L + (B, in)); all but x are buffers
+        that the next call with the same L and B overwrites. Weights are
+        (L + (o, i)) views, biases (L + (1, o)) so they broadcast over the batch."""
+        lead = params.shape[:-1]
+        layers = [(params[..., span_w].reshape(lead + shape), params[..., None, span_b])
+                  for shape, (span_w, span_b) in zip(self._shapes, self._spans)]
         acts = [x]
         last = len(layers) - 1
-        for li, ((w, b), z) in enumerate(zip(layers, self._layer_buffers(x.shape[:1]))):
-            np.matmul(acts[li], w.T, out=z)
+        for li, ((w, b), z) in enumerate(zip(layers, self._layer_buffers(x.shape[:-1]))):
+            np.matmul(acts[li], w.swapaxes(-1, -2), out=z)
             z += b
             if li < last:
                 np.tanh(z, out=z)
             acts.append(z)
-        return acts
+        return layers, acts
+
+    def _evaluate(self, params: np.ndarray, x: np.ndarray, y: np.ndarray, need_grad: bool):
+        """Losses (shape L) and gradients (L + (n_params,)) of each parameter
+        vector in `params` on its own batch, for any leading shape L: () is one
+        vector, (K,) a stack. Each matmul runs the same BLAS call on every
+        vector of the stack and each sum reduces along one vector's own axes,
+        so a stacked row equals the same vector evaluated alone, bit for bit."""
+        lead = params.shape[:-1]
+        width = self.spec.layer_sizes[0]
+        if x.shape[:-2] != lead or x.shape[-1:] != (width,):
+            raise InvalidInputError(f"inputs shape {x.shape} is not {lead} + (B, {width})")
+        n = x.shape[-2]
+        if n == 0:
+            raise InvalidInputError("batch must be nonempty")
+        layers, acts = self._activations(params, x)
+        out = acts[-1]
+
+        if self.spec.loss == "mse":
+            y = np.asarray(y, dtype=float)
+            if y.shape != out.shape:
+                raise InvalidInputError(f"targets shape {y.shape} != outputs {out.shape}")
+            if not need_grad:
+                # the residual goes into the output buffer, which nothing reads later
+                np.subtract(out, y, out=out)
+                np.square(out, out=out)
+                return out.reshape(lead + (-1,)).sum(axis=-1) / n, None
+            diff = out - y
+            loss = (diff * diff).reshape(lead + (-1,)).sum(axis=-1) / n
+            delta = 2.0 * diff / n
+        else:
+            y = np.asarray(y)
+            if y.shape != out.shape[:-1]:
+                raise InvalidInputError(f"xent targets must be {out.shape[:-1]} class indices")
+            shifted = out - out.max(axis=-1, keepdims=True)
+            logz = np.log(np.sum(np.exp(shifted), axis=-1))
+            picked = np.take_along_axis(shifted, y[..., None], axis=-1)[..., 0]
+            loss = np.mean(logz - picked, axis=-1)
+            if not need_grad:
+                return loss, None
+            soft = np.exp(shifted) / np.exp(logz)[..., None]
+            soft -= y[..., None] == np.arange(out.shape[-1])  # 1.0 off each target
+            delta = soft / n
+
+        grad = np.empty(params.shape)
+        for li in reversed(range(len(layers))):
+            w, _ = layers[li]
+            span_w, span_b = self._spans[li]
+            np.matmul(delta.swapaxes(-1, -2), acts[li], out=grad[..., span_w].reshape(w.shape))
+            np.add.reduce(delta, axis=-2, out=grad[..., span_b])
+            if li > 0:
+                delta = np.matmul(delta, w) * (1.0 - acts[li] ** 2)
+        return loss, grad
 
     def forward(self, params: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Batched forward pass; tanh on hidden layers, linear output."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        return self._activations(self.unpack(params), x)[-1].copy()
+        return self._activations(self._checked(params, stacked=False), x)[1][-1].copy()
 
     def loss(self, params: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
         loss, _ = self.loss_and_grad(params, x, y, need_grad=False)
@@ -125,113 +187,20 @@ class MlpModel:
         xent: mean negative log softmax probability of the integer targets.
         """
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        layers = self.unpack(params)
-        n = x.shape[0]
-        if n == 0:
-            raise InvalidInputError("batch must be nonempty")
-
-        acts = self._activations(layers, x)
-        out = acts[-1]
-
         if self.spec.loss == "mse":
             y = np.atleast_2d(np.asarray(y, dtype=float))
-            if y.shape != out.shape:
-                raise InvalidInputError(f"targets shape {y.shape} != outputs {out.shape}")
-            if not need_grad:
-                # the residual goes into the output buffer, which nothing reads later
-                np.subtract(out, y, out=out)
-                np.square(out, out=out)
-                return float(np.sum(out) / n), None
-            diff = out - y
-            loss = float(np.sum(diff * diff) / n)
-            delta = 2.0 * diff / n
-        else:
-            y = np.asarray(y)
-            if y.shape != (n,):
-                raise InvalidInputError("xent targets must be a vector of class indices")
-            shifted = out - out.max(axis=1, keepdims=True)
-            logz = np.log(np.sum(np.exp(shifted), axis=1))
-            loss = float(np.mean(logz - shifted[np.arange(n), y]))
-            if not need_grad:
-                return loss, None
-            soft = np.exp(shifted) / np.exp(logz)[:, None]
-            soft[np.arange(n), y] -= 1.0
-            delta = soft / n
-
-        grad = np.empty(self.n_params)
-        for li in reversed(range(len(layers))):
-            w, _ = layers[li]
-            span_w, span_b = self._spans[li]
-            np.matmul(delta.T, acts[li], out=grad[span_w].reshape(w.shape))
-            np.add.reduce(delta, axis=0, out=grad[span_b])
-            if li > 0:
-                delta = (delta @ w) * (1.0 - acts[li] ** 2)
-        return loss, grad
+        loss, grad = self._evaluate(self._checked(params, stacked=False), x, y, need_grad)
+        return float(loss), grad
 
     def losses_and_grads(
         self, params: np.ndarray, x: np.ndarray, y: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Row k of the result is `loss_and_grad(params[k], x[k], y[k])`, for
-        params (K, n_params), x (K, B, in) and y (K, B, out), or (K, B) class
-        indices for xent; returns losses (K,) and gradients (K, n_params).
-
-        Each layer is one stacked matmul over the K rows. numpy runs the same
-        BLAS call on every row as the single path does, and each row's sums
-        reduce in the single path's order, so every row matches it bit for bit.
-        """
-        params = np.asarray(params, dtype=float)
-        x = np.asarray(x, dtype=float)
-        if params.ndim != 2 or params.shape[1] != self.n_params:
-            raise InvalidInputError(
-                f"expected (K, {self.n_params}) parameters, got shape {params.shape}"
-            )
-        k = params.shape[0]
-        if x.ndim != 3 or x.shape[0] != k or x.shape[2] != self.spec.layer_sizes[0]:
-            raise InvalidInputError(f"inputs shape {x.shape} does not match {k} rows")
-        n = x.shape[1]
-        if n == 0:
-            raise InvalidInputError("batch must be nonempty")
-
-        layers = [(params[:, span_w].reshape((k, *shape)), params[:, span_b])
-                  for shape, (span_w, span_b) in zip(self._shapes, self._spans)]
-        acts = [x]
-        last = len(layers) - 1
-        for li, ((w, b), z) in enumerate(zip(layers, self._layer_buffers((k, n)))):
-            np.matmul(acts[li], w.transpose(0, 2, 1), out=z)
-            z += b[:, None, :]
-            if li < last:
-                np.tanh(z, out=z)
-            acts.append(z)
-        out = acts[-1]
-
-        if self.spec.loss == "mse":
-            y = np.asarray(y, dtype=float)
-            if y.shape != out.shape:
-                raise InvalidInputError(f"targets shape {y.shape} != outputs {out.shape}")
-            diff = out - y
-            losses = (diff * diff).reshape(k, -1).sum(axis=1) / n
-            delta = 2.0 * diff / n
-        else:
-            y = np.asarray(y)
-            if y.shape != (k, n):
-                raise InvalidInputError("xent targets must be (K, B) class indices")
-            rows, cols = np.arange(k)[:, None], np.arange(n)
-            shifted = out - out.max(axis=2, keepdims=True)
-            logz = np.log(np.sum(np.exp(shifted), axis=2))
-            losses = np.mean(logz - shifted[rows, cols, y], axis=1)
-            soft = np.exp(shifted) / np.exp(logz)[:, :, None]
-            soft[rows, cols, y] -= 1.0
-            delta = soft / n
-
-        grads = np.empty_like(params)
-        for li in reversed(range(len(layers))):
-            w, _ = layers[li]
-            span_w, span_b = self._spans[li]
-            np.matmul(delta.transpose(0, 2, 1), acts[li], out=grads[:, span_w].reshape(w.shape))
-            np.add.reduce(delta, axis=1, out=grads[:, span_b])
-            if li > 0:
-                delta = np.matmul(delta, w) * (1.0 - acts[li] ** 2)
-        return losses, grads
+        """Row k of the result is `loss_and_grad(params[k], x[k], y[k])`, bit for
+        bit, for params (K, n_params), x (K, B, in) and y (K, B, out), or (K, B)
+        class indices for xent; returns losses (K,) and gradients (K, n_params).
+        The same body evaluates both, with each layer one stacked matmul."""
+        params = self._checked(params, stacked=True)
+        return self._evaluate(params, np.asarray(x, dtype=float), y, need_grad=True)
 
 
 @dataclass

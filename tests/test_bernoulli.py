@@ -16,13 +16,13 @@ def model():
 class TestModel:
     def test_axis_points_give_uniform(self, model):
         assert model.prob_one(np.array([0.0, 0.3])) == pytest.approx(0.5)
-        assert model.kl_from(0.5, np.array([0.0, 0.3])) == pytest.approx(0.0)
+        assert model.kl_landscape().value(np.array([0.0, 0.3])) == pytest.approx(0.0)
 
     def test_offdiagonal_point(self, model):
         w = np.array([0.2, 0.2])
         assert model.prob_one(w) == pytest.approx(0.54)
         # direct two-term sum: 0.5 ln(0.5/0.54) + 0.5 ln(0.5/0.46) = 3.2103e-3
-        assert model.kl_from(0.5, w) == pytest.approx(3.2103e-3, rel=1e-4)
+        assert model.kl_landscape().value(w) == pytest.approx(3.2103e-3, rel=1e-4)
 
     def test_image_interval(self, model):
         lo, hi = model.image_interval()
@@ -36,11 +36,11 @@ class TestModel:
 
     def test_kl_zero_iff_uniform(self, model):
         w = model.bounds.sample(rng_stream(2, 0), 10_000)
-        d = model.kl_from(0.5, w)
+        d = model.kl_landscape().value(w)
         prod = w[:, 0] * w[:, 1]
         assert np.all(d[np.abs(prod) > 1e-6] > 0)
         on_axis = np.array([[0.0, 0.4], [-0.5, 0.0], [0.0, 0.0]])
-        assert np.all(model.kl_from(0.5, on_axis) <= 1e-12)
+        assert np.all(model.kl_landscape().value(on_axis) <= 1e-12)
 
     def test_bounds_violating_simplex_rejected(self):
         with pytest.raises(InvalidInputError):

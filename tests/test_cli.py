@@ -342,6 +342,8 @@ class TestErrors:
         ({"mdl": {"m_simplex": 0.3}}, "mdl.m_simplex"),
         ({"volume": {"landscape": "bernoulli_kl", "dim": 5}}, "volume.dim"),
         ({"volume": {"landscape": "foo"}}, "volume.landscape"),
+        ({"model": {"loss": "xent"}}, "model.loss"),
+        ({"model": {"loss": "bogus"}}, "model.loss"),
     ], ids=["unknown-key", "top-level-array", "epsilons-string", "epsilons-nan",
             "layer-sizes-int", "checkpoint-schedule-int", "n-samples-float", "n-samples-bool",
             "layer-sizes-float-item", "write-traces-string", "n-seeds-string", "seed-string",
@@ -352,7 +354,7 @@ class TestErrors:
             "audit-m-simplex-negative", "audit-outcomes-one", "mdl-n-seeds-zero",
             "mdl-n-powers-empty", "mdl-a-zero", "mdl-a-negative", "volume-half-width-zero",
             "volume-half-width-negative", "audit-m-simplex-above-box", "mdl-m-simplex-above-box",
-            "bernoulli-kl-dim-not-2", "landscape-unknown"])
+            "bernoulli-kl-dim-not-2", "landscape-unknown", "loss-xent", "loss-unknown"])
     def test_unknown_config_key_exit_1(self, tmp_path, capsys, payload, key):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(payload))
@@ -377,7 +379,7 @@ class TestErrors:
 
     @pytest.mark.parametrize("override,key", [
         ({"model": {"layer_sizes": [4, 8, 4]}}, "model"),
-        ({"model": {"loss": "xent"}}, "model"),
+        ({"model": {"loss": "xent"}}, "model.loss"),
         ({"training": dict(SMALL["training"], seed=99)}, "training.seed"),
     ], ids=["layer-sizes", "loss", "training-seed"])
     def test_checkpoint_provenance_exit_1(self, workdir, tmp_path, capsys, override, key):

@@ -15,7 +15,6 @@ from basinlab import (
     sample_restricted,
     two_part_redundancy,
     validate_kl_l2,
-    validate_kn_fluctuation,
     validate_triangle,
     validate_variance_bound,
     validate_volume_inclusions,
@@ -173,43 +172,6 @@ class TestStackedValidators:
                 validate_triangle(rows, rows, rows, m)
 
 
-class TestKnFluctuation:
-    def test_identical_distributions_give_zero(self):
-        q = SimplexDist(np.array([0.5, 0.5]))
-        rep = validate_kn_fluctuation(q, q, n=100, trials=500, seed=0)
-        assert np.all(rep.values == 0.0)
-
-    def test_centering(self):
-        # KL set to 1/n: the mean of n (K_n - KL) should vanish
-        n = 10_000
-        theta = 0.5 + np.sqrt(0.5 / n)  # KL ~ 2 (theta - 0.5)^2 = 1/n
-        q = SimplexDist(np.array([0.5, 0.5]))
-        p = SimplexDist(np.array([1 - theta, theta]))
-        rep = validate_kn_fluctuation(q, p, n=n, trials=10_000, seed=1)
-        assert abs(rep.mean) <= 3 * rep.standard_error
-
-    def test_tail_dominated_by_bernstein_bound(self):
-        n = 10_000
-        theta = 0.5 + np.sqrt(0.5 / n)
-        q = SimplexDist(np.array([0.5, 0.5]))
-        p = SimplexDist(np.array([1 - theta, theta]))
-        rep = validate_kn_fluctuation(q, p, n=n, trials=20_000, seed=2)
-        # where the bound is informative it should dominate the empirical tail
-        informative = rep.bernstein_tail < 0.5
-        assert np.all(rep.empirical_tail[informative] <= rep.bernstein_tail[informative] + 0.02)
-
-    def test_p99_stable_as_n_grows(self):
-        # with KL scaled as 1/n the fluctuation scale is n-independent
-        q = SimplexDist(np.array([0.5, 0.5]))
-        p99 = []
-        for n in (1_000, 10_000, 100_000):
-            theta = 0.5 + np.sqrt(0.5 / n)
-            p = SimplexDist(np.array([1 - theta, theta]))
-            rep = validate_kn_fluctuation(q, p, n=n, trials=4_000, seed=3)
-            p99.append(rep.p99_abs)
-        assert max(p99) < 2.0 * min(p99)
-
-
 class TestEpsilonNet:
     def test_single_center_when_epsilon_huge(self, model):
         net = build_eps_net(model, epsilon=5.0)
@@ -243,9 +205,8 @@ class TestEpsilonNet:
 
     def test_centers_are_restricted_distributions(self, model):
         net = build_eps_net(model, epsilon=1e-2)
-        for dist in net.centers(lower_bound=model.m_simplex):
-            assert dist.probs.min() >= model.m_simplex
-            assert abs(dist.probs.sum() - 1.0) < 1e-12
+        # each center (1 - theta, theta) keeps both masses at least m_simplex
+        assert np.minimum(net.thetas, 1.0 - net.thetas).min() >= model.m_simplex
 
     def test_nearest_tie_breaks_low_index(self, model):
         net = build_eps_net(model, epsilon=1e-2)

@@ -61,6 +61,15 @@ class TestLossAndGrad:
         fd = finite_difference_grad(model, params, x, y, idx)
         for j, i in enumerate(idx):
             assert abs(fd[j] - grad[i]) <= max(1e-6, 1e-4 * abs(grad[i]))
+        # each row of a stack against differences of its own loss
+        stack = np.stack([params] + [model.init_params(rng) for _ in range(2)])
+        xs = rng.standard_normal((3, 16, 4))
+        ys = rng.standard_normal((3, 16, out)) if loss_kind == "mse" else rng.integers(0, out, (3, 16))
+        _, grads = model.losses_and_grads(stack, xs, ys)
+        for r in range(3):
+            fd = finite_difference_grad(model, stack[r], xs[r], ys[r], idx)
+            for j, i in enumerate(idx):
+                assert abs(fd[j] - grads[r, i]) <= max(1e-6, 1e-4 * abs(grads[r, i]))
 
     def test_single_linear_layer_closed_form(self):
         # no hidden layer: grad of mean squared error is 2 X^T (X w - y) / n
@@ -171,19 +180,21 @@ class TestLossesAndGrads:
     def test_rows_equal_single_path(self, loss_kind):
         model = MlpModel(MlpSpec(layer_sizes=(4, 16, 16, 3), loss=loss_kind))
         rng = rng_stream(6, 0)
-        k, b = 5, 64
-        params = np.stack([model.init_params(rng) for _ in range(k)])
-        x = rng.standard_normal((k, b, 4))
-        y = rng.standard_normal((k, b, 3)) if loss_kind == "mse" else rng.integers(0, 3, (k, b))
-        losses, grads = model.losses_and_grads(params, x, y)
-        assert losses.shape == (k,) and grads.shape == (k, model.n_params)
-        for r in range(k):
-            loss, grad = model.loss_and_grad(params[r], x[r], y[r])
-            assert losses[r] == loss
-            assert np.array_equal(grads[r], grad)
+        for k, b in [(1, 1), (1, 32), (5, 64), (8, 64), (2, 1024)]:
+            params = np.stack([model.init_params(rng) for _ in range(k)])
+            x = rng.standard_normal((k, b, 4))
+            y = rng.standard_normal((k, b, 3)) if loss_kind == "mse" else rng.integers(0, 3, (k, b))
+            losses, grads = model.losses_and_grads(params, x, y)
+            assert losses.shape == (k,) and grads.shape == (k, model.n_params)
+            for r in range(k):
+                loss, grad = model.loss_and_grad(params[r], x[r], y[r])
+                assert losses[r] == loss
+                assert np.array_equal(grads[r], grad)
 
     def test_shape_mismatch_rejected(self):
         model = MlpModel(MlpSpec(layer_sizes=(3, 2)))
         with pytest.raises(InvalidInputError):
             model.losses_and_grads(np.zeros((2, model.n_params)), np.zeros((3, 4, 3)),
                                    np.zeros((3, 4, 2)))
+        with pytest.raises(InvalidInputError):
+            model.loss_and_grad(np.zeros(model.n_params), np.zeros((4, 2)), np.zeros((4, 2)))
