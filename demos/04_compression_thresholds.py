@@ -57,9 +57,10 @@ sig_star = critical_sigma(ck.params, EPSILON, "relative", task.full_loss, noise_
 print(f"  critical sigma = {sig_star:.4f}\n")
 
 print("random unit pruning with 1000 masked retraining steps (lr/10):")
-for keep in (0.875, 0.75, 0.5, 0.25):
-    res = prune_and_retrain(task, ck.params, keep_fraction=keep,
+keeps = (0.875, 0.75, 0.5, 0.25)
+results = prune_and_retrain(task, ck.params, keep_fractions=keeps,
                             learning_rate=0.003, retrain_steps=1000, seed=3)
+for keep, res in zip(keeps, results):
     print(f"  keep {keep:5.3f} ({res.n_pruned:2d} units pruned): "
           f"delta loss = {res.delta_loss:+8.4f}")
 print("  (curves like these are rugged; no critical threshold is searched)")

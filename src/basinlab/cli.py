@@ -103,13 +103,17 @@ VALUE_CHECKS = dict.fromkeys((
     "noise.noise_draws", "volume.dim", "volume.samples", "mdl.mc_samples",
     "audit.instances", "audit.inclusion_configs", "mdl.n_seeds",
 ), (lambda v: v >= 1, "must be >= 1")) | dict.fromkeys(
-    ("mdl.a", "volume.half_width"), (lambda v: v > 0, "must be positive")) | dict.fromkeys(
+    ("mdl.a", "volume.half_width", "training.learning_rate", "prune.learning_rate"),
+    (lambda v: v > 0, "must be positive")) | dict.fromkeys(
     # the CLI's Bernoulli box [-0.5, 0.5]^2 keeps p_w in [0.25, 0.75], so m <= 0.25
     ("audit.m_simplex", "mdl.m_simplex"), (lambda v: 0 < v <= 0.25, "must be in (0, 0.25]")) | {
     # checkpoint headers store the training seed as a u64
     "training.seed": (lambda v: 0 <= v < 2**64, "must be in [0, 2**64)"),
     "epsilons": (lambda v: v and min(v) > 0, "must be a nonempty list of positive numbers"),
     "mdl.n_powers": (lambda v: len(v) > 0, "must be a nonempty list"),
+    "prune.keep_fractions": (lambda v: v and all(0 < f <= 1 for f in v),
+                             "must be a nonempty list of numbers in (0, 1]"),
+    "prune.retrain_steps": (lambda v: v >= 0, "must be >= 0"),
     "audit.outcomes": (lambda v: v >= 2, "must be >= 2"),
     "volume.multiplicity_mode": (lambda v: v == "select_by_fit" or type(v) is int,
                                  "expected 'select_by_fit' or an integer"),
@@ -325,11 +329,10 @@ def cmd_noise_sweep(cfg: dict) -> int:
 
 def cmd_prune_sweep(cfg: dict) -> int:
     task = build_task(cfg)
-    pr = {k: v for k, v in cfg["prune"].items() if k != "keep_fractions"}
     rows = []
     for ck in load_checkpoints(cfg):
-        for frac in cfg["prune"]["keep_fractions"]:
-            res = prune_and_retrain(task, ck.params, keep_fraction=frac, **pr)
+        results = prune_and_retrain(task, ck.params, **cfg["prune"])
+        for frac, res in zip(cfg["prune"]["keep_fractions"], results):
             # rugged curves: no critical-threshold search for pruning
             rows.append((ck.step, "prune", frac, res.delta_loss, None,
                          cfg["epsilons"][0], cfg["seed"]))

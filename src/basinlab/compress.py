@@ -11,7 +11,7 @@ defining inequality exactly as measured.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -450,65 +450,65 @@ def critical_sigma(
 def prune_and_retrain(
     task: MlpTask,
     params: np.ndarray,
-    keep_fraction: float,
+    keep_fractions: Sequence[float],
     learning_rate: float,
     retrain_steps: int = 1000,
     batch_size: int = 32,
     seed: int = 0,
-) -> PruneResult:
-    """Zero out random hidden units, then retrain with masked gradients.
+) -> list[PruneResult]:
+    """Zero out random hidden units, then retrain with masked gradients, once
+    per keep fraction; one result per fraction, in order.
 
     floor((1 - keep_fraction) * N_h) hidden units are chosen uniformly at
-    random; their incoming and outgoing weights are zeroed (biases kept) and
-    held at zero through retraining by masking their gradients. The reported
-    loss is the minimum full-dataset training loss seen during retraining,
-    and delta_loss is measured against the unpruned parameters. Pruning zero
-    units is flagged as a no-op, not an error.
+    random, from a fresh `rng_stream(seed, 0)` for each fraction, so a run's
+    picks do not depend on the other fractions in the call. Their incoming
+    and outgoing weights are zeroed (biases kept) and held at zero through
+    retraining by masking their gradients. The reported loss is the minimum
+    full-dataset training loss seen during retraining, and delta_loss is
+    measured against the unpruned parameters. Pruning zero units is flagged
+    as a no-op, not an error.
+
+    Every run draws the same minibatches from `rng_stream(seed, 1)`, so the
+    runs step in lockstep as one (K, d) stack: one batch draw and one stacked
+    gradient per step, each row bit for bit the run's own. The full loss that
+    tracks each run's best stays one N-row forward per run: a stacked one
+    saves only a few percent of its time but holds K times the activations.
     """
-    if not (0.0 < keep_fraction <= 1.0):
-        raise InvalidInputError("keep_fraction must be in (0, 1]")
+    fractions = list(keep_fractions)
+    if not fractions or not all(0.0 < f <= 1.0 for f in fractions):
+        raise InvalidInputError("keep_fractions must be a nonempty list of values in (0, 1]")
     model = task.model
     sizes = model.spec.layer_sizes
     hidden_units = [(li, u) for li in range(1, len(sizes) - 1) for u in range(sizes[li])]
     n_h = len(hidden_units)
     if n_h < 1:
         raise InvalidInputError("model has no hidden units to prune")
-    n_prune = int(np.floor((1.0 - keep_fraction) * n_h))
-
-    rng_pick = rng_stream(seed, 0)
-    picked = sorted(rng_pick.choice(n_h, size=n_prune, replace=False).tolist()) if n_prune else []
-    pruned = [hidden_units[i] for i in picked]
 
     base = task.full_loss(params)
-    layers = model.unpack(params)
-    mask_layers = [(np.ones_like(w), np.ones_like(b)) for w, b in layers]
-    new_layers = [(w.copy(), b.copy()) for w, b in layers]
-    for (li, u) in pruned:
-        # layer index li counts network layers; unit u lives between weight
-        # matrices li-1 (incoming row) and li (outgoing column)
-        new_layers[li - 1][0][u, :] = 0.0
-        new_layers[li][0][:, u] = 0.0
-        mask_layers[li - 1][0][u, :] = 0.0
-        mask_layers[li][0][:, u] = 0.0
-    pruned_params = model.pack(new_layers)
-    mask = model.pack(mask_layers)
+    n_pruned = [int(np.floor((1.0 - f) * n_h)) for f in fractions]
+    masks = np.ones((len(fractions), model.n_params))
+    for mask, n_prune in zip(masks, n_pruned):
+        picked = rng_stream(seed, 0).choice(n_h, size=n_prune, replace=False) if n_prune else []
+        mask_layers = model.unpack(mask)  # views: writes land in `mask`
+        for (li, u) in (hidden_units[i] for i in sorted(picked)):
+            # layer index li counts network layers; unit u lives between weight
+            # matrices li-1 (incoming row) and li (outgoing column)
+            mask_layers[li - 1][0][u, :] = 0.0
+            mask_layers[li][0][:, u] = 0.0
+    w = np.where(masks == 0.0, 0.0, params)
 
     rng_batch = rng_stream(seed, 1)
-    w = pruned_params.copy()
-    best_loss = task.full_loss(w)
+    best_loss = [task.full_loss(row) for row in w]
     best_params = w.copy()
     for _ in range(retrain_steps):
         xb, yb = task.batch(rng_batch, batch_size)
-        _, grad = model.loss_and_grad(w, xb, yb)
-        w = w - learning_rate * (grad * mask)
-        full = task.full_loss(w)
-        if full < best_loss:
-            best_loss = full
-            best_params = w.copy()
-    return PruneResult(
-        params=best_params,
-        delta_loss=best_loss - base,
-        n_pruned=n_prune,
-        mask=mask,
-        no_op=(n_prune == 0),
-    )
+        _, grads = model.losses_and_grads(w, np.broadcast_to(xb, (len(w),) + xb.shape),
+                                          np.broadcast_to(yb, (len(w),) + yb.shape))
+        w = w - learning_rate * (grads * masks)
+        for k, row in enumerate(w):
+            full = task.full_loss(row)
+            if full < best_loss[k]:
+                best_loss[k] = full
+                best_params[k] = row
+    return [PruneResult(params=p, delta_loss=loss - base, n_pruned=n, mask=m, no_op=(n == 0))
+            for p, loss, n, m in zip(best_params, best_loss, n_pruned, masks)]

@@ -344,6 +344,13 @@ class TestErrors:
         ({"volume": {"landscape": "foo"}}, "volume.landscape"),
         ({"model": {"loss": "xent"}}, "model.loss"),
         ({"model": {"loss": "bogus"}}, "model.loss"),
+        ({"prune": {"keep_fractions": []}}, "prune.keep_fractions"),
+        ({"prune": {"keep_fractions": [1.5]}}, "prune.keep_fractions"),
+        ({"prune": {"keep_fractions": [0.5, 0]}}, "prune.keep_fractions"),
+        ({"prune": {"retrain_steps": -5}}, "prune.retrain_steps"),
+        ({"prune": {"learning_rate": -1}}, "prune.learning_rate"),
+        ({"training": {"learning_rate": -1}}, "training.learning_rate"),
+        ({"training": {"learning_rate": 0}}, "training.learning_rate"),
     ], ids=["unknown-key", "top-level-array", "epsilons-string", "epsilons-nan",
             "layer-sizes-int", "checkpoint-schedule-int", "n-samples-float", "n-samples-bool",
             "layer-sizes-float-item", "write-traces-string", "n-seeds-string", "seed-string",
@@ -354,7 +361,10 @@ class TestErrors:
             "audit-m-simplex-negative", "audit-outcomes-one", "mdl-n-seeds-zero",
             "mdl-n-powers-empty", "mdl-a-zero", "mdl-a-negative", "volume-half-width-zero",
             "volume-half-width-negative", "audit-m-simplex-above-box", "mdl-m-simplex-above-box",
-            "bernoulli-kl-dim-not-2", "landscape-unknown", "loss-xent", "loss-unknown"])
+            "bernoulli-kl-dim-not-2", "landscape-unknown", "loss-xent", "loss-unknown",
+            "keep-fractions-empty", "keep-fraction-above-one", "keep-fraction-zero",
+            "retrain-steps-negative", "prune-learning-rate-negative",
+            "training-learning-rate-negative", "training-learning-rate-zero"])
     def test_unknown_config_key_exit_1(self, tmp_path, capsys, payload, key):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(payload))

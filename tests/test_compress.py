@@ -96,6 +96,48 @@ def reference_critical_nq(params, epsilon, loss_eval, mode="loss_min", nq_cap=2*
     return CriticalResult(hi, cache[hi], hi)
 
 
+def reference_prune_and_retrain(task, params, keep_fraction, learning_rate, retrain_steps=1000,
+                                batch_size=32, seed=0):
+    """One keep fraction's prune and masked retrain, stepped on its own: the
+    body prune_and_retrain runs for every fraction in lockstep."""
+    model = task.model
+    sizes = model.spec.layer_sizes
+    hidden_units = [(li, u) for li in range(1, len(sizes) - 1) for u in range(sizes[li])]
+    n_h = len(hidden_units)
+    n_prune = int(np.floor((1.0 - keep_fraction) * n_h))
+
+    rng_pick = rng_stream(seed, 0)
+    picked = sorted(rng_pick.choice(n_h, size=n_prune, replace=False).tolist()) if n_prune else []
+    pruned = [hidden_units[i] for i in picked]
+
+    base = task.full_loss(params)
+    layers = model.unpack(params)
+    mask_layers = [(np.ones_like(w), np.ones_like(b)) for w, b in layers]
+    new_layers = [(w.copy(), b.copy()) for w, b in layers]
+    for (li, u) in pruned:
+        new_layers[li - 1][0][u, :] = 0.0
+        new_layers[li][0][:, u] = 0.0
+        mask_layers[li - 1][0][u, :] = 0.0
+        mask_layers[li][0][:, u] = 0.0
+    pruned_params = model.pack(new_layers)
+    mask = model.pack(mask_layers)
+
+    rng_batch = rng_stream(seed, 1)
+    w = pruned_params.copy()
+    best_loss = task.full_loss(w)
+    best_params = w.copy()
+    for _ in range(retrain_steps):
+        xb, yb = task.batch(rng_batch, batch_size)
+        _, grad = model.loss_and_grad(w, xb, yb)
+        w = w - learning_rate * (grad * mask)
+        full = task.full_loss(w)
+        if full < best_loss:
+            best_loss = full
+            best_params = w.copy()
+    return compress.PruneResult(params=best_params, delta_loss=best_loss - base,
+                                n_pruned=n_prune, mask=mask, no_op=(n_prune == 0))
+
+
 def outcome(search, *args, **kwargs):
     """A critical_nq-like search's result, delta_loss bit for bit (NaN included),
     or the type of the error it raised."""
@@ -551,18 +593,20 @@ def trained():
 
 
 class TestPruneAndRetrain:
+    FRACTIONS = (1.0, 0.9375, 0.5, 0.25, 1e-18)
+
     def test_keep_all_is_noop_flagged(self, trained):
         task, ck = trained
-        res = prune_and_retrain(task, ck.params, keep_fraction=1.0, learning_rate=0.005,
-                                retrain_steps=50, seed=0)
+        (res,) = prune_and_retrain(task, ck.params, keep_fractions=[1.0], learning_rate=0.005,
+                                   retrain_steps=50, seed=0)
         assert res.no_op and res.n_pruned == 0
         assert res.delta_loss <= 1e-9  # retraining can only improve the minimum
 
     def test_prune_all_units_gives_constant_predictor(self, trained):
         # floor((1 - p) N_h) reaches N_h only once 1 - p rounds to 1.0
         task, ck = trained
-        res = prune_and_retrain(task, ck.params, keep_fraction=1e-18, learning_rate=0.005,
-                                retrain_steps=0, seed=0)
+        (res,) = prune_and_retrain(task, ck.params, keep_fractions=[1e-18], learning_rate=0.005,
+                                   retrain_steps=0, seed=0)
         assert res.n_pruned == 16
         out = task.model.forward(res.params, task.x)
         assert np.allclose(out, out[0])  # output bias only
@@ -571,16 +615,47 @@ class TestPruneAndRetrain:
 
     def test_masked_weights_stay_exactly_zero(self, trained):
         task, ck = trained
-        res = prune_and_retrain(task, ck.params, keep_fraction=0.5, learning_rate=0.005,
-                                retrain_steps=1000, seed=3)
+        (res,) = prune_and_retrain(task, ck.params, keep_fractions=[0.5], learning_rate=0.005,
+                                   retrain_steps=1000, seed=3)
         assert res.n_pruned == 8
         zero_idx = res.mask == 0.0
         assert np.all(res.params[zero_idx] == 0.0)
 
     def test_retraining_recovers_some_loss(self, trained):
         task, ck = trained
-        raw = prune_and_retrain(task, ck.params, keep_fraction=0.5, learning_rate=0.005,
-                                retrain_steps=0, seed=3)
-        retrained = prune_and_retrain(task, ck.params, keep_fraction=0.5, learning_rate=0.005,
-                                      retrain_steps=1000, seed=3)
+        (raw,) = prune_and_retrain(task, ck.params, keep_fractions=[0.5], learning_rate=0.005,
+                                   retrain_steps=0, seed=3)
+        (retrained,) = prune_and_retrain(task, ck.params, keep_fractions=[0.5],
+                                         learning_rate=0.005, retrain_steps=1000, seed=3)
         assert retrained.delta_loss <= raw.delta_loss
+
+    @pytest.mark.parametrize("retrain_steps", [0, 1, 200])
+    @pytest.mark.parametrize("fractions", [FRACTIONS] + [(f,) for f in FRACTIONS],
+                             ids=["K5"] + [f"K1-{f}" for f in FRACTIONS])
+    def test_lockstep_equals_one_run_at_a_time(self, trained, fractions, retrain_steps):
+        task, ck = trained
+        results = prune_and_retrain(task, ck.params, keep_fractions=fractions,
+                                    learning_rate=0.005, retrain_steps=retrain_steps, seed=3)
+        assert len(results) == len(fractions)
+        for frac, res in zip(fractions, results):
+            ref = reference_prune_and_retrain(task, ck.params, frac, learning_rate=0.005,
+                                              retrain_steps=retrain_steps, seed=3)
+            assert res.delta_loss.hex() == ref.delta_loss.hex()
+            assert np.array_equal(res.params, ref.params)
+            assert np.array_equal(res.mask, ref.mask)
+            assert (res.n_pruned, res.no_op) == (ref.n_pruned, ref.no_op)
+
+    def test_full_loss_stays_per_row(self, trained):
+        # a stacked full-data forward saves little time for K times the buffers
+        task, ck = trained
+        prune_and_retrain(task, ck.params, keep_fractions=self.FRACTIONS, learning_rate=0.005,
+                          retrain_steps=5, seed=3)
+        leads = set(task.model._buffers)
+        assert (len(self.FRACTIONS), 32) in leads
+        assert (len(self.FRACTIONS), task.n_samples) not in leads
+
+    @pytest.mark.parametrize("fractions", [[], [0.5, 0.0], [1.5]])
+    def test_bad_keep_fractions_rejected(self, trained, fractions):
+        task, ck = trained
+        with pytest.raises(InvalidInputError):
+            prune_and_retrain(task, ck.params, keep_fractions=fractions, learning_rate=0.005)
