@@ -52,7 +52,7 @@ LN2 = float(np.log(2.0))
 DEFAULT_CONFIG = {
     "seed": 0,
     "out": "runs/default",
-    "model": {"layer_sizes": [4, 16, 16, 4], "loss": "mse"},
+    "model": {"layer_sizes": [4, 16, 16, 4]},
     "data": {"n_samples": 1024, "seed": 13, "teacher_gain": 3.0, "input_scale": 1.0},
     "training": {
         "steps": 51200, "learning_rate": 0.03, "batch_size": 32, "seed": 1,
@@ -66,7 +66,6 @@ DEFAULT_CONFIG = {
     },
     "epsilons": [0.25, 0.5, 1.0],
     "quantize": {"mode": "loss_min", "nq_cap": 65536},
-    "factorize": {},
     "noise": {"mode": "relative", "noise_draws": 8, "seed": 2},
     "prune": {
         "keep_fractions": [0.9375, 0.875, 0.75, 0.5, 0.25], "learning_rate": 0.003,
@@ -80,7 +79,7 @@ DEFAULT_CONFIG = {
     },
     "mdl": {
         "n_powers": [6, 7, 8, 9, 10, 11, 12, 13, 14], "a": 0.1, "n_seeds": 50,
-        "mc_samples": 1_000_000, "net_seed": 0, "m_simplex": 0.2,
+        "mc_samples": 1_000_000, "net_seed": 0,
     },
     "audit": {"instances": 10_000, "m_simplex": 0.2, "outcomes": 3,
               "inclusion_configs": 20, "seed": 0},
@@ -104,9 +103,9 @@ VALUE_CHECKS = dict.fromkeys((
     "audit.instances", "audit.inclusion_configs", "mdl.n_seeds",
 ), (lambda v: v >= 1, "must be >= 1")) | dict.fromkeys(
     ("mdl.a", "volume.half_width", "training.learning_rate", "prune.learning_rate"),
-    (lambda v: v > 0, "must be positive")) | dict.fromkeys(
+    (lambda v: v > 0, "must be positive")) | {
     # the CLI's Bernoulli box [-0.5, 0.5]^2 keeps p_w in [0.25, 0.75], so m <= 0.25
-    ("audit.m_simplex", "mdl.m_simplex"), (lambda v: 0 < v <= 0.25, "must be in (0, 0.25]")) | {
+    "audit.m_simplex": (lambda v: 0 < v <= 0.25, "must be in (0, 0.25]"),
     # checkpoint headers store the training seed as a u64
     "training.seed": (lambda v: 0 <= v < 2**64, "must be in [0, 2**64)"),
     "epsilons": (lambda v: v and min(v) > 0, "must be a nonempty list of positive numbers"),
@@ -117,8 +116,9 @@ VALUE_CHECKS = dict.fromkeys((
     "audit.outcomes": (lambda v: v >= 2, "must be >= 2"),
     "volume.multiplicity_mode": (lambda v: v == "select_by_fit" or type(v) is int,
                                  "expected 'select_by_fit' or an integer"),
-    # the teacher task makes regression targets, which only mse reads
-    "model.loss": (lambda v: v == "mse", "must be 'mse', the loss of the teacher's targets"),
+    "quantize.nq_cap": (lambda v: v >= 4, "must be >= 4, the smallest n_q probed"),
+    "quantize.mode": (lambda v: v in ("loss_min", "max_abs"), "must be 'loss_min' or 'max_abs'"),
+    "noise.mode": (lambda v: v in ("absolute", "relative"), "must be 'absolute' or 'relative'"),
     "volume.landscape": (lambda v: v in LANDSCAPES,
                          "must be one of " + ", ".join(map(repr, LANDSCAPES))),
 }
@@ -243,12 +243,11 @@ def emit(cfg: dict, subcommand: str, files: dict[str, tuple[list[str], list[tupl
     """Write each {file name: (header, rows)} as a CSV carrying the run's
     manifest line, then `<subcommand>.manifest.json`; return the output dir."""
     d = out_dir(cfg)
-    cfg_hash = experiment_hash(cfg)
-    manifest = {"subcommand": subcommand, "config": cfg_hash, "seed": cfg["seed"],
-                "version": csvio.__version__}
+    manifest = {"subcommand": subcommand, "config_sha256": experiment_hash(cfg),
+                "seed": cfg["seed"], "version": csvio.__version__}
     for name, (header, rows) in files.items():
         csvio.write_csv(d / name, header, rows, manifest=manifest)
-    csvio.write_manifest(d / f"{subcommand}.manifest.json", subcommand, cfg_hash, cfg["seed"])
+    csvio.write_manifest(d / f"{subcommand}.manifest.json", manifest)
     return d
 
 
@@ -362,7 +361,7 @@ def cmd_volume_fit(cfg: dict) -> int:
 
 def cmd_mdl_redundancy(cfg: dict) -> int:
     m = cfg["mdl"]
-    model = SingularBernoulli(m_simplex=m["m_simplex"])
+    model = SingularBernoulli()
     a = m["a"]
     files = {}
     rows = []

@@ -23,6 +23,9 @@ from .rng import rng_stream
 LossEval = Callable[[np.ndarray], float]
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+# critical_sigma's search range and the ratio hi / lo - 1 at which it stops
+_SIGMA_BOUNDS = (1e-6, 10.0)
+_SIGMA_REL_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -270,7 +273,7 @@ def critical_nq(
         hi *= 2
         if hi > nq_cap:
             raise UnreachableToleranceError(
-                f"delta loss still above {epsilon} at n_q={nq_cap}"
+                f"delta loss still above {epsilon} at n_q={hi // 2}"
             )
     if hi > 4:  # search k = n_q / 2 between the last failing and the first passing power
         hi = 2 * _lowest_passing(lambda k: dl(2 * k), epsilon, hi // 4, hi // 2)
@@ -411,8 +414,6 @@ def critical_sigma(
     loss_eval: LossEval,
     noise_draws: int = 8,
     seed: int = 0,
-    sigma_bounds: tuple[float, float] = (1e-6, 10.0),
-    rel_tol: float = 1e-3,
 ) -> CriticalResult:
     """Largest sigma whose mean loss increase over the noise draws is within epsilon.
 
@@ -429,7 +430,7 @@ def critical_sigma(
         raise InvalidInputError("noise_draws must be >= 1")
     dl = _noise_delta(np.asarray(params, dtype=float), mode, loss_eval, noise_draws, seed)
 
-    lo, hi = sigma_bounds
+    lo, hi = _SIGMA_BOUNDS
     dl_lo = dl(lo)
     if dl_lo > epsilon:
         return CriticalResult(lo, dl_lo, lo)
@@ -437,7 +438,7 @@ def critical_sigma(
         raise UnreachableToleranceError(
             f"loss increase never exceeds {epsilon} up to sigma={hi}"
         )
-    while hi / lo > 1.0 + rel_tol:
+    while hi / lo > 1.0 + _SIGMA_REL_TOL:
         mid = float(np.sqrt(lo * hi))
         dl_mid = dl(mid)
         if dl_mid <= epsilon:

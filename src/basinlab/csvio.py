@@ -1,9 +1,9 @@
 """Deterministic CSV output.
 
-Every file starts with a manifest comment line carrying the config hash, seed
-and library version, then a header row. Floats are written with 17
-significant digits, line endings are LF, encoding UTF-8, so identical inputs
-reproduce byte-identical files.
+Every file starts with a manifest comment line of key=value fields (the CLI's:
+subcommand, config hash, seed and library version), then a header row. Floats
+are written with 17 significant digits, line endings are LF, encoding UTF-8,
+so identical inputs reproduce byte-identical files.
 """
 
 from __future__ import annotations
@@ -69,13 +69,8 @@ def read_csv(path: Path | str) -> tuple[dict, list[str], list[list[str]]]:
     return manifest, header, rows
 
 
-def write_manifest(path: Path | str, subcommand: str, cfg_hash: str, seed: int) -> None:
-    payload = {
-        "subcommand": subcommand,
-        "config_sha256": cfg_hash,
-        "seed": seed,
-        "version": __version__,
-    }
+def write_manifest(path: Path | str, manifest: dict) -> None:
+    """Write the manifest that write_csv puts on a CSV's first line as JSON."""
     Path(path).write_text(
-        json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8", newline="\n"
+        json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8", newline="\n"
     )

@@ -17,17 +17,14 @@ from .errors import InvalidInputError
 
 @dataclass(frozen=True)
 class MlpSpec:
-    """Architecture: layer_sizes = (in, hidden..., out); loss is 'mse' or 'xent'."""
+    """Architecture: layer_sizes = (in, hidden..., out); the loss is mean squared error."""
 
     layer_sizes: tuple[int, ...]
-    loss: str = "mse"
 
     def __post_init__(self):
         object.__setattr__(self, "layer_sizes", tuple(int(s) for s in self.layer_sizes))
         if len(self.layer_sizes) < 2 or any(s < 1 for s in self.layer_sizes):
             raise InvalidInputError("layer_sizes needs >= 2 positive entries")
-        if self.loss not in ("mse", "xent"):
-            raise InvalidInputError(f"unknown loss kind {self.loss!r}")
 
     @property
     def n_layers(self) -> int:
@@ -38,7 +35,8 @@ class MlpSpec:
         return sum(o * i + o for i, o in zip(self.layer_sizes[:-1], self.layer_sizes[1:]))
 
     def spec_hash(self) -> int:
-        digest = sha256(repr((self.layer_sizes, self.loss)).encode()).digest()
+        # "mse" names the loss, as in the headers of checkpoints already written
+        digest = sha256(repr((self.layer_sizes, "mse")).encode()).digest()
         return int.from_bytes(digest[:8], "little")
 
 
@@ -133,31 +131,17 @@ class MlpModel:
         layers, acts = self._activations(params, x)
         out = acts[-1]
 
-        if self.spec.loss == "mse":
-            y = np.asarray(y, dtype=float)
-            if y.shape != out.shape:
-                raise InvalidInputError(f"targets shape {y.shape} != outputs {out.shape}")
-            if not need_grad:
-                # the residual goes into the output buffer, which nothing reads later
-                np.subtract(out, y, out=out)
-                np.square(out, out=out)
-                return out.reshape(lead + (-1,)).sum(axis=-1) / n, None
-            diff = out - y
-            loss = (diff * diff).reshape(lead + (-1,)).sum(axis=-1) / n
-            delta = 2.0 * diff / n
-        else:
-            y = np.asarray(y)
-            if y.shape != out.shape[:-1]:
-                raise InvalidInputError(f"xent targets must be {out.shape[:-1]} class indices")
-            shifted = out - out.max(axis=-1, keepdims=True)
-            logz = np.log(np.sum(np.exp(shifted), axis=-1))
-            picked = np.take_along_axis(shifted, y[..., None], axis=-1)[..., 0]
-            loss = np.mean(logz - picked, axis=-1)
-            if not need_grad:
-                return loss, None
-            soft = np.exp(shifted) / np.exp(logz)[..., None]
-            soft -= y[..., None] == np.arange(out.shape[-1])  # 1.0 off each target
-            delta = soft / n
+        y = np.asarray(y, dtype=float)
+        if y.shape != out.shape:
+            raise InvalidInputError(f"targets shape {y.shape} != outputs {out.shape}")
+        if not need_grad:
+            # the residual goes into the output buffer, which nothing reads later
+            np.subtract(out, y, out=out)
+            np.square(out, out=out)
+            return out.reshape(lead + (-1,)).sum(axis=-1) / n, None
+        diff = out - y
+        loss = (diff * diff).reshape(lead + (-1,)).sum(axis=-1) / n
+        delta = 2.0 * diff / n
 
         grad = np.empty(params.shape)
         for li in reversed(range(len(layers))):
@@ -181,14 +165,10 @@ class MlpModel:
     def loss_and_grad(
         self, params: np.ndarray, x: np.ndarray, y: np.ndarray, need_grad: bool = True
     ) -> tuple[float, np.ndarray | None]:
-        """Batch loss and its exact gradient in the flat parameter vector.
-
-        mse: mean over the batch of the squared error summed over outputs.
-        xent: mean negative log softmax probability of the integer targets.
-        """
+        """Batch loss, the mean over the batch of the squared error summed over
+        outputs, and its exact gradient in the flat parameter vector."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        if self.spec.loss == "mse":
-            y = np.atleast_2d(np.asarray(y, dtype=float))
+        y = np.atleast_2d(np.asarray(y, dtype=float))
         loss, grad = self._evaluate(self._checked(params, stacked=False), x, y, need_grad)
         return float(loss), grad
 
@@ -196,8 +176,8 @@ class MlpModel:
         self, params: np.ndarray, x: np.ndarray, y: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """Row k of the result is `loss_and_grad(params[k], x[k], y[k])`, bit for
-        bit, for params (K, n_params), x (K, B, in) and y (K, B, out), or (K, B)
-        class indices for xent; returns losses (K,) and gradients (K, n_params).
+        bit, for params (K, n_params), x (K, B, in) and y (K, B, out); returns
+        losses (K,) and gradients (K, n_params).
         The same body evaluates both, with each layer one stacked matmul."""
         params = self._checked(params, stacked=True)
         return self._evaluate(params, np.asarray(x, dtype=float), y, need_grad=True)
@@ -233,19 +213,17 @@ def make_teacher_task(
     spec: MlpSpec,
     n_samples: int,
     seed: int,
-    teacher_spec: MlpSpec | None = None,
     input_scale: float = 1.0,
     teacher_gain: float = 1.0,
 ) -> MlpTask:
     """Fixed regression dataset: inputs are Gaussian, targets come from a
-    frozen randomly initialized teacher network."""
+    frozen randomly initialized teacher network of the student's architecture."""
     from .rng import rng_stream
 
-    student = MlpModel(spec)
-    teacher = MlpModel(teacher_spec or spec)
+    model = MlpModel(spec)
     rng_x = rng_stream(seed, 0)
     rng_t = rng_stream(seed, 1)
     x = input_scale * rng_x.standard_normal((n_samples, spec.layer_sizes[0]))
-    t_params = teacher.init_params(rng_t) * teacher_gain
-    y = teacher.forward(t_params, x)
-    return MlpTask(model=student, x=x, y=y)
+    t_params = model.init_params(rng_t) * teacher_gain
+    y = model.forward(t_params, x)
+    return MlpTask(model=model, x=x, y=y)

@@ -26,6 +26,8 @@ from .rng import rng_stream
 # top back to the kernel, so a fresh array per chunk faults its pages in again.
 MC_CHUNK = 2**17
 
+_SE_CAP = 0.2  # fit_scaling's largest usable relative standard error
+
 
 @dataclass
 class VolumeCurve:
@@ -99,14 +101,13 @@ def volume_curve(
 def fit_scaling(
     curve: VolumeCurve,
     multiplicity_mode: int | str = "select_by_fit",
-    se_cap: float = 0.2,
     max_epsilon: float = 0.25,
 ) -> ScalingFit:
     """Recover (lambda, multiplicity, log c) from a volume curve.
 
     Usable points must have 0 < V < Vol(W) (a saturated or empty estimate
     carries no scaling information and has a degenerate weight), relative SE
-    at most `se_cap`, and epsilon at most `max_epsilon` (the law is an
+    at most _SE_CAP, and epsilon at most `max_epsilon` (the law is an
     eps -> 0 statement). multiplicity_mode is either a fixed integer m or
     "select_by_fit", which picks m in {1, 2, 3} by best weighted R^2.
     """
@@ -116,7 +117,7 @@ def fit_scaling(
     usable = (vol > 0) & (vol < curve.total_volume) & (eps <= max_epsilon)
     with np.errstate(divide="ignore", invalid="ignore"):
         rel_se = np.where(vol > 0, se / vol, np.inf)
-    usable &= rel_se <= se_cap
+    usable &= rel_se <= _SE_CAP
     if np.count_nonzero(usable) < 4:
         raise FitWindowError(
             f"only {np.count_nonzero(usable)} usable epsilon points (need >= 4)"

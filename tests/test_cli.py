@@ -49,6 +49,12 @@ class TestSubcommands:
         manifest = json.loads((out / "train-toy.manifest.json").read_text())
         assert set(manifest) == {"subcommand", "config_sha256", "seed", "version"}
 
+    def test_csv_manifest_line_equals_manifest_json(self, workdir):
+        _, _, out = workdir
+        line, _, _ = read_csv(out / "training.csv")
+        manifest = json.loads((out / "train-toy.manifest.json").read_text())
+        assert line == {k: str(v) for k, v in manifest.items()}
+
     def test_llc_then_sweeps_then_analyze(self, workdir):
         _, cfg_path, out = workdir
         assert run(cfg_path, out, "estimate-llc") == 0
@@ -230,19 +236,19 @@ class TestGoldenBytes:
 
     @pytest.mark.parametrize("command,payload,name,digest", [
         ("volume-fit", {"volume": {"landscape": "quadratic", "dim": 2, "samples": 200_000}},
-         "volume.csv", "dc82c8d94badde869381b04cb71329b3f490ff47360981ab8ae6624d4757da00"),
+         "volume.csv", "4aba941f2256b9d9f228925a134347daeaecf2f9cf89a6ab70406c061ad42e0b"),
         ("lemma-audit", {"audit": {"instances": 2000, "inclusion_configs": 2}},
-         "audit.csv", "ca9d79e3ad9da31ece5b4dceb5bd9d17be04c78f2f3da8904b03f30ebd6e5f5d"),
+         "audit.csv", "511f28a81c5396eaa08b1d8a98244369ca2f6ee87a11c1fb8928314d81ec1978"),
         # three mc-geometry benchmark geometries at its size: 1M samples, ladder to 2^-14
         ("volume-fit", {"volume": {"landscape": "normal_crossing", "exponents": [1],
                                    "active_dims": [0], "samples": 1_000_000, "ladder_max_k": 14}},
-         "volume.csv", "ae2328b58c6df072125350bc386c17f03df94158ce3f02c7a9e4888948503f74"),
+         "volume.csv", "2b29f2fe36487739c0c0176fdfffe83f2ea311af390a27f689dabfa26cd3b97d"),
         ("volume-fit", {"volume": {"landscape": "normal_crossing", "exponents": [2],
                                    "active_dims": [0], "samples": 1_000_000, "ladder_max_k": 14}},
-         "volume.csv", "16065e48ed6c9d912b557de119030bdd85d27ec944474f281095a0cfd290ed57"),
+         "volume.csv", "e100c813303da22935c393ddbcbc8df66ee58b6bbac108e71fcf99cd356e4900"),
         ("volume-fit", {"volume": {"landscape": "bernoulli_kl", "samples": 1_000_000,
                                    "ladder_max_k": 14}},
-         "volume.csv", "172d5c0fec2b56b8cfc7fe485b19059fa3573bbf777a51fcc52ed67e616c0175"),
+         "volume.csv", "c54e071bd23d02d9a19e2dadac714f0fd0542c56d72be7ecb2117d2b6a55cdbe"),
     ], ids=["volume-fit", "lemma-audit", "volume-fit-nc-k1", "volume-fit-nc-k2",
             "volume-fit-bernoulli-kl"])
     def test_output_digest_pinned(self, tmp_path, command, payload, name, digest):
@@ -297,9 +303,14 @@ class TestConfigPass:
                 n += 1
         assert n == 24
 
+    def test_readme_names_every_checked_key(self):
+        # a key checked at load is documented with its full path
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        assert [k for k in (*VALUE_CHECKS, *ALTERNATIVES) if f"`{k}`" not in readme] == []
+
     def test_default_config_hash_pinned(self):
         assert experiment_hash(load_config(None, None, None, None)) == (
-            "f2b24e5ec3b00e790f0d3cf7707703a4c1414eafd9578d0e5e88516e4d4124ef")
+            "57b3910f1ecba526778eceee5bcd4ded6f4b35e0ce62de4dd819fab883c2085b")
 
 
 class TestErrors:
@@ -351,6 +362,9 @@ class TestErrors:
         ({"prune": {"learning_rate": -1}}, "prune.learning_rate"),
         ({"training": {"learning_rate": -1}}, "training.learning_rate"),
         ({"training": {"learning_rate": 0}}, "training.learning_rate"),
+        ({"quantize": {"nq_cap": 2}}, "quantize.nq_cap"),
+        ({"quantize": {"mode": "bogus"}}, "quantize.mode"),
+        ({"noise": {"mode": "bogus"}}, "noise.mode"),
     ], ids=["unknown-key", "top-level-array", "epsilons-string", "epsilons-nan",
             "layer-sizes-int", "checkpoint-schedule-int", "n-samples-float", "n-samples-bool",
             "layer-sizes-float-item", "write-traces-string", "n-seeds-string", "seed-string",
@@ -364,7 +378,8 @@ class TestErrors:
             "bernoulli-kl-dim-not-2", "landscape-unknown", "loss-xent", "loss-unknown",
             "keep-fractions-empty", "keep-fraction-above-one", "keep-fraction-zero",
             "retrain-steps-negative", "prune-learning-rate-negative",
-            "training-learning-rate-negative", "training-learning-rate-zero"])
+            "training-learning-rate-negative", "training-learning-rate-zero",
+            "nq-cap-below-4", "quantize-mode-unknown", "noise-mode-unknown"])
     def test_unknown_config_key_exit_1(self, tmp_path, capsys, payload, key):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(payload))

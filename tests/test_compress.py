@@ -371,8 +371,11 @@ class TestCriticalNq:
         w = rng.uniform(-1, 1, 6)
         # loss punishes any deviation at a scale no grid can meet
         loss_eval = lambda v: float(1e9 * np.sum((v - w) ** 2)) if not np.array_equal(v, w) else 0.0
-        with pytest.raises(UnreachableToleranceError):
+        with pytest.raises(UnreachableToleranceError, match=r"at n_q=256$"):
             critical_nq(w, 1e-12, loss_eval, mode="max_abs", nq_cap=256)
+        # the message names the largest n_q probed, a power of two, not the cap
+        with pytest.raises(UnreachableToleranceError, match=r"at n_q=64$"):
+            critical_nq(w, 1e-12, loss_eval, mode="max_abs", nq_cap=100)
 
     def test_delta_loss_mostly_nonincreasing_in_nq(self):
         # fixed-batch measurement: the curve is non-increasing wherever the
@@ -444,7 +447,7 @@ class TestCriticalCompressionFraction:
     def test_rank_deficient_linear_teacher(self):
         # single linear layer whose weight matrix has exact rank 3: the
         # critical keep fraction is the true rank ratio 3/8
-        model = MlpModel(MlpSpec(layer_sizes=(8, 8), loss="mse"))
+        model = MlpModel(MlpSpec(layer_sizes=(8, 8)))
         rng = rng_stream(10, 0)
         a = rng.standard_normal((8, 3))
         b = rng.standard_normal((3, 8))
@@ -459,7 +462,7 @@ class TestCriticalCompressionFraction:
         assert res.value == pytest.approx(3 / 8)
 
     def test_bracket_floor(self):
-        model = MlpModel(MlpSpec(layer_sizes=(6, 6), loss="mse"))
+        model = MlpModel(MlpSpec(layer_sizes=(6, 6)))
         params = model.pack([(np.zeros((6, 6)), np.zeros(6))])
         res = critical_compression_fraction(model, params, epsilon=0.5,
                                             loss_eval=lambda p: 0.0, layer_selection=[0])
