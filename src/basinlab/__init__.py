@@ -21,7 +21,6 @@ from .bernoulli import SingularBernoulli
 from .compress import (
     CriticalResult,
     FactorizationResult,
-    MSearchConfig,
     PruneResult,
     QuantizationSpec,
     add_noise,
@@ -59,7 +58,7 @@ from .mdl import (
 )
 from .mlp import MlpModel, MlpSpec, MlpTask, make_teacher_task
 from .rng import rng_stream
-from .simplex import SimplexDist, kl, kl_bernoulli, sample_restricted
+from .simplex import kl, kl_bernoulli, sample_restricted
 from .training import Checkpoint, load_checkpoint, save_checkpoint, train_sgd
 from .csvio import __version__
 from .volume import ScalingFit, VolumeCurve, default_ladder, fit_scaling, volume_curve

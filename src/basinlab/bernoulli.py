@@ -12,11 +12,13 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .landscapes import Bounds, Landscape
-from .simplex import SimplexDist, kl_bernoulli
+from .simplex import kl_bernoulli
 
 
 class SingularBernoulli:
     """Bernoulli model p_w(1) = 1/2 + w1*w2 on a box inside the restricted simplex."""
+
+    truth = 0.5  # the true P(one): the uniform distribution
 
     def __init__(self, bounds: Bounds | None = None, m_simplex: float = 0.2):
         bounds = bounds or Bounds.symmetric(2, 0.5)
@@ -38,10 +40,6 @@ class SingularBernoulli:
         p = w[..., 0] * w[..., 1]
         p += 0.5  # in place: the bits of 0.5 + w1 * w2 without a second array
         return p
-
-    @property
-    def truth(self) -> SimplexDist:
-        return SimplexDist(np.array([0.5, 0.5]), lower_bound=self.m_simplex)
 
     def image_interval(self) -> tuple[float, float]:
         """Range of p_w(1) over W; the corners of the box realize the extremes."""

@@ -102,8 +102,8 @@ VALUE_CHECKS = dict.fromkeys((
     "noise.noise_draws", "volume.dim", "volume.samples", "mdl.mc_samples",
     "audit.instances", "audit.inclusion_configs", "mdl.n_seeds",
 ), (lambda v: v >= 1, "must be >= 1")) | dict.fromkeys(
-    ("mdl.a", "volume.half_width", "training.learning_rate", "prune.learning_rate"),
-    (lambda v: v > 0, "must be positive")) | {
+    ("mdl.a", "volume.half_width", "training.learning_rate", "prune.learning_rate",
+     "llc.preconditioner.stabilizer"), (lambda v: v > 0, "must be positive")) | {
     # the CLI's Bernoulli box [-0.5, 0.5]^2 keeps p_w in [0.25, 0.75], so m <= 0.25
     "audit.m_simplex": (lambda v: 0 < v <= 0.25, "must be in (0, 0.25]"),
     # checkpoint headers store the training seed as a u64
@@ -121,6 +121,13 @@ VALUE_CHECKS = dict.fromkeys((
     "noise.mode": (lambda v: v in ("absolute", "relative"), "must be 'absolute' or 'relative'"),
     "volume.landscape": (lambda v: v in LANDSCAPES,
                          "must be one of " + ", ".join(map(repr, LANDSCAPES))),
+    "llc.preconditioner": (lambda v: type(v) is dict or v in ("none", "rmsprop"),
+                           "must be 'none', 'rmsprop' or an object"),
+    "llc.preconditioner.kind": (lambda v: v in ("none", "rmsprop"), "must be 'none' or 'rmsprop'"),
+    "llc.preconditioner.decay": (lambda v: 0 < v < 1, "must be in (0, 1)"),
+    # the sweeps with a critical value to fit; prune-sweep reports none
+    "analyze.scheme": (lambda v: v in ("quantize", "factorize", "noise"),
+                       "must be 'quantize', 'factorize' or 'noise'"),
 }
 TYPE_NAMES = {type(None): "null", bool: "a bool", int: "an integer", float: "a finite number",
               str: "a string", list: "a list", dict: "an object"}

@@ -23,6 +23,11 @@ from .rng import rng_stream
 LossEval = Callable[[np.ndarray], float]
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+# the clamp search's geometric grid over [_LO_FACTOR * max|w|, max|w|], and the
+# bracket width, relative to max|w|, at which its golden section stops
+_GRID_POINTS = 64
+_LO_FACTOR = 0.1
+_REL_TOL = 1e-3
 # critical_sigma's search range and the ratio hi / lo - 1 at which it stops
 _SIGMA_BOUNDS = (1e-6, 10.0)
 _SIGMA_REL_TOL = 1e-3
@@ -52,15 +57,6 @@ class QuantizationSpec:
     def grid(self) -> np.ndarray:
         half = self.n_q // 2 - 1
         return np.arange(-half, half + 1) * self.delta
-
-
-@dataclass
-class MSearchConfig:
-    """Clamp-value search: geometric sweep then local golden-section refinement."""
-
-    grid_points: int = 64
-    rel_tol: float = 1e-3
-    lo_factor: float = 0.1
 
 
 @dataclass
@@ -126,12 +122,11 @@ def quantize_loss_min_m(
     params: np.ndarray,
     n_q: int,
     loss_eval: LossEval,
-    search: MSearchConfig | None = None,
     stop: float | None = None,
 ) -> tuple[float, float]:
     """Search the clamp value m for the lowest post-quantization loss.
 
-    Sweeps a geometric grid over [lo_factor * max|w|, max|w|] from the top
+    Sweeps a geometric grid over [_LO_FACTOR * max|w|, max|w|] from the top
     down (the top end is always a candidate, so this mode never does worse
     than quantize_max_abs), then refines around the best grid point by golden
     section, keeping the best value seen anywhere. Returns (m_star, delta_loss).
@@ -141,7 +136,6 @@ def quantize_loss_min_m(
     is no higher, so it passes too, and only the verdict delta_loss <= stop
     is exact. A sweep that meets no such point goes on as the complete search.
     """
-    search = search or MSearchConfig()
     params = np.asarray(params, dtype=float)
     max_abs = float(np.max(np.abs(params)))
     base = loss_eval(params)
@@ -152,7 +146,7 @@ def quantize_loss_min_m(
     def q_loss(m):
         return loss_eval(quantize(params, QuantizationSpec(n_q=n_q, m_clamp=m), out=buf))
 
-    ms = np.geomspace(search.lo_factor * max_abs, max_abs, search.grid_points)
+    ms = np.geomspace(_LO_FACTOR * max_abs, max_abs, _GRID_POINTS)
     losses = np.empty(len(ms))
     for i in reversed(range(len(ms))):
         f = losses[i] = q_loss(ms[i])
@@ -172,7 +166,7 @@ def quantize_loss_min_m(
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = q_loss(c), q_loss(d)
-    while (b - a) > search.rel_tol * max_abs:
+    while (b - a) > _REL_TOL * max_abs:
         if fc <= fd:
             b, d, fd = d, c, fc
             c = b - _GOLDEN * (b - a)
@@ -192,13 +186,12 @@ def quantization_delta_loss(
     n_q: int,
     loss_eval: LossEval,
     mode: str = "loss_min",
-    search: MSearchConfig | None = None,
     stop: float | None = None,
 ) -> float:
     """Loss increase of quantizing `params` to n_q levels; with `stop` set,
     exact only as the verdict delta_loss <= stop (see quantize_loss_min_m)."""
     if mode == "loss_min":
-        return quantize_loss_min_m(params, n_q, loss_eval, search, stop)[1]
+        return quantize_loss_min_m(params, n_q, loss_eval, stop)[1]
     if mode == "max_abs":
         return quantize_max_abs(params, n_q, loss_eval)[1]
     raise InvalidInputError(f"unknown quantization mode {mode!r}")
@@ -237,7 +230,6 @@ def critical_nq(
     epsilon: float,
     loss_eval: LossEval,
     mode: str = "loss_min",
-    search: MSearchConfig | None = None,
     nq_cap: int = 2**16,
 ) -> CriticalResult:
     """Smallest even n_q whose quantization loss increase is within epsilon.
@@ -248,10 +240,12 @@ def critical_nq(
     not, as measured. Each probe stops at its verdict (stop=epsilon); the
     returned n_q's delta_loss is that of the complete clamp search, which
     reuses every loss that n_q's probe evaluated. The result's value and
-    critical_value are n_q.
+    critical_value are n_q. Doubling past nq_cap (at least 4) raises.
     """
     if epsilon <= 0:
         raise InvalidInputError("epsilon must be positive")
+    if nq_cap < 4:
+        raise InvalidInputError(f"nq_cap must be >= 4, the smallest n_q probed, got {nq_cap}")
     params = np.asarray(params, dtype=float)
     base = {params.tobytes(): loss_eval(params)}
     cache: dict[int, float] = {}
@@ -263,7 +257,7 @@ def critical_nq(
         if nq not in cache:
             memos[nq] = dict(base)
             cache[nq] = quantization_delta_loss(params, nq, _memoized(loss_eval, memos[nq]),
-                                                mode, search, epsilon)
+                                                mode, epsilon)
             if cache[nq] > epsilon:
                 del memos[nq]
         return cache[nq]
@@ -279,7 +273,7 @@ def critical_nq(
         hi = 2 * _lowest_passing(lambda k: dl(2 * k), epsilon, hi // 4, hi // 2)
     if mode == "loss_min":  # complete the search the probe of hi may have stopped
         evaluate = _memoized(loss_eval, memos[hi])
-        return CriticalResult(hi, quantize_loss_min_m(params, hi, evaluate, search)[1], hi)
+        return CriticalResult(hi, quantize_loss_min_m(params, hi, evaluate)[1], hi)
     return CriticalResult(hi, cache[hi], hi)
 
 

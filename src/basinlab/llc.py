@@ -13,8 +13,6 @@ gradients and a batch-averaged baseline.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -90,36 +88,6 @@ class LlcEstimate:
     @property
     def is_negative(self) -> bool:
         return self.lambda_hat < 0
-
-    def recompute(self) -> float:
-        """lambda_hat rebuilt from the stored trace and baseline."""
-        b = self.config.resolved_burn_in
-        return float(self.config.nbeta * (self.trace[:, b:].mean() - self.baseline_loss))
-
-    def to_record(self) -> str:
-        """Deterministic single-line JSON record (trace enters as a digest)."""
-        payload = {
-            "lambda_hat": repr(self.lambda_hat),
-            "per_chain_means": [repr(float(v)) for v in self.per_chain_means],
-            "baseline_loss": repr(self.baseline_loss),
-            "trace_sha256": hashlib.sha256(
-                np.ascontiguousarray(self.trace, dtype="<f8").tobytes()
-            ).hexdigest(),
-            "seed": self.seed,
-            "boundary_hits": self.boundary_hits,
-            "config": {
-                "nbeta": self.config.nbeta,
-                "gamma": self.config.gamma,
-                "step_size": self.config.step_size,
-                "chains": self.config.chains,
-                "steps_per_chain": self.config.steps_per_chain,
-                "burn_in": self.config.resolved_burn_in,
-                "batch_size": self.config.batch_size,
-                "baseline_batches": self.config.baseline_batches,
-                "preconditioner": self.config.preconditioner.kind,
-            },
-        }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
     def trace_rows(self):
         """(step, chain, loss) rows for CSV export."""

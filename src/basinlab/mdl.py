@@ -20,7 +20,7 @@ import numpy as np
 from .bernoulli import SingularBernoulli
 from .errors import CoveringFailureError, InvalidInputError
 from .rng import rng_stream
-from .simplex import SimplexDist, kl, kl_bernoulli
+from .simplex import kl, kl_bernoulli
 from .volume import mc_volumes
 
 # Candidate grids are spaced at GRID_FACTOR of the smallest ball radius and the
@@ -73,15 +73,10 @@ class RedundancyRun:
     n: int
     a: float
     seed: int
-    chosen_center: int
     code_length: float
     excess_data_nats: float
     redundancy: float
-    theta_hat: float
     theta_star: float
-
-    def recompute(self) -> float:
-        return self.code_length + self.excess_data_nats
 
 
 def _candidate_thetas(model: SingularBernoulli, epsilon: float) -> np.ndarray:
@@ -195,7 +190,7 @@ def mc_ball_volumes(model: SingularBernoulli, net: EpsilonNet, samples: int, see
 
 def two_part_redundancy(
     model: SingularBernoulli,
-    q: SimplexDist,
+    theta_q: float,
     n: int,
     a: float = 1.0,
     seed: int = 0,
@@ -203,17 +198,17 @@ def two_part_redundancy(
 ) -> RedundancyRun:
     """Run the two-part code once at grid tolerance epsilon = a / n.
 
-    Draws an i.i.d. sample of size n from q, forms the maximum-likelihood
-    distribution in the model image (empirical frequency clamped to the
-    image interval), sends the nearest net center, and assembles the
-    redundancy as code_length + n * K_n(center) in nats. The net may be
-    passed in to amortize construction across seeds; it must have been built
-    at the same tolerance.
+    Draws n i.i.d. bits with P(one) = theta_q, a point of the model image,
+    forms the maximum-likelihood distribution in the image (empirical
+    frequency clamped to the image interval), sends the nearest net center,
+    and assembles the redundancy as code_length + n * K_n(center) in nats.
+    The net may be passed in to amortize construction across seeds; it must
+    have been built at the same tolerance.
     """
     if a <= 0:
         raise InvalidInputError("grid constant a must be positive")
     lo, hi = model.image_interval()
-    q1 = float(q.probs[1])
+    q1 = float(theta_q)
     if not (lo - 1e-12 <= q1 <= hi + 1e-12):
         raise InvalidInputError("q is not realizable in the model image")
     epsilon = a / n
@@ -225,8 +220,7 @@ def two_part_redundancy(
     rng = rng_stream(seed, 0)
     ones = model.sample_counts(q1, n, rng)
     f_hat = ones / n
-    theta_hat = model.mle_theta(ones, n)
-    idx = net.nearest(theta_hat)
+    idx = net.nearest(model.mle_theta(ones, n))
     theta_star = float(net.thetas[idx])
 
     # K_n(p*) = (1/n) sum_i log q(x_i)/p*(x_i), from the sufficient counts.
@@ -234,10 +228,8 @@ def two_part_redundancy(
     code_length = float(net.code_lengths[idx])
     excess = float(n * k_n)
     return RedundancyRun(
-        n=n, a=a, seed=seed, chosen_center=idx,
-        code_length=code_length, excess_data_nats=excess,
-        redundancy=code_length + excess,
-        theta_hat=float(theta_hat), theta_star=theta_star,
+        n=n, a=a, seed=seed, code_length=code_length, excess_data_nats=excess,
+        redundancy=code_length + excess, theta_star=theta_star,
     )
 
 
@@ -248,18 +240,18 @@ def two_part_redundancy(
 
 @dataclass
 class BoundsCheck:
-    lower: float | np.ndarray
-    value: float | np.ndarray
-    upper: float | np.ndarray
-    passed: bool | np.ndarray
+    lower: np.ndarray
+    value: np.ndarray
+    upper: np.ndarray
+    passed: np.ndarray
 
 
 @dataclass
 class TriangleCheck:
-    lhs: float | np.ndarray
-    rhs: float | np.ndarray
+    lhs: np.ndarray
+    rhs: np.ndarray
     constant: float
-    passed: bool | np.ndarray
+    passed: np.ndarray
 
 
 @dataclass
@@ -276,13 +268,10 @@ class InclusionCheck:
 _AUDIT_SLACK = 1e-9
 
 
-# A validator takes one SimplexDist per argument, or stacked (n, k) probability
-# rows for n instances; each field of its result is then an array over them.
-Dists = SimplexDist | np.ndarray
-
-
-def _rows(*dists: Dists) -> list[np.ndarray]:
-    return [d.probs if isinstance(d, SimplexDist) else np.asarray(d, dtype=float) for d in dists]
+# A validator checks probability rows (..., k), one instance each, in one call; each
+# field but the triangle constant is an array over the rows (1 row for one instance).
+def _rows(*dists) -> list[np.ndarray]:
+    return [np.asarray(d, dtype=float) for d in dists]
 
 
 def _require_restricted(m_simplex: float, **rows):
@@ -293,11 +282,7 @@ def _require_restricted(m_simplex: float, **rows):
             raise InvalidInputError(f"{name} is outside the restricted simplex (m={m_simplex})")
 
 
-def _scalars(*fields):  # Python scalars for one instance, arrays for a stack
-    return [f if np.ndim(f) else np.asarray(f).item() for f in fields]
-
-
-def validate_kl_l2(q: Dists, p: Dists, m_simplex: float) -> BoundsCheck:
+def validate_kl_l2(q, p, m_simplex: float) -> BoundsCheck:
     """Check (1/2)||p-q||^2 <= KL(q||p) <= (1/(2m))||p-q||^2."""
     q, p = _rows(q, p)
     _require_restricted(m_simplex, q=q, p=p)
@@ -305,21 +290,21 @@ def validate_kl_l2(q: Dists, p: Dists, m_simplex: float) -> BoundsCheck:
     val = kl(q, p)
     lower = 0.5 * sq
     upper = sq / (2.0 * m_simplex)
-    return BoundsCheck(*_scalars(lower, val, upper,
-                                 (lower - _AUDIT_SLACK <= val) & (val <= upper + _AUDIT_SLACK)))
+    return BoundsCheck(lower, val, upper,
+                       (lower - _AUDIT_SLACK <= val) & (val <= upper + _AUDIT_SLACK))
 
 
-def validate_triangle(q: Dists, p: Dists, p2: Dists, m_simplex: float) -> TriangleCheck:
+def validate_triangle(q, p, p2, m_simplex: float) -> TriangleCheck:
     """Check KL(p||p2) <= C * (KL(q||p) + KL(q||p2)) with C = 1/(2m)."""
     q, p, p2 = _rows(q, p, p2)
     _require_restricted(m_simplex, q=q, p=p, p2=p2)
     c = 1.0 / (2.0 * m_simplex)
     lhs = kl(p, p2)
     rhs = c * (kl(q, p) + kl(q, p2))
-    return TriangleCheck(*_scalars(lhs, rhs, c, lhs <= rhs + _AUDIT_SLACK))
+    return TriangleCheck(lhs, rhs, c, lhs <= rhs + _AUDIT_SLACK)
 
 
-def validate_variance_bound(q: Dists, p: Dists) -> BoundsCheck:
+def validate_variance_bound(q, p) -> BoundsCheck:
     """Check (c - KL) KL <= Var_q[log q/p] <= (c' - KL) KL.
 
     c = 2 / max(1, e^-m_inf) and c' = 2 / min(1, e^-M), where M and m_inf are
@@ -335,8 +320,8 @@ def validate_variance_bound(q: Dists, p: Dists) -> BoundsCheck:
     c_prime = 2.0 / np.minimum(1.0, np.exp(-ell.max(axis=-1)))
     lower = (c - d) * d
     upper = (c_prime - d) * d
-    return BoundsCheck(*_scalars(lower, variance, upper, (lower - _AUDIT_SLACK <= variance)
-                                 & (variance <= upper + _AUDIT_SLACK)))
+    return BoundsCheck(lower, variance, upper,
+                       (lower - _AUDIT_SLACK <= variance) & (variance <= upper + _AUDIT_SLACK))
 
 
 def validate_volume_inclusions(

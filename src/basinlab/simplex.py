@@ -6,50 +6,22 @@ boundaries (CSV writers, bit-budget formulas).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InvalidInputError
 
-_SUM_TOL = 1e-12
 
-
-@dataclass(frozen=True)
-class SimplexDist:
-    """A probability vector with entries bounded below by `lower_bound`."""
-
-    probs: np.ndarray
-    lower_bound: float = 0.0
-
-    def __post_init__(self):
-        p = np.asarray(self.probs, dtype=float)
-        object.__setattr__(self, "probs", p)
-        if p.ndim != 1 or len(p) < 2:
-            raise InvalidInputError("a distribution needs a 1-d vector of >= 2 probabilities")
-        if abs(p.sum() - 1.0) > 1e-9:
-            raise InvalidInputError(f"probabilities sum to {p.sum()}, not 1")
-        if self.lower_bound > 0 and p.min() < self.lower_bound - _SUM_TOL:
-            raise InvalidInputError(
-                f"min probability {p.min()} below declared lower bound {self.lower_bound}"
-            )
-
-    def __len__(self) -> int:
-        return len(self.probs)
-
-
-def kl(q: SimplexDist | np.ndarray, p: SimplexDist | np.ndarray):
-    """KL(q || p) = sum q log(q/p) in nats over the last axis; zero iff q == p.
-    A float for two distributions, an array for stacked (n, k) probability rows."""
-    qv = q.probs if isinstance(q, SimplexDist) else np.asarray(q, dtype=float)
-    pv = p.probs if isinstance(p, SimplexDist) else np.asarray(p, dtype=float)
+def kl(q, p):
+    """KL(q || p) = sum q log(q/p) in nats over the last axis of probability arrays;
+    zero iff q == p. A scalar for two k-vectors, an array for stacked (n, k) rows."""
+    qv = np.asarray(q, dtype=float)
+    pv = np.asarray(p, dtype=float)
     if qv.shape[-1:] != pv.shape[-1:]:
         raise InvalidInputError("distributions live on different outcome spaces")
     if np.any(pv <= 0):
         raise InvalidInputError("second argument has a zero probability; KL is infinite")
     with np.errstate(divide="ignore", invalid="ignore"):  # rounding can dip a few ulps below 0
-        d = np.maximum(np.sum(np.where(qv > 0, qv * np.log(qv / pv), 0.0), axis=-1), 0.0)
-    return float(d) if d.ndim == 0 else d
+        return np.maximum(np.sum(np.where(qv > 0, qv * np.log(qv / pv), 0.0), axis=-1), 0.0)
 
 
 def kl_bernoulli(theta_q, theta_p):

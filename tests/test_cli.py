@@ -365,6 +365,13 @@ class TestErrors:
         ({"quantize": {"nq_cap": 2}}, "quantize.nq_cap"),
         ({"quantize": {"mode": "bogus"}}, "quantize.mode"),
         ({"noise": {"mode": "bogus"}}, "noise.mode"),
+        ({"llc": {"preconditioner": "bogus"}}, "llc.preconditioner"),
+        ({"llc": {"preconditioner": {"kind": "adam"}}}, "llc.preconditioner.kind"),
+        ({"llc": {"preconditioner": {"kind": "rmsprop", "decay": 2.0}}},
+         "llc.preconditioner.decay"),
+        ({"llc": {"preconditioner": {"decay": 0}}}, "llc.preconditioner.decay"),
+        ({"llc": {"preconditioner": {"stabilizer": 0}}}, "llc.preconditioner.stabilizer"),
+        ({"analyze": {"scheme": "prune"}}, "analyze.scheme"),
     ], ids=["unknown-key", "top-level-array", "epsilons-string", "epsilons-nan",
             "layer-sizes-int", "checkpoint-schedule-int", "n-samples-float", "n-samples-bool",
             "layer-sizes-float-item", "write-traces-string", "n-seeds-string", "seed-string",
@@ -379,7 +386,10 @@ class TestErrors:
             "keep-fractions-empty", "keep-fraction-above-one", "keep-fraction-zero",
             "retrain-steps-negative", "prune-learning-rate-negative",
             "training-learning-rate-negative", "training-learning-rate-zero",
-            "nq-cap-below-4", "quantize-mode-unknown", "noise-mode-unknown"])
+            "nq-cap-below-4", "quantize-mode-unknown", "noise-mode-unknown",
+            "preconditioner-unknown", "preconditioner-kind-unknown",
+            "preconditioner-decay-above-one", "preconditioner-decay-zero",
+            "preconditioner-stabilizer-zero", "analyze-scheme-prune"])
     def test_unknown_config_key_exit_1(self, tmp_path, capsys, payload, key):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(payload))

@@ -6,7 +6,6 @@ from basinlab import (
     CriticalResult,
     MlpModel,
     MlpSpec,
-    MSearchConfig,
     QuantizationSpec,
     add_noise,
     critical_compression_fraction,
@@ -33,7 +32,7 @@ def reference_quantize(w, spec):
     return np.round(np.clip(w, -spec.m_clamp, spec.m_clamp) / spec.delta) * spec.delta
 
 
-def reference_loss_min_m(params, n_q, loss_eval, search):
+def reference_loss_min_m(params, n_q, loss_eval):
     """The clamp search run to completion: the whole grid, bottom up, then
     golden section around its argmin, keeping the best value seen."""
     max_abs = float(np.max(np.abs(params)))
@@ -44,7 +43,7 @@ def reference_loss_min_m(params, n_q, loss_eval, search):
     def q_loss(m):
         return loss_eval(reference_quantize(params, QuantizationSpec(n_q=n_q, m_clamp=m)))
 
-    ms = np.geomspace(search.lo_factor * max_abs, max_abs, search.grid_points)
+    ms = np.geomspace(compress._LO_FACTOR * max_abs, max_abs, compress._GRID_POINTS)
     losses = np.array([q_loss(m) for m in ms])
     if not np.any(np.isfinite(losses)):
         raise QuantizationFailedError("all clamp candidates non-finite")
@@ -55,7 +54,7 @@ def reference_loss_min_m(params, n_q, loss_eval, search):
     golden = (np.sqrt(5.0) - 1.0) / 2.0
     c, d = b - golden * (b - a), a + golden * (b - a)
     fc, fd = q_loss(c), q_loss(d)
-    while (b - a) > search.rel_tol * max_abs:
+    while (b - a) > compress._REL_TOL * max_abs:
         if fc <= fd:
             b, d, fd = d, c, fc
             c = b - golden * (b - a)
@@ -74,7 +73,7 @@ def reference_critical_nq(params, epsilon, loss_eval, mode="loss_min", nq_cap=2*
     """critical_nq with every probe a complete search."""
     def probe(nq):
         if mode == "loss_min":
-            return reference_loss_min_m(params, nq, loss_eval, MSearchConfig())[1]
+            return reference_loss_min_m(params, nq, loss_eval)[1]
         m = float(np.max(np.abs(params)))
         q = reference_quantize(params, QuantizationSpec(n_q=nq, m_clamp=m))
         return loss_eval(q) - loss_eval(params)
@@ -253,14 +252,15 @@ class TestLossMinClampSearch:
         m_star, dl = quantize_loss_min_m(np.zeros(5), 4, lambda w: float(np.sum(w**2)))
         assert dl == 0.0
 
-    def test_dominates_max_abs_mode(self):
+    def test_dominates_max_abs_mode(self, monkeypatch):
+        monkeypatch.setattr(compress, "_GRID_POINTS", 16)
         rng = rng_stream(2, 0)
         for trial in range(100):
             w = rng.uniform(-2, 2, 12)
             a = rng.uniform(0.5, 2.0, 12)
             loss_eval = lambda v: float(np.sum(a * (v - w) ** 2))
             for nq in (4, 8, 16):
-                dl_min = quantize_loss_min_m(w, nq, loss_eval, MSearchConfig(grid_points=16))[1]
+                dl_min = quantize_loss_min_m(w, nq, loss_eval)[1]
                 dl_max = quantize_max_abs(w, nq, loss_eval)[1]
                 assert dl_min <= dl_max + 1e-12
 
@@ -342,7 +342,7 @@ class TestCriticalNq:
         w = rng.uniform(-2, 2, dim)
         a = rng.uniform(0.1, 4.0, dim)
         max_abs = np.max(np.abs(w))
-        grid = np.geomspace(0.1 * max_abs, max_abs, MSearchConfig().grid_points)
+        grid = np.geomspace(0.1 * max_abs, max_abs, compress._GRID_POINTS)
 
         def loss_eval(v):
             m = np.max(np.abs(v))  # the clamp, up to rounding
@@ -376,6 +376,14 @@ class TestCriticalNq:
         # the message names the largest n_q probed, a power of two, not the cap
         with pytest.raises(UnreachableToleranceError, match=r"at n_q=64$"):
             critical_nq(w, 1e-12, loss_eval, mode="max_abs", nq_cap=100)
+
+    @pytest.mark.parametrize("nq_cap", [2, 3, 0, -4])
+    def test_cap_below_smallest_probe_rejected(self, nq_cap):
+        # a cap under 4 would let the first probe, n_q = 4, return above it
+        loss_eval = lambda v: float(np.sum(v**2))
+        with pytest.raises(InvalidInputError, match="nq_cap"):
+            critical_nq(np.linspace(-1, 1, 6), 10.0, loss_eval, nq_cap=nq_cap)
+        assert critical_nq(np.linspace(-1, 1, 6), 10.0, loss_eval, nq_cap=4).value == 4
 
     def test_delta_loss_mostly_nonincreasing_in_nq(self):
         # fixed-batch measurement: the curve is non-increasing wherever the

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -82,6 +80,14 @@ def per_chain_oracle(target, cfg, seed, w_star=None):
     return LlcEstimate(lambda_hat=float(cfg.nbeta * (per_chain.mean() - baseline)),
                        per_chain_means=per_chain, baseline_loss=baseline, trace=trace,
                        config=cfg, seed=seed, boundary_hits=hits)
+
+
+def assert_same_estimate(a, b):
+    """Every field of two estimates, bit for bit: stricter than a digest."""
+    assert a.lambda_hat == b.lambda_hat and a.baseline_loss == b.baseline_loss
+    assert np.array_equal(a.trace, b.trace)
+    assert np.array_equal(a.per_chain_means, b.per_chain_means)
+    assert (a.boundary_hits, a.config, a.seed) == (b.boundary_hits, b.config, b.seed)
 
 
 class TestSgldStep:
@@ -255,8 +261,11 @@ class TestEstimateLlc:
             assert vals[0] > vals[1] > vals[2]
 
     def test_estimator_identity_recompute(self):
+        # lambda_hat rebuilt from the stored trace and baseline
         est = estimate_llc(make_quadratic(2), CFG, seed=3)
-        assert est.lambda_hat == pytest.approx(est.recompute(), abs=1e-12)
+        b = CFG.resolved_burn_in
+        assert est.lambda_hat == pytest.approx(
+            CFG.nbeta * (est.trace[:, b:].mean() - est.baseline_loss), abs=1e-12)
 
     def test_localization_strength_shrinks_excursions(self):
         # step size chosen stable for the largest gamma (eps * gamma / 2 < 1)
@@ -282,8 +291,7 @@ class TestEstimateLlc:
     def test_seed_determinism_bytes(self):
         a = estimate_llc(make_quadratic(2), CFG, seed=5)
         b = estimate_llc(make_quadratic(2), CFG, seed=5)
-        assert a.to_record() == b.to_record()
-        assert json.loads(a.to_record())["lambda_hat"] == repr(a.lambda_hat)
+        assert_same_estimate(a, b)
 
     def test_different_seeds_differ(self):
         a = estimate_llc(make_quadratic(2), CFG, seed=5)
@@ -388,7 +396,7 @@ class TestLockstepMatchesPerChainOracle:
                             steps_per_chain=60, burn_in=6, batch_size=32, baseline_batches=4,
                             preconditioner=Preconditioner(kind=kind))
         est = estimate_llc(target, cfg, seed=11, w_star=w_star)
-        assert est.to_record() == per_chain_oracle(target, cfg, 11, w_star).to_record()
+        assert_same_estimate(est, per_chain_oracle(target, cfg, 11, w_star))
         if case == "quadratic-boundary":
             assert est.boundary_hits > 0
 

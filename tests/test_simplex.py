@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from basinlab import SimplexDist, kl, kl_bernoulli, rng_stream, sample_restricted
+from basinlab import kl, kl_bernoulli, rng_stream, sample_restricted
 from basinlab.errors import InvalidInputError
 
 
@@ -11,41 +11,27 @@ def two_point_kl(q1, p1):
     return q1 * np.log(q1 / p1) + (1 - q1) * np.log((1 - q1) / (1 - p1))
 
 
-class TestSimplexDist:
-    def test_valid(self):
-        d = SimplexDist(np.array([0.3, 0.7]), lower_bound=0.2)
-        assert len(d) == 2
-
-    def test_sum_enforced(self):
-        with pytest.raises(InvalidInputError):
-            SimplexDist(np.array([0.5, 0.6]))
-
-    def test_lower_bound_enforced(self):
-        with pytest.raises(InvalidInputError):
-            SimplexDist(np.array([0.1, 0.9]), lower_bound=0.2)
-
-
 class TestKl:
     def test_identity_is_zero(self):
-        p = SimplexDist(np.array([0.2, 0.3, 0.5]))
+        p = np.array([0.2, 0.3, 0.5])
         assert kl(p, p) == 0.0
 
     def test_bernoulli_half_vs_054(self):
         # two-term sum by hand: 0.5 ln(0.5/0.54) + 0.5 ln(0.5/0.46)
-        q = SimplexDist(np.array([0.5, 0.5]))
-        p = SimplexDist(np.array([0.46, 0.54]))
+        q = np.array([0.5, 0.5])
+        p = np.array([0.46, 0.54])
         assert kl(q, p) == pytest.approx(3.2103e-3, rel=1e-4)
         assert kl(q, p) == pytest.approx(two_point_kl(0.5, 0.54), rel=1e-12)
 
     def test_asymmetry_witness(self):
-        q = SimplexDist(np.array([0.8, 0.2]))
-        p = SimplexDist(np.array([0.4, 0.6]))
+        q = np.array([0.8, 0.2])
+        p = np.array([0.4, 0.6])
         assert kl(q, p) != kl(p, q)
         assert kl(q, p) >= 0 and kl(p, q) >= 0
 
     def test_mismatched_spaces_rejected(self):
         with pytest.raises(InvalidInputError):
-            kl(SimplexDist(np.array([0.5, 0.5])), SimplexDist(np.array([0.2, 0.3, 0.5])))
+            kl(np.array([0.5, 0.5]), np.array([0.2, 0.3, 0.5]))
 
     @given(
         q1=st.floats(0.05, 0.95),
@@ -53,8 +39,8 @@ class TestKl:
     )
     @settings(max_examples=200, deadline=None)
     def test_nonnegative_and_zero_iff_equal(self, q1, p1):
-        q = SimplexDist(np.array([1 - q1, q1]))
-        p = SimplexDist(np.array([1 - p1, p1]))
+        q = np.array([1 - q1, q1])
+        p = np.array([1 - p1, p1])
         d = kl(q, p)
         assert d >= 0.0
         if abs(q1 - p1) > 1e-9:
