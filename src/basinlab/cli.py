@@ -302,14 +302,13 @@ SWEEP_HEADER = ["step", "scheme", "control_parameter", "delta_loss",
 
 
 def sweep(cfg: dict, subcommand: str, scheme: str,
-          search: Callable[[MlpTask, np.ndarray, float], CriticalResult]) -> int:
-    """One sweep row per (checkpoint, epsilon), from the CriticalResult that
-    `search(task, params, epsilon)` returns."""
+          search: Callable[[MlpTask, np.ndarray, list[float]], list[CriticalResult]]) -> int:
+    """One sweep row per (checkpoint, epsilon), from the CriticalResults that
+    one `search(task, params, epsilons)` call per checkpoint returns."""
     task = build_task(cfg)
     rows = []
     for ck in load_checkpoints(cfg):
-        for eps in cfg["epsilons"]:
-            res = search(task, ck.params, eps)
+        for eps, res in zip(cfg["epsilons"], search(task, ck.params, cfg["epsilons"])):
             rows.append((ck.step, scheme, res.value, res.delta_loss, res.critical_value,
                          eps, cfg["seed"]))
     name = f"sweep_{subcommand.removesuffix('-sweep')}.csv"
@@ -319,18 +318,18 @@ def sweep(cfg: dict, subcommand: str, scheme: str,
 
 
 def cmd_quantize_sweep(cfg: dict) -> int:
-    return sweep(cfg, "quantize-sweep", "quantize", lambda task, params, eps:
-                 critical_nq(params, eps, task.full_loss, **cfg["quantize"]))
+    return sweep(cfg, "quantize-sweep", "quantize", lambda task, params, epsilons:
+                 critical_nq(params, epsilons, task.full_loss, **cfg["quantize"]))
 
 
 def cmd_factorize_sweep(cfg: dict) -> int:
-    return sweep(cfg, "factorize-sweep", "factorize", lambda task, params, eps:
-                 critical_compression_fraction(task.model, params, eps, task.full_loss))
+    return sweep(cfg, "factorize-sweep", "factorize", lambda task, params, epsilons:
+                 critical_compression_fraction(task.model, params, epsilons, task.full_loss))
 
 
 def cmd_noise_sweep(cfg: dict) -> int:
-    return sweep(cfg, "noise-sweep", f"noise_{cfg['noise']['mode']}", lambda task, params, eps:
-                 critical_sigma(params, eps, loss_eval=task.full_loss, **cfg["noise"]))
+    return sweep(cfg, "noise-sweep", f"noise_{cfg['noise']['mode']}", lambda task, params, epsilons:
+                 critical_sigma(params, epsilons, loss_eval=task.full_loss, **cfg["noise"]))
 
 
 def cmd_prune_sweep(cfg: dict) -> int:

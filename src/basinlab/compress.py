@@ -10,8 +10,10 @@ defining inequality exactly as measured.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -107,78 +109,76 @@ def quantize(w: np.ndarray, spec: QuantizationSpec, out: np.ndarray | None = Non
     return out
 
 
-def quantize_max_abs(params: np.ndarray, n_q: int, loss_eval: LossEval) -> tuple[float, float]:
-    """Quantize with the clamp set to the largest absolute parameter value."""
-    params = np.asarray(params, dtype=float)
-    m = float(np.max(np.abs(params)))
-    base = loss_eval(params)
-    if m == 0.0:
-        return 1.0, 0.0
-    q = quantize(params, QuantizationSpec(n_q=n_q, m_clamp=m))
-    return m, loss_eval(q) - base
+def _clamp_search(params: np.ndarray, n_q: int, loss_eval: LossEval, mode: str, base: float):
+    """The clamp search at n_q, as a generator: it yields (m, delta_loss) for
+    each grid clamp from max|w| down, then the best pair found, its result.
 
-
-def quantize_loss_min_m(
-    params: np.ndarray,
-    n_q: int,
-    loss_eval: LossEval,
-    stop: float | None = None,
-) -> tuple[float, float]:
-    """Search the clamp value m for the lowest post-quantization loss.
-
-    Sweeps a geometric grid over [_LO_FACTOR * max|w|, max|w|] from the top
-    down (the top end is always a candidate, so this mode never does worse
-    than quantize_max_abs), then refines around the best grid point by golden
-    section, keeping the best value seen anywhere. Returns (m_star, delta_loss).
-
-    With `stop` set, the sweep ends at the first grid point whose delta_loss
-    is finite and <= stop, returning that point: the complete search's best
-    is no higher, so it passes too, and only the verdict delta_loss <= stop
-    is exact. A sweep that meets no such point goes on as the complete search.
+    loss_min sweeps _GRID_POINTS clamps spaced geometrically over
+    [_LO_FACTOR * max|w|, max|w|], then refines around the best by golden
+    section until the bracket is narrower than _REL_TOL * max|w|; max_abs
+    stops after the top clamp, max|w| itself. A non-finite loss is never the
+    best, and a grid of only non-finite losses raises.
     """
-    params = np.asarray(params, dtype=float)
+    if mode not in ("loss_min", "max_abs"):
+        raise InvalidInputError(f"unknown quantization mode {mode!r}")
     max_abs = float(np.max(np.abs(params)))
-    base = loss_eval(params)
     if max_abs == 0.0:
-        return 1.0, 0.0
+        yield 1.0, 0.0
+        return
     buf = np.empty_like(params)
 
     def q_loss(m):
         return loss_eval(quantize(params, QuantizationSpec(n_q=n_q, m_clamp=m), out=buf))
 
     ms = np.geomspace(_LO_FACTOR * max_abs, max_abs, _GRID_POINTS)
+    if mode == "max_abs":
+        ms = ms[-1:]  # geomspace's top end is exactly max_abs
     losses = np.empty(len(ms))
     for i in reversed(range(len(ms))):
         f = losses[i] = q_loss(ms[i])
-        if stop is not None and np.isfinite(f) and f - base <= stop:
-            return float(ms[i]), float(f) - base
+        yield float(ms[i]), float(f) - base
     if not np.any(np.isfinite(losses)):
-        raise QuantizationFailedError(
-            f"all {len(ms)} clamp candidates gave non-finite loss at n_q={n_q}"
-        )
+        clamps = (f"all {len(ms)} clamp candidates" if len(ms) > 1
+                  else f"the clamp max|w| = {max_abs}")
+        raise QuantizationFailedError(f"{clamps} gave non-finite loss at n_q={n_q}")
     losses[~np.isfinite(losses)] = np.inf
     best = int(np.argmin(losses))
     best_m, best_loss = float(ms[best]), float(losses[best])
+    if mode == "loss_min":
+        a, b = float(ms[max(best - 1, 0)]), float(ms[min(best + 1, len(ms) - 1)])
+        c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
+        fc, fd = q_loss(c), q_loss(d)
+        while (b - a) > _REL_TOL * max_abs:
+            if fc <= fd:
+                b, d, fd = d, c, fc
+                c = b - _GOLDEN * (b - a)
+                fc = q_loss(c)
+            else:
+                a, c, fc = c, d, fd
+                d = a + _GOLDEN * (b - a)
+                fd = q_loss(d)
+            for m, f in ((c, fc), (d, fd)):
+                if np.isfinite(f) and f < best_loss:
+                    best_m, best_loss = float(m), float(f)
+    yield best_m, best_loss - base
 
-    lo = ms[max(best - 1, 0)]
-    hi = ms[min(best + 1, len(ms) - 1)]
-    a, b = float(lo), float(hi)
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = q_loss(c), q_loss(d)
-    while (b - a) > _REL_TOL * max_abs:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = q_loss(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = q_loss(d)
-        for m, f in ((c, fc), (d, fd)):
-            if np.isfinite(f) and f < best_loss:
-                best_m, best_loss = float(m), float(f)
-    return best_m, best_loss - base
+
+def _complete_clamp_search(params, n_q: int, loss_eval: LossEval, mode: str) -> tuple[float, float]:
+    """(m, delta_loss): the clamp search at n_q run to its end."""
+    params = np.asarray(params, dtype=float)
+    *_, result = _clamp_search(params, n_q, loss_eval, mode, loss_eval(params))
+    return result
+
+
+def quantize_max_abs(params: np.ndarray, n_q: int, loss_eval: LossEval) -> tuple[float, float]:
+    """Quantize with the clamp set to the largest absolute parameter value."""
+    return _complete_clamp_search(params, n_q, loss_eval, "max_abs")
+
+
+def quantize_loss_min_m(params: np.ndarray, n_q: int, loss_eval: LossEval) -> tuple[float, float]:
+    """The clamp m with the lowest post-quantization loss, and its delta_loss.
+    max|w| is a candidate, so this never does worse than quantize_max_abs."""
+    return _complete_clamp_search(params, n_q, loss_eval, "loss_min")
 
 
 def quantization_delta_loss(
@@ -186,95 +186,87 @@ def quantization_delta_loss(
     n_q: int,
     loss_eval: LossEval,
     mode: str = "loss_min",
-    stop: float | None = None,
 ) -> float:
-    """Loss increase of quantizing `params` to n_q levels; with `stop` set,
-    exact only as the verdict delta_loss <= stop (see quantize_loss_min_m)."""
-    if mode == "loss_min":
-        return quantize_loss_min_m(params, n_q, loss_eval, stop)[1]
-    if mode == "max_abs":
-        return quantize_max_abs(params, n_q, loss_eval)[1]
-    raise InvalidInputError(f"unknown quantization mode {mode!r}")
+    """Loss increase of quantizing `params` to n_q levels, the clamp set by `mode`."""
+    return _complete_clamp_search(params, n_q, loss_eval, mode)[1]
 
 
-def _memoized(loss_eval: LossEval, memo: dict[bytes, float]) -> LossEval:
-    """loss_eval that looks each vector up in `memo` by its bytes, and
-    evaluates and records there only the vectors it does not hold."""
-
-    def evaluate(w):
-        key = w.tobytes()
-        if key not in memo:
-            memo[key] = loss_eval(w)
-        return memo[key]
-
-    return evaluate
+def _passes(delta_loss: float, epsilon: float) -> bool:
+    """Every critical search's verdict: a finite loss increase within epsilon."""
+    return math.isfinite(delta_loss) and delta_loss <= epsilon
 
 
-def _lowest_passing(dl: Callable[[int], float], epsilon: float, lo: int, hi: int) -> int:
-    """Smallest k in (lo, hi] with dl(k) <= epsilon, given dl(lo) > epsilon >= dl(hi):
-    bisection treating dl as non-increasing, then a walk down while k - 1 passes
-    too, so the result passes and its predecessor does not, as measured."""
+def _tolerances(epsilons: Sequence[float], allow_zero: bool = False) -> list[float]:
+    if np.ndim(epsilons) != 1 or not all(e > 0 or (allow_zero and e == 0) for e in epsilons):
+        sign = "nonnegative" if allow_zero else "positive"
+        raise InvalidInputError(f"epsilons must be a sequence of {sign} tolerances")
+    return [float(e) for e in epsilons]
+
+
+def _lowest_passing(passes: Callable[[int], bool], lo: int, hi: int) -> int:
+    """Smallest k in (lo, hi] that passes, given lo fails and hi passes:
+    bisection treating the verdict as monotone in k, then a walk down while
+    k - 1 passes too, so the result passes and its predecessor does not."""
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if dl(mid) <= epsilon:
-            hi = mid
-        else:
-            lo = mid
-    while dl(hi - 1) <= epsilon:
+        lo, hi = (lo, mid) if passes(mid) else (mid, hi)
+    while passes(hi - 1):
         hi -= 1
     return hi
 
 
 def critical_nq(
     params: np.ndarray,
-    epsilon: float,
+    epsilons: Sequence[float],
     loss_eval: LossEval,
     mode: str = "loss_min",
     nq_cap: int = 2**16,
-) -> CriticalResult:
-    """Smallest even n_q whose quantization loss increase is within epsilon.
+) -> list[CriticalResult]:
+    """Smallest even n_q whose quantization loss increase is within epsilon,
+    one result per epsilon, in order.
 
-    Exponential bracketing then bisection over even values, treating the loss
-    increase as non-increasing in n_q; a final verification walk guarantees
-    the returned n_q satisfies delta_loss <= epsilon and its predecessor does
-    not, as measured. Each probe stops at its verdict (stop=epsilon); the
-    returned n_q's delta_loss is that of the complete clamp search, which
-    reuses every loss that n_q's probe evaluated. The result's value and
-    critical_value are n_q. Doubling past nq_cap (at least 4) raises.
+    Per epsilon: exponential bracketing, then bisection over even values
+    treating the loss increase as non-increasing in n_q, then a walk that
+    leaves n_q passing and its predecessor failing, as measured. Each n_q's
+    clamp search runs once for every epsilon, only as far as a verdict
+    needs: n_q passes at its first finite loss increase within epsilon (the
+    complete search could only find a lower one), so a verdict reads the
+    pairs yielded so far, then resumes the search. The returned n_q's
+    delta_loss is its complete search's. value and critical_value are n_q.
+    Doubling past nq_cap (at least 4) raises.
     """
-    if epsilon <= 0:
-        raise InvalidInputError("epsilon must be positive")
+    tolerances = _tolerances(epsilons)
     if nq_cap < 4:
         raise InvalidInputError(f"nq_cap must be >= 4, the smallest n_q probed, got {nq_cap}")
     params = np.asarray(params, dtype=float)
-    base = {params.tobytes(): loss_eval(params)}
-    cache: dict[int, float] = {}
-    # the losses each probe evaluated, the unperturbed one included; a failing
-    # probe's are dropped, since the search returns a passing n_q
-    memos: dict[int, dict[bytes, float]] = {}
+    base = loss_eval(params)
+    searches: dict[int, tuple[Iterator[tuple[float, float]], list[tuple[float, float]]]] = {}
 
-    def dl(nq):
-        if nq not in cache:
-            memos[nq] = dict(base)
-            cache[nq] = quantization_delta_loss(params, nq, _memoized(loss_eval, memos[nq]),
-                                                mode, epsilon)
-            if cache[nq] > epsilon:
-                del memos[nq]
-        return cache[nq]
+    def pairs(nq):
+        """n_q's (m, delta_loss) pairs: those yielded so far, then the rest."""
+        if nq not in searches:
+            searches[nq] = (_clamp_search(params, nq, loss_eval, mode, base), [])
+        search, seen = searches[nq]
+        yield from seen
+        for pair in search:
+            seen.append(pair)
+            yield pair
 
-    hi = 4
-    while dl(hi) > epsilon:
-        hi *= 2
-        if hi > nq_cap:
-            raise UnreachableToleranceError(
-                f"delta loss still above {epsilon} at n_q={hi // 2}"
-            )
-    if hi > 4:  # search k = n_q / 2 between the last failing and the first passing power
-        hi = 2 * _lowest_passing(lambda k: dl(2 * k), epsilon, hi // 4, hi // 2)
-    if mode == "loss_min":  # complete the search the probe of hi may have stopped
-        evaluate = _memoized(loss_eval, memos[hi])
-        return CriticalResult(hi, quantize_loss_min_m(params, hi, evaluate)[1], hi)
-    return CriticalResult(hi, cache[hi], hi)
+    def passes(nq, eps):
+        return any(_passes(dl, eps) for _, dl in pairs(nq))
+
+    results = []
+    for eps in tolerances:
+        hi = 4
+        while not passes(hi, eps):
+            hi *= 2
+            if hi > nq_cap:
+                raise UnreachableToleranceError(f"delta loss still above {eps} at n_q={hi // 2}")
+        if hi > 4:  # search k = n_q / 2 between the last failing and the first passing power
+            hi = 2 * _lowest_passing(lambda k: passes(2 * k, eps), hi // 4, hi // 2)
+        *_, (_, delta) = pairs(hi)
+        results.append(CriticalResult(hi, delta, hi))
+    return results
 
 
 def factorize(
@@ -325,19 +317,20 @@ def factorize(
 def critical_compression_fraction(
     model: MlpModel,
     params: np.ndarray,
-    epsilon: float,
+    epsilons: Sequence[float],
     loss_eval: LossEval,
     layer_selection: list[int] | None = None,
-) -> CriticalResult:
-    """Smallest rank budget whose factorization loss increase is within epsilon.
+) -> list[CriticalResult]:
+    """Smallest rank budget whose factorization loss increase is within each
+    epsilon; one result per epsilon, in order.
 
     The search runs over the integer rank grid n = 1 .. min_dim (resolution
     1/min_dim in keep fraction) by bisection on a monotone bracketing, with
-    the same verification walk as critical_nq. The result's value is the keep
+    the same verification walk as critical_nq; each rank is factorized and
+    evaluated once for all epsilons. The result's value is the keep
     fraction j/min_dim and its critical_value the stored-parameter ratio.
     """
-    if epsilon <= 0:
-        raise InvalidInputError("epsilon must be positive")
+    tolerances = _tolerances(epsilons)
     if layer_selection is None:
         layer_selection = list(range(1, model.spec.n_layers - 1))
     if not layer_selection:
@@ -345,21 +338,24 @@ def critical_compression_fraction(
     layers = model.unpack(params)
     min_dim = min(min(layers[i][0].shape) for i in layer_selection)
     base = loss_eval(params)
-    cache: dict[int, tuple[float, float]] = {}
 
-    def dl(j):
-        if j not in cache:
-            res = factorize(model, params, j / min_dim, layer_selection)
-            cache[j] = (loss_eval(res.params) - base, res.compression_fraction)
-        return cache[j][0]
+    @functools.cache
+    def probe(j):
+        res = factorize(model, params, j / min_dim, layer_selection)
+        return loss_eval(res.params) - base, res.compression_fraction
 
-    if dl(min_dim) > epsilon:
-        raise UnreachableToleranceError(
-            f"delta loss above {epsilon} even at full rank (numerical error?)"
-        )
-    j_star = 1 if dl(1) <= epsilon else _lowest_passing(dl, epsilon, 1, min_dim)
-    delta, frac = cache[j_star]
-    return CriticalResult(j_star / min_dim, delta, frac)
+    def passes(j, eps):
+        return _passes(probe(j)[0], eps)
+
+    results = []
+    for eps in tolerances:
+        if not passes(min_dim, eps):
+            raise UnreachableToleranceError(f"delta loss {probe(min_dim)[0]} not within {eps} "
+                                            "even at full rank (numerical error?)")
+        j = 1 if passes(1, eps) else _lowest_passing(lambda k: passes(k, eps), 1, min_dim)
+        delta, frac = probe(j)
+        results.append(CriticalResult(j / min_dim, delta, frac))
+    return results
 
 
 def add_noise(w: np.ndarray, sigma: float, mode: str, seed: int, stream_id: int = 0) -> np.ndarray:
@@ -382,11 +378,12 @@ def _perturb(w: np.ndarray, z: np.ndarray, sigma: float, mode: str) -> np.ndarra
 
 def _noise_delta(params: np.ndarray, mode: str, loss_eval: LossEval, noise_draws: int, seed: int):
     """sigma -> noise_delta_loss(params, sigma, ...), with the base loss and the
-    unit perturbations of add_noise (streams 0 .. noise_draws - 1) made once."""
+    unit perturbations of add_noise (streams 0 .. noise_draws - 1) made once,
+    and each sigma's value kept."""
     base = loss_eval(params)
     draws = [rng_stream(seed, k).standard_normal(params.shape) for k in range(noise_draws)]
-    return lambda sigma: float(np.mean([loss_eval(_perturb(params, z, sigma, mode))
-                                        for z in draws])) - base
+    return functools.cache(lambda sigma: float(np.mean(
+        [loss_eval(_perturb(params, z, sigma, mode)) for z in draws])) - base)
 
 
 def noise_delta_loss(
@@ -403,43 +400,41 @@ def noise_delta_loss(
 
 def critical_sigma(
     params: np.ndarray,
-    epsilon: float,
+    epsilons: Sequence[float],
     mode: str,
     loss_eval: LossEval,
     noise_draws: int = 8,
     seed: int = 0,
-) -> CriticalResult:
-    """Largest sigma whose mean loss increase over the noise draws is within epsilon.
+) -> list[CriticalResult]:
+    """Largest sigma whose mean loss increase over the noise draws is within
+    each epsilon; one result per epsilon, in order.
 
     The same noise_draws unit perturbations, drawn once, are reused at every
     sigma, so the measured curve is continuous in sigma and the geometric
-    bisection brackets a single crossing. If even the lower search bound
-    exceeds the tolerance, that bound is returned; if the tolerance is never
-    exceeded by the upper bound there is no crossing to report and the search
-    errors out. The result's value and critical_value are sigma.
+    bisection brackets a single crossing. Every bisection starts from the
+    same bounds, and each sigma is evaluated once for all epsilons. If even
+    the lower search bound exceeds the tolerance, that bound is returned; a
+    NaN there, or a tolerance never exceeded by the upper bound, raises. The
+    result's value and critical_value are sigma.
     """
-    if epsilon < 0:
-        raise InvalidInputError("epsilon must be nonnegative")
+    tolerances = _tolerances(epsilons, allow_zero=True)
     if noise_draws < 1:
         raise InvalidInputError("noise_draws must be >= 1")
     dl = _noise_delta(np.asarray(params, dtype=float), mode, loss_eval, noise_draws, seed)
-
-    lo, hi = _SIGMA_BOUNDS
-    dl_lo = dl(lo)
-    if dl_lo > epsilon:
-        return CriticalResult(lo, dl_lo, lo)
-    if dl(hi) <= epsilon:
-        raise UnreachableToleranceError(
-            f"loss increase never exceeds {epsilon} up to sigma={hi}"
-        )
-    while hi / lo > 1.0 + _SIGMA_REL_TOL:
-        mid = float(np.sqrt(lo * hi))
-        dl_mid = dl(mid)
-        if dl_mid <= epsilon:
-            lo, dl_lo = mid, dl_mid
-        else:
-            hi = mid
-    return CriticalResult(lo, dl_lo, lo)
+    results = []
+    for eps in tolerances:
+        lo, hi = _SIGMA_BOUNDS
+        if math.isnan(dl(lo)):
+            raise UnreachableToleranceError(f"loss increase is nan at sigma={lo}")
+        if _passes(dl(lo), eps):  # else even the lower bound exceeds eps: report it
+            if _passes(dl(hi), eps):
+                raise UnreachableToleranceError(
+                    f"loss increase never exceeds {eps} up to sigma={hi}")
+            while hi / lo > 1.0 + _SIGMA_REL_TOL:
+                mid = float(np.sqrt(lo * hi))
+                lo, hi = (mid, hi) if _passes(dl(mid), eps) else (lo, mid)
+        results.append(CriticalResult(lo, dl(lo), lo))
+    return results
 
 
 def prune_and_retrain(

@@ -59,6 +59,8 @@ def load_checkpoint(path: Path | str) -> Checkpoint:
     params = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size)
     if len(params) != d:
         raise InvalidInputError(f"{path}: header says {d} params, file has {len(params)}")
+    if not np.all(np.isfinite(params)):
+        raise InvalidInputError(f"{path}: non-finite parameters")
     return Checkpoint(step=step, params=params.astype(float), train_loss=loss,
                       seed=seed, spec_hash=spec_hash)
 

@@ -204,7 +204,7 @@ def test_c08_critical_search_oracle_equivalence():
     details = []
 
     for eps in (0.5, 0.25):
-        found = critical_nq(ck.params, eps, task.full_loss).value
+        found = critical_nq(ck.params, [eps], task.full_loss)[0].value
         scan = next(nq for nq in range(4, 400, 2)
                     if quantization_delta_loss(ck.params, nq, task.full_loss) <= eps)
         assert found == scan
@@ -212,14 +212,15 @@ def test_c08_critical_search_oracle_equivalence():
 
     base = task.full_loss(ck.params)
     eps = 0.1
-    res = critical_compression_fraction(task.model, ck.params, eps, task.full_loss)
+    (res,) = critical_compression_fraction(task.model, ck.params, [eps], task.full_loss)
     scan = next(j for j in range(1, 17)
                 if task.full_loss(factorize(task.model, ck.params, j / 16).params) - base <= eps)
     assert res.value == scan / 16
     details.append(f"rank*={round(res.value * 16)}")
 
     eps = 0.5
-    sig = critical_sigma(ck.params, eps, "relative", task.full_loss, noise_draws=8, seed=2).value
+    (res,) = critical_sigma(ck.params, [eps], "relative", task.full_loss, noise_draws=8, seed=2)
+    sig = res.value
     grid = np.geomspace(1e-6, 10.0, 1600)
     oracle = max(s for s in grid
                  if noise_delta_loss(ck.params, s, "relative", task.full_loss, 8, 2) <= eps)
@@ -242,7 +243,7 @@ def test_c09_toy_checkpoint_sweep():
     cfg = LlcConfig(nbeta=30.0, gamma=300.0, step_size=2e-4, chains=8, steps_per_chain=1500,
                     burn_in=300, batch_size=64, baseline_batches=16)
     lams = [estimate_llc(task, cfg, seed=7, w_star=c.params).lambda_hat for c in cks]
-    nqs = [critical_nq(c.params, 0.5, task.full_loss, mode="loss_min").value for c in cks]
+    nqs = [critical_nq(c.params, [0.5], task.full_loss, mode="loss_min")[0].value for c in cks]
 
     pairs = len(lams) - 1
     nondecreasing = sum(1 for i in range(1, len(lams)) if lams[i] >= lams[i - 1])

@@ -430,6 +430,25 @@ class TestErrors:
         _, cfg_path, _ = workdir
         assert main(["estimate-llc", "--config", str(cfg_path), "--out", str(tmp_path / "empty")]) == 1
 
+    @pytest.mark.parametrize("command", ["estimate-llc", "quantize-sweep", "factorize-sweep",
+                                         "noise-sweep", "prune-sweep"])
+    def test_non_finite_checkpoint_exit_1(self, workdir, tmp_path, capsys, command):
+        # one NaN parameter in one checkpoint: no command reads on to write NaN rows
+        from basinlab.training import load_checkpoint, save_checkpoint
+        _, cfg_path, out = workdir
+        d = tmp_path / "o" / "checkpoints"
+        d.mkdir(parents=True)
+        for f in sorted((out / "checkpoints").glob("ckpt_*.bin")):
+            (d / f.name).write_bytes(f.read_bytes())
+        bad = sorted(d.glob("ckpt_*.bin"))[1]
+        ck = load_checkpoint(bad)
+        ck.params[0] = np.nan
+        save_checkpoint(ck, bad)
+        assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and f"{bad}: non-finite parameters" in err
+        assert not list((tmp_path / "o").glob("*.csv"))
+
     def test_degenerate_llc_analysis_exit_1(self, workdir, tmp_path):
         # all checkpoints share one lambda_hat: rank-deficient design
         out = tmp_path / "degen"

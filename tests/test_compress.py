@@ -69,14 +69,18 @@ def reference_loss_min_m(params, n_q, loss_eval):
     return best_m, best_loss - base
 
 
-def reference_critical_nq(params, epsilon, loss_eval, mode="loss_min", nq_cap=2**16):
-    """critical_nq with every probe a complete search."""
+def reference_critical_nq(params, epsilons, loss_eval, mode="loss_min", nq_cap=2**16):
+    """critical_nq with every probe a complete search, one epsilon at a time.
+    A max_abs probe whose one clamp gives a non-finite loss raises."""
     def probe(nq):
         if mode == "loss_min":
             return reference_loss_min_m(params, nq, loss_eval)[1]
         m = float(np.max(np.abs(params)))
         q = reference_quantize(params, QuantizationSpec(n_q=nq, m_clamp=m))
-        return loss_eval(q) - loss_eval(params)
+        dl = loss_eval(q) - loss_eval(params)
+        if not np.isfinite(dl):
+            raise QuantizationFailedError("the max|w| clamp gave a non-finite loss")
+        return dl
 
     cache = {}
 
@@ -85,14 +89,17 @@ def reference_critical_nq(params, epsilon, loss_eval, mode="loss_min", nq_cap=2*
             cache[nq] = probe(nq)
         return cache[nq]
 
-    hi = 4
-    while dl(hi) > epsilon:
-        hi *= 2
-        if hi > nq_cap:
-            raise UnreachableToleranceError(f"delta loss still above {epsilon} at n_q={nq_cap}")
-    if hi > 4:
-        hi = 2 * compress._lowest_passing(lambda k: dl(2 * k), epsilon, hi // 4, hi // 2)
-    return CriticalResult(hi, cache[hi], hi)
+    results = []
+    for epsilon in epsilons:
+        hi = 4
+        while dl(hi) > epsilon:
+            hi *= 2
+            if hi > nq_cap:
+                raise UnreachableToleranceError(f"delta loss still above {epsilon} at n_q={nq_cap}")
+        if hi > 4:
+            hi = 2 * compress._lowest_passing(lambda k: dl(2 * k) <= epsilon, hi // 4, hi // 2)
+        results.append(CriticalResult(hi, cache[hi], hi))
+    return results
 
 
 def reference_prune_and_retrain(task, params, keep_fraction, learning_rate, retrain_steps=1000,
@@ -137,14 +144,35 @@ def reference_prune_and_retrain(task, params, keep_fraction, learning_rate, retr
                                 n_pruned=n_prune, mask=mask, no_op=(n_prune == 0))
 
 
-def outcome(search, *args, **kwargs):
-    """A critical_nq-like search's result, delta_loss bit for bit (NaN included),
+def outcome(search, epsilons):
+    """search(epsilons)'s results, each delta_loss bit for bit (NaN included),
     or the type of the error it raised."""
     try:
-        res = search(*args, **kwargs)
+        results = search(epsilons)
     except (QuantizationFailedError, UnreachableToleranceError) as e:
         return type(e)
-    return res.value, float(res.delta_loss).hex(), res.critical_value
+    return [(r.value, float(r.delta_loss).hex(), r.critical_value) for r in results]
+
+
+def orders(epsilons):
+    """The epsilons ascending, descending and with repeats."""
+    up = sorted(epsilons)
+    return {"ascending": up, "descending": up[::-1], "repeated": up + up[::-1] + up[:1]}
+
+
+def assert_joint_equals_one_call_per_epsilon(search, epsilons):
+    """In every order of the epsilons, one joint search call equals one call
+    per epsilon joined as a joint call reports them: the results in order,
+    or the error of the first epsilon that raises."""
+    single = {eps: outcome(search, [eps]) for eps in epsilons}
+    for order in orders(epsilons).values():
+        expected = []
+        for eps in order:
+            if not isinstance(single[eps], list):
+                expected = single[eps]
+                break
+            expected += single[eps]
+        assert outcome(search, order) == expected, order
 
 
 @pytest.fixture(scope="module")
@@ -267,7 +295,8 @@ class TestLossMinClampSearch:
 
 class TestCriticalNq:
     def test_zero_params_floor(self):
-        nq = critical_nq(np.zeros(7), 0.5, lambda w: float(np.sum(w**2))).value
+        (res,) = critical_nq(np.zeros(7), [0.5], lambda w: float(np.sum(w**2)))
+        nq = res.value
         assert nq == 4
 
     def test_tolerance_above_coarsest(self):
@@ -276,14 +305,14 @@ class TestCriticalNq:
         loss_eval = lambda v: float(np.sum((v - w) ** 2))
         # epsilon larger than the n_q=4 loss increase
         eps = quantization_delta_loss(w, 4, loss_eval) + 1.0
-        assert critical_nq(w, eps, loss_eval).value == 4
+        assert critical_nq(w, [eps], loss_eval)[0].value == 4
 
     def test_matches_exhaustive_scan_on_mlp_checkpoint(self):
         task = make_teacher_task(MlpSpec(layer_sizes=(4, 8, 4)), 256, seed=4, teacher_gain=2.0)
         (ck,) = train_sgd(task, steps=2000, learning_rate=0.05, batch_size=32, seed=1,
                           checkpoint_schedule=(2000,))
         for eps in (0.5, 0.25):
-            res = critical_nq(ck.params, eps, task.full_loss)
+            (res,) = critical_nq(ck.params, [eps], task.full_loss)
             found = res.value
             scan = next(
                 nq for nq in range(4, 200, 2)
@@ -301,9 +330,9 @@ class TestCriticalNq:
         (ck,) = train_sgd(task, steps=2000, learning_rate=0.05, batch_size=32, seed=1,
                           checkpoint_schedule=(2000,))
         probed = []
-        probe = compress.quantization_delta_loss
-        monkeypatch.setattr(compress, "quantization_delta_loss",
-                            lambda params, nq, *a: probed.append(nq) or probe(params, nq, *a))
+        search = compress._clamp_search
+        monkeypatch.setattr(compress, "_clamp_search",
+                            lambda params, nq, *a: probed.append(nq) or search(params, nq, *a))
         expected = {
             (0.5, "loss_min"): [4, 8, 16, 12, 10],
             (0.25, "loss_min"): [4, 8, 16, 12, 14],
@@ -313,7 +342,7 @@ class TestCriticalNq:
         for (eps, mode), nqs in expected.items():
             probed.clear()
             loss_eval = counting(task.full_loss, ck.params)
-            critical_nq(ck.params, eps, loss_eval, mode=mode)
+            critical_nq(ck.params, [eps], loss_eval, mode=mode)
             assert probed == nqs
             assert loss_eval.base_evals == 1
 
@@ -322,22 +351,24 @@ class TestCriticalNq:
     @pytest.mark.parametrize("name", ["4-8-4", "4-16-16-4"])
     def test_equals_complete_search_on_checkpoints(self, checkpoints, name, eps, mode):
         params, loss_eval = checkpoints[name]
-        assert (outcome(critical_nq, params, eps, loss_eval, mode=mode)
-                == outcome(reference_critical_nq, params, eps, loss_eval, mode=mode))
+        assert (outcome(lambda e: critical_nq(params, e, loss_eval, mode=mode), [eps])
+                == outcome(lambda e: reference_critical_nq(params, e, loss_eval, mode=mode), [eps]))
 
     @pytest.mark.parametrize("where", ["top", "off_grid"])
     @pytest.mark.parametrize("broken", [None, np.nan, np.inf, -np.inf])
     @given(
         seed=st.integers(0, 2**32 - 1),
         dim=st.integers(1, 12),
-        eps=st.floats(1e-3, 2.0),
+        epsilons=st.lists(st.floats(1e-3, 2.0), min_size=1, max_size=3),
         mode=st.sampled_from(["loss_min", "max_abs"]),
     )
     @settings(max_examples=30, deadline=None)
-    def test_equals_complete_search_on_quadratics(self, seed, dim, eps, mode, broken, where):
+    def test_equals_complete_search_on_quadratics(self, seed, dim, epsilons, mode, broken, where):
         # `broken` replaces the loss at the clamps the search meets first (the
         # top of the grid) or at every clamp off the grid (the golden-section
-        # points): a non-finite loss never counts as a passing one
+        # points): a non-finite loss never counts as a passing one. One joint
+        # call per order of the epsilons equals one call per epsilon and the
+        # complete search
         rng = rng_stream(seed, 0)
         w = rng.uniform(-2, 2, dim)
         a = rng.uniform(0.1, 4.0, dim)
@@ -351,18 +382,28 @@ class TestCriticalNq:
                 return broken
             return float(np.sum(a * (v - w) ** 2))
 
-        assert (outcome(critical_nq, w, eps, loss_eval, mode=mode)
-                == outcome(reference_critical_nq, w, eps, loss_eval, mode=mode))
+        def search(e):
+            return critical_nq(w, e, loss_eval, mode=mode)
+
+        assert_joint_equals_one_call_per_epsilon(search, epsilons)
+        eps = orders(epsilons)["repeated"]
+        assert outcome(search, eps) == outcome(
+            lambda e: reference_critical_nq(w, e, loss_eval, mode=mode), eps)
 
     def test_evaluations_pinned_and_never_repeated(self, checkpoints):
         # the scan test's checkpoint. With every probe complete and the base
-        # loss evaluated once, both searches make 375 evaluations. At 0.5 the
-        # passing probes stop at their verdict; at 0.25 the one passing probe
-        # (n_q = 16) runs complete, and the final search evaluates nothing again
+        # loss evaluated once, the searches at 0.5 and 0.25 make 375
+        # evaluations. At 0.5 and 1.0 the passing probes stop at their
+        # verdict; at 0.25 the one passing probe (n_q = 16) runs complete.
+        # Completing the returned n_q's search resumes it, evaluating nothing
+        # again. One joint call shares every probe: 524 evaluations, not
+        # 302 + 375 + 224, in any order of the epsilons
         params, full_loss = checkpoints["4-8-4"]
-        for eps, n_evals in {0.5: 302, 0.25: 375}.items():
+        calls = {(0.5,): 302, (0.25,): 375, (1.0,): 224, (0.25, 0.5, 1.0): 524,
+                 (1.0, 0.5, 0.25): 524, (0.5, 0.25, 0.5, 1.0, 0.25): 524}
+        for epsilons, n_evals in calls.items():
             seen = []
-            critical_nq(params, eps, lambda w: seen.append(w.tobytes()) or full_loss(w))
+            critical_nq(params, epsilons, lambda w: seen.append(w.tobytes()) or full_loss(w))
             assert len(seen) == n_evals
             assert len(set(seen)) == n_evals
 
@@ -372,18 +413,18 @@ class TestCriticalNq:
         # loss punishes any deviation at a scale no grid can meet
         loss_eval = lambda v: float(1e9 * np.sum((v - w) ** 2)) if not np.array_equal(v, w) else 0.0
         with pytest.raises(UnreachableToleranceError, match=r"at n_q=256$"):
-            critical_nq(w, 1e-12, loss_eval, mode="max_abs", nq_cap=256)
+            critical_nq(w, [1e-12], loss_eval, mode="max_abs", nq_cap=256)
         # the message names the largest n_q probed, a power of two, not the cap
         with pytest.raises(UnreachableToleranceError, match=r"at n_q=64$"):
-            critical_nq(w, 1e-12, loss_eval, mode="max_abs", nq_cap=100)
+            critical_nq(w, [1e-12], loss_eval, mode="max_abs", nq_cap=100)
 
     @pytest.mark.parametrize("nq_cap", [2, 3, 0, -4])
     def test_cap_below_smallest_probe_rejected(self, nq_cap):
         # a cap under 4 would let the first probe, n_q = 4, return above it
         loss_eval = lambda v: float(np.sum(v**2))
         with pytest.raises(InvalidInputError, match="nq_cap"):
-            critical_nq(np.linspace(-1, 1, 6), 10.0, loss_eval, nq_cap=nq_cap)
-        assert critical_nq(np.linspace(-1, 1, 6), 10.0, loss_eval, nq_cap=4).value == 4
+            critical_nq(np.linspace(-1, 1, 6), [10.0], loss_eval, nq_cap=nq_cap)
+        assert critical_nq(np.linspace(-1, 1, 6), [10.0], loss_eval, nq_cap=4)[0].value == 4
 
     def test_delta_loss_mostly_nonincreasing_in_nq(self):
         # fixed-batch measurement: the curve is non-increasing wherever the
@@ -407,7 +448,7 @@ class TestCriticalNq:
         task = make_teacher_task(MlpSpec(layer_sizes=(4, 8, 4)), 256, seed=6, teacher_gain=2.0)
         (ck,) = train_sgd(task, steps=1000, learning_rate=0.05, batch_size=32, seed=2,
                           checkpoint_schedule=(1000,))
-        nq = critical_nq(ck.params, 0.5, task.full_loss).value
+        nq = critical_nq(ck.params, [0.5], task.full_loss)[0].value
         assert quantization_delta_loss(ck.params, nq, task.full_loss) <= 0.5
         if nq > 4:
             assert quantization_delta_loss(ck.params, nq - 2, task.full_loss) > 0.5
@@ -464,16 +505,16 @@ class TestCriticalCompressionFraction:
         x = rng.standard_normal((256, 8))
         y = model.forward(params, x)
         loss_eval = lambda p: model.loss(p, x, y)
-        res = critical_compression_fraction(model, params, epsilon=1e-10, loss_eval=loss_eval,
-                                            layer_selection=[0])
+        (res,) = critical_compression_fraction(model, params, epsilons=[1e-10],
+                                               loss_eval=loss_eval, layer_selection=[0])
         assert res.value == 3 / 8
         assert res.value == pytest.approx(3 / 8)
 
     def test_bracket_floor(self):
         model = MlpModel(MlpSpec(layer_sizes=(6, 6)))
         params = model.pack([(np.zeros((6, 6)), np.zeros(6))])
-        res = critical_compression_fraction(model, params, epsilon=0.5,
-                                            loss_eval=lambda p: 0.0, layer_selection=[0])
+        (res,) = critical_compression_fraction(model, params, epsilons=[0.5],
+                                               loss_eval=lambda p: 0.0, layer_selection=[0])
         assert res.value == 1 / 6
 
     def test_matches_exhaustive_scan_on_mlp(self):
@@ -482,7 +523,7 @@ class TestCriticalCompressionFraction:
                           checkpoint_schedule=(3000,))
         base = task.full_loss(ck.params)
         eps = 0.1
-        res = critical_compression_fraction(task.model, ck.params, eps, task.full_loss)
+        (res,) = critical_compression_fraction(task.model, ck.params, [eps], task.full_loss)
         scan = next(
             j for j in range(1, 17)
             if task.full_loss(factorize(task.model, ck.params, j / 16).params) - base <= eps
@@ -506,7 +547,7 @@ class TestCriticalCompressionFraction:
         for eps, js in expected.items():
             probed.clear()
             loss_eval = counting(task.full_loss, ck.params)
-            critical_compression_fraction(task.model, ck.params, eps, loss_eval)
+            critical_compression_fraction(task.model, ck.params, [eps], loss_eval)
             assert probed == js
             assert loss_eval.base_evals == 1
 
@@ -538,7 +579,7 @@ class TestAddNoise:
 class TestCriticalSigma:
     def test_strict_minimum_with_zero_tolerance_returns_floor(self):
         loss_eval = lambda w: float(np.sum(w**2))
-        res = critical_sigma(np.zeros(4), 0.0, "absolute", loss_eval, noise_draws=4, seed=0)
+        (res,) = critical_sigma(np.zeros(4), [0.0], "absolute", loss_eval, noise_draws=4, seed=0)
         assert res.value == 1e-6
         assert res.delta_loss == noise_delta_loss(np.zeros(4), 1e-6, "absolute", loss_eval, 4, 0)
 
@@ -547,7 +588,7 @@ class TestCriticalSigma:
         monkeypatch.setattr(compress, "rng_stream", lambda seed, k: streams.append(k) or
                             rng_stream(seed, k))
         loss_eval = lambda w: float(np.sum(w**2))
-        res = critical_sigma(np.zeros(4), 0.04, "absolute", loss_eval, noise_draws=4, seed=0)
+        (res,) = critical_sigma(np.zeros(4), [0.04], "absolute", loss_eval, noise_draws=4, seed=0)
         assert streams == [0, 1, 2, 3]
         monkeypatch.undo()
         assert res.delta_loss == noise_delta_loss(np.zeros(4), res.value, "absolute", loss_eval,
@@ -557,7 +598,8 @@ class TestCriticalSigma:
         # E[dLoss] = sigma^2 for K = w^2 at w* = 0, so sigma* = sqrt(eps)
         loss_eval = lambda w: float(np.sum(w**2))
         eps = 0.04
-        sig = critical_sigma(np.zeros(1), eps, "absolute", loss_eval, noise_draws=4096, seed=1).value
+        (res,) = critical_sigma(np.zeros(1), [eps], "absolute", loss_eval, noise_draws=4096, seed=1)
+        sig = res.value
         assert sig == pytest.approx(np.sqrt(eps), rel=0.05)
 
     def test_matches_exhaustive_grid_scan(self):
@@ -565,7 +607,7 @@ class TestCriticalSigma:
         (ck,) = train_sgd(task, steps=2000, learning_rate=0.05, batch_size=32, seed=1,
                           checkpoint_schedule=(2000,))
         eps = 0.5
-        res = critical_sigma(ck.params, eps, "relative", task.full_loss, noise_draws=8, seed=2)
+        (res,) = critical_sigma(ck.params, [eps], "relative", task.full_loss, noise_draws=8, seed=2)
         sig = res.value
         assert res.delta_loss == noise_delta_loss(ck.params, sig, "relative", task.full_loss, 8, 2)
         assert res.critical_value == sig
@@ -586,13 +628,126 @@ class TestCriticalSigma:
     def test_evaluates_base_once(self):
         w = rng_stream(14, 0).uniform(-1, 1, 6)
         loss_eval = counting(lambda v: float(np.sum(v**2)), w)
-        critical_sigma(w, 0.1, "relative", loss_eval)
+        critical_sigma(w, [0.1], "relative", loss_eval)
         assert loss_eval.base_evals == 1
 
     def test_no_crossing_raises(self):
         with pytest.raises(UnreachableToleranceError):
-            critical_sigma(np.zeros(3), 1e9, "absolute", lambda w: float(np.sum(w**2)),
+            critical_sigma(np.zeros(3), [1e9], "absolute", lambda w: float(np.sum(w**2)),
                            noise_draws=2, seed=0)
+
+
+def nan_loss(w):
+    return float("nan")
+
+
+class TestNonFiniteLoss:
+    """A non-finite loss increase never passes, and no search returns a NaN."""
+
+    @pytest.mark.parametrize("mode,message", [
+        ("max_abs", r"the clamp max\|w\| = 1\.0 gave non-finite loss at n_q=4$"),
+        ("loss_min", r"all 64 clamp candidates gave non-finite loss at n_q=4$"),
+    ])
+    def test_clamp_search_raises(self, mode, message):
+        with pytest.raises(QuantizationFailedError, match=message):
+            critical_nq(np.linspace(-1, 1, 6), [0.1], nan_loss, mode=mode)
+
+    def test_sigma_raises_at_lower_bound(self):
+        with pytest.raises(UnreachableToleranceError, match=r"sigma=1e-06$"):
+            critical_sigma(np.linspace(-1, 1, 6), [0.1], "absolute", nan_loss)
+
+    def test_fraction_raises_at_full_rank(self):
+        model = MlpModel(MlpSpec(layer_sizes=(4, 6, 6, 4)))
+        params = model.init_params(rng_stream(15, 0))
+        with pytest.raises(UnreachableToleranceError, match="full rank"):
+            critical_compression_fraction(model, params, [0.1], nan_loss)
+
+
+def quadratic(seed, dim):
+    """A positive-definite diagonal quadratic loss with its minimum at w."""
+    rng = rng_stream(seed, 0)
+    w = rng.uniform(-2, 2, dim)
+    a = rng.uniform(0.1, 4.0, dim)
+    return w, lambda v: float(np.sum(a * (v - w) ** 2))
+
+
+class TestJointSearch:
+    """One call with a list of epsilons equals one call per epsilon, bit for
+    bit, in any order and with repeats, and evaluates no vector twice."""
+
+    EPSILONS = [0.25, 0.5, 1.0]
+
+    @pytest.mark.parametrize("mode", ["loss_min", "max_abs"])
+    @pytest.mark.parametrize("name", ["4-8-4", "4-16-16-4"])
+    def test_nq_on_checkpoints(self, checkpoints, name, mode):
+        params, loss_eval = checkpoints[name]
+        assert_joint_equals_one_call_per_epsilon(
+            lambda e: critical_nq(params, e, loss_eval, mode=mode), self.EPSILONS)
+
+    @pytest.mark.parametrize("name", ["4-8-4", "4-16-16-4"])
+    def test_sigma_on_checkpoints(self, checkpoints, name):
+        params, loss_eval = checkpoints[name]
+        assert_joint_equals_one_call_per_epsilon(
+            lambda e: critical_sigma(params, e, "relative", loss_eval, noise_draws=8, seed=2),
+            self.EPSILONS)
+
+    def test_fraction_on_checkpoint(self, checkpoints):
+        params, loss_eval = checkpoints["4-16-16-4"]
+        model = MlpModel(MlpSpec(layer_sizes=(4, 16, 16, 4)))
+        assert_joint_equals_one_call_per_epsilon(
+            lambda e: critical_compression_fraction(model, params, e, loss_eval),
+            [0.02, 0.1] + self.EPSILONS)
+
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 12),
+           epsilons=st.lists(st.floats(1e-3, 2.0), min_size=1, max_size=3),
+           mode=st.sampled_from(["absolute", "relative"]))
+    @settings(max_examples=30, deadline=None)
+    def test_sigma_on_quadratics(self, seed, dim, epsilons, mode):
+        w, loss_eval = quadratic(seed, dim)
+        assert_joint_equals_one_call_per_epsilon(
+            lambda e: critical_sigma(w, e, mode, loss_eval, noise_draws=2, seed=seed), epsilons)
+
+    @given(seed=st.integers(0, 2**32 - 1),
+           epsilons=st.lists(st.floats(1e-3, 2.0), min_size=1, max_size=3))
+    @settings(max_examples=30, deadline=None)
+    def test_fraction_on_quadratics(self, seed, epsilons):
+        model = MlpModel(MlpSpec(layer_sizes=(3, 8, 6, 2)))
+        w, loss_eval = quadratic(seed, model.n_params)
+        assert_joint_equals_one_call_per_epsilon(
+            lambda e: critical_compression_fraction(model, w, e, loss_eval), epsilons)
+
+    def test_evaluations_pinned_and_never_repeated(self, checkpoints):
+        # critical_nq's counts are pinned in TestCriticalNq. Every sigma
+        # bisection starts from the same bounds, so the joint search shares
+        # its first steps: 1 + 37 sigmas x 8 draws, not 3 x (1 + 16 x 8)
+        params, full_loss = checkpoints["4-16-16-4"]
+        model = MlpModel(MlpSpec(layer_sizes=(4, 16, 16, 4)))
+        searches = {
+            "sigma": (lambda e, f: critical_sigma(params, e, "relative", f, noise_draws=8, seed=2),
+                      129, 289),
+            "fraction": (lambda e, f: critical_compression_fraction(model, params, e, f), 7, 9),
+        }
+        for name, (search, single, joint) in searches.items():
+            for epsilons, n_evals in [([eps], single) for eps in self.EPSILONS] + [
+                    (eps, joint) for eps in orders(self.EPSILONS).values()]:
+                seen = []
+                search(epsilons, lambda w: seen.append(w.tobytes()) or full_loss(w))
+                assert len(seen) == n_evals, (name, epsilons)
+                assert len(set(seen)) == n_evals, (name, epsilons)
+
+    @pytest.mark.parametrize("bad", [0.5, [[0.5]], [0.5, -1.0], [float("nan")]])
+    def test_bad_epsilons_rejected(self, bad):
+        loss_eval = lambda v: float(np.sum(v**2))
+        model = MlpModel(MlpSpec(layer_sizes=(4, 6, 6, 4)))
+        params = model.init_params(rng_stream(15, 0))
+        for search in (lambda e: critical_nq(params, e, loss_eval),
+                       lambda e: critical_sigma(params, e, "absolute", loss_eval),
+                       lambda e: critical_compression_fraction(model, params, e, loss_eval)):
+            with pytest.raises(InvalidInputError, match="epsilons"):
+                search(bad)
+        # zero is a tolerance only critical_sigma accepts
+        with pytest.raises(InvalidInputError, match="positive"):
+            critical_nq(params, [0.0], loss_eval)
 
 
 @pytest.fixture(scope="module")

@@ -1,5 +1,6 @@
 """The demos keep up with the library: every name a demo imports from
-basinlab exists, and the two quickest demos run to exit 0."""
+basinlab exists, and the quickest demos run to exit 0: 01, 03, and 04,
+which calls all three critical searches."""
 
 import ast
 import importlib
@@ -37,7 +38,8 @@ def test_imported_names_resolve(demo):
     assert missing == []
 
 
-@pytest.mark.parametrize("name", ["01_volume_scaling", "03_two_part_code"])
+@pytest.mark.parametrize("name", ["01_volume_scaling", "03_two_part_code",
+                                  "04_compression_thresholds"])
 def test_quick_demo_exits_0(name):
     src = str(Path(basinlab.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

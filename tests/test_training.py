@@ -90,6 +90,16 @@ class TestCheckpointFormat:
         with pytest.raises(InvalidInputError):
             load_checkpoint(p)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_params_rejected(self, task, tmp_path, bad):
+        (ck,) = train_sgd(task, steps=1, learning_rate=0.05, batch_size=8, seed=2,
+                          checkpoint_schedule=(1,))
+        ck.params[3] = bad
+        path = tmp_path / "c.bin"
+        save_checkpoint(ck, path)
+        with pytest.raises(InvalidInputError, match=f"{path}: non-finite parameters"):
+            load_checkpoint(path)
+
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_outside_u64_rejected(self, seed):
         ck = Checkpoint(step=0, params=np.zeros(3), train_loss=0.0, seed=seed, spec_hash=0)
