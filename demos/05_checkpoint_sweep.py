@@ -37,15 +37,17 @@ checkpoints = train_sgd(task, steps=51_200, learning_rate=0.03, batch_size=32, s
 
 cfg = LlcConfig(nbeta=30.0, gamma=300.0, step_size=2e-4, chains=8, steps_per_chain=1500,
                 burn_in=300, batch_size=64, baseline_batches=16)
-print("estimating the local learning coefficient at each checkpoint...\n")
+print("estimating the local learning coefficient at every checkpoint in one stacked call...\n")
+# a (checkpoints, d) stack of w_star: one sampler steps all 8 x 8 chains at
+# once, each checkpoint's estimate equal to a call with its w_star alone
+estimates = estimate_llc(task, cfg, seed=7, w_star=np.stack([ck.params for ck in checkpoints]))
 print(f"{'step':>7} {'train loss':>11} {'lambda_hat':>11} {'critical n_q':>13}")
 lams, nqs = [], []
-for ck in checkpoints:
-    lam = estimate_llc(task, cfg, seed=7, w_star=ck.params).lambda_hat
+for ck, est in zip(checkpoints, estimates):
     nq = critical_nq(ck.params, [0.5], task.full_loss, mode="loss_min")[0].value
-    lams.append(lam)
+    lams.append(est.lambda_hat)
     nqs.append(nq)
-    print(f"{ck.step:7d} {ck.train_loss:11.4f} {lam:11.3f} {nq:13d}")
+    print(f"{ck.step:7d} {ck.train_loss:11.4f} {est.lambda_hat:11.3f} {nq:13d}")
 
 res = analyze([c.step for c in checkpoints], lams, [float(n) for n in nqs])
 print(f"\nlinear fit of critical n_q on lambda_hat: slope {res.slope:.3f}, "

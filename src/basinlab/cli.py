@@ -37,7 +37,7 @@ from .compress import (
 # Not called here since the searches report their own delta_loss, but kept
 # importable: benchmarks/tracing.py patches the probes under these names.
 from .compress import noise_delta_loss, quantization_delta_loss  # noqa: F401
-from .errors import ConfigError
+from .errors import ChainDivergedError, ConfigError
 from .landscapes import Bounds, NormalCrossingSpec, make_normal_crossing, make_quadratic
 from .llc import LlcConfig, Preconditioner, estimate_llc
 from .mdl import build_eps_net, mc_ball_volumes, two_part_redundancy, validate_kl_l2, validate_triangle, validate_variance_bound, validate_volume_inclusions
@@ -279,10 +279,17 @@ def cmd_estimate_llc(cfg: dict) -> int:
     llc["preconditioner"] = Preconditioner(kind=pc) if isinstance(pc, str) else Preconditioner(**pc)
     llc_cfg = LlcConfig(**llc)
     seed, write_traces = cfg["llc"]["seed"], cfg["llc"]["write_traces"]
+    cks = load_checkpoints(cfg)
+    try:
+        # one call samples every checkpoint, sharing its draws
+        ests = estimate_llc(task, llc_cfg, seed=seed, w_star=np.stack([ck.params for ck in cks]))
+    except ChainDivergedError as e:
+        # name the checkpoint by its training step too, as llc.csv does
+        raise ChainDivergedError(e.chain, e.step, e.diagnostics, e.checkpoint,
+                                 training_step=cks[e.checkpoint].step) from e
     rows = []
     trace_rows = []
-    for ck in load_checkpoints(cfg):
-        est = estimate_llc(task, llc_cfg, seed=seed, w_star=ck.params)
+    for ck, est in zip(cks, ests):
         rows.append((ck.step, est.lambda_hat, llc_cfg.nbeta, llc_cfg.gamma,
                      llc_cfg.step_size, llc_cfg.chains, seed))
         if write_traces:

@@ -39,13 +39,21 @@ class TrainingDivergedError(RuntimeError):
 
 
 class ChainDivergedError(RuntimeError):
-    """A sampling chain produced a non-finite state."""
+    """A sampling chain produced a non-finite state. In a call that samples a
+    stack of checkpoints, `checkpoint` is the index of the chain's own and
+    `training_step`, where the caller knows it, that checkpoint's step."""
 
-    def __init__(self, chain: int, step: int, diagnostics=None):
+    def __init__(self, chain: int, step: int, diagnostics=None, checkpoint: int | None = None,
+                 training_step: int | None = None):
         self.chain = chain
         self.step = step
         self.diagnostics = diagnostics
-        super().__init__(f"chain {chain} diverged at step {step}")
+        self.checkpoint = checkpoint
+        self.training_step = training_step
+        where = "" if checkpoint is None else f" of checkpoint {checkpoint}"
+        if training_step is not None:
+            where += f" (training step {training_step})"
+        super().__init__(f"chain {chain}{where} diverged at step {step}")
 
 
 class UnreachableToleranceError(RuntimeError):

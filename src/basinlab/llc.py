@@ -97,9 +97,10 @@ class LlcEstimate:
 
 
 def _require_finite(w_new: np.ndarray) -> None:
-    """Raise ChainDivergedError unless every coordinate is finite. For a
-    (chains, d) stack it names the lowest non-finite row; the step is left -1
-    for the caller to fill in."""
+    """Raise ChainDivergedError unless every coordinate is finite. For a stack
+    of rows it names the lowest non-finite row, counting rows in C order over
+    every leading axis (so row k * chains + c of a (C, chains, d) stack); the
+    step is left -1 for the caller to fill in."""
     if not np.all(np.isfinite(w_new)):
         chain = int(np.argmin(np.isfinite(w_new).all(axis=-1))) if w_new.ndim > 1 else -1
         raise ChainDivergedError(chain=chain, step=-1)
@@ -120,8 +121,14 @@ def sgld_step(
     may be (chains, d) stacks that step every chain at once.
     """
     eps = cfg.step_size
-    drift = cfg.nbeta * grad_loss + cfg.gamma * (w - w_star)
-    w_new = w - 0.5 * eps * drift + np.sqrt(eps) * noise
+    # the arithmetic of w - 0.5 * eps * (nbeta * grad_loss + gamma * (w - w*))
+    # + sqrt(eps) * noise, in place in one w-shaped temporary
+    w_new = np.subtract(w, w_star)
+    w_new *= cfg.gamma
+    w_new += cfg.nbeta * grad_loss
+    w_new *= 0.5 * eps
+    np.subtract(w, w_new, out=w_new)
+    w_new += np.sqrt(eps) * noise
     _require_finite(w_new)
     return bounds.clamp(w_new) if bounds is not None else w_new
 
@@ -158,7 +165,7 @@ def estimate_llc(
     cfg: LlcConfig,
     seed: int,
     w_star: np.ndarray | None = None,
-) -> LlcEstimate:
+) -> LlcEstimate | list[LlcEstimate]:
     """Estimate the local learning coefficient at w_star.
 
     Chains start at w_star and draw from per-chain streams (stream c for
@@ -168,78 +175,116 @@ def estimate_llc(
     (after its minibatch, for MLP targets), the same draws in the same order
     as running the chains one after another. The reduction averages chains
     in index order. Negative estimates are returned as-is and flagged, not
-    clipped. Raises ChainDivergedError (with the partial trace of every
-    chain attached) at the earliest step at which a chain produces a
-    non-finite state, naming the lowest such chain at that step.
+    clipped.
+
+    For an MLP target, w_star may also be a (C, d) stack, such as the
+    checkpoints of one training run; the call then returns C estimates, and
+    estimate k equals the call with w_star[k] alone, bit for bit. Since the
+    draws depend only on the seed, every checkpoint's chain c uses the same
+    minibatches and noise: each step draws them once and broadcasts them over
+    a (C, chains, d) array, and each baseline batch is one C-row forward.
+    A (d,) w_star is the C = 1 case of the same loop, returned unwrapped.
+
+    Raises ChainDivergedError (with the partial trace of every chain of the
+    diverged w_star attached) at the earliest step at which a chain produces a
+    non-finite state, naming the lowest such chain at that step. In a stack,
+    the error is the one the lowest diverging checkpoint would raise alone,
+    with its index as `checkpoint`: once checkpoint k diverges, checkpoints
+    k and above stop, the lower ones step on to the end, and the lowest that
+    diverged is raised (checkpoint 0 at once).
     """
     if isinstance(target, Landscape):
-        if w_star is None:
-            w_star = target.minimum
-        w_star = np.asarray(w_star, dtype=float)
+        w_star = np.asarray(target.minimum if w_star is None else w_star, dtype=float)
+        if w_star.ndim != 1:
+            raise InvalidInputError("landscape targets take one (d,) w_star")
         if not bool(target.bounds.contains(w_star)):
             raise InvalidInputError("w_star outside the parameter bounds")
         bounds = target.bounds
-        dim = target.dim
 
         def losses_grads(w, rngs):
-            return target.value(w), target.grad(w)
+            # one w_star: evaluate the (chains, d) rows, the shape landscapes take
+            return target.value(w[0])[None], target.grad(w[0])[None]
 
-        baseline = float(target.value(w_star))
+        baseline = np.array([float(target.value(w_star))])
     elif isinstance(target, MlpTask):
         if w_star is None:
             raise InvalidInputError("mlp targets need an explicit w_star")
         w_star = np.asarray(w_star, dtype=float)
+        if w_star.ndim not in (1, 2):
+            raise InvalidInputError(f"w_star must be (d,) or (C, d), got shape {w_star.shape}")
         bounds = None
-        dim = target.model.n_params
+        model = target.model
+
+        def over(rows, batch):
+            """The batch's inputs and targets as views broadcast over `rows`."""
+            return [np.broadcast_to(a, rows + a.shape) for a in batch]
 
         def losses_grads(w, rngs):
-            return target.model.losses_and_grads(w, *target.batches(rngs, cfg.batch_size))
+            return model.losses_and_grads(w, *over(w.shape[:1], target.batches(rngs, cfg.batch_size)))
 
         rng_base = rng_stream(seed, cfg.chains)
-        baseline = float(
-            np.mean(
-                [
-                    target.model.loss(w_star, *target.batch(rng_base, cfg.batch_size))
-                    for _ in range(cfg.baseline_batches)
-                ]
-            )
-        )
+        stack = w_star.reshape(-1, w_star.shape[-1])
+        base_losses = np.empty((len(stack), cfg.baseline_batches))
+        for j in range(cfg.baseline_batches):
+            base_losses[:, j], _ = model.losses_and_grads(
+                stack, *over((len(stack),), target.batch(rng_base, cfg.batch_size)), need_grad=False)
+        # each row reduces in the order of np.mean over that checkpoint's list
+        baseline = base_losses.mean(axis=-1)
     else:
         raise InvalidInputError(f"unsupported target type {type(target).__name__}")
 
+    stacked = w_star.ndim == 2
+    anchors = w_star.reshape(-1, 1, w_star.shape[-1])  # (C, 1, d)
     burn = cfg.resolved_burn_in
-    trace = np.zeros((cfg.chains, cfg.steps_per_chain))
+    trace = np.zeros((len(anchors), cfg.chains, cfg.steps_per_chain))
     boundary_hits = 0
     use_pc = cfg.preconditioner.kind == "rmsprop"
 
     rngs = [rng_stream(seed, c) for c in range(cfg.chains)]
-    w = np.tile(w_star, (cfg.chains, 1))
-    v_acc = np.zeros((cfg.chains, dim))
-    noise = np.empty((cfg.chains, dim))
+    w = np.repeat(anchors, cfg.chains, axis=1)
+    v_acc = np.zeros(w.shape)
+    noise = np.empty(w.shape[1:])
+    diverged = None
+
+    def step(w, grad, v_acc):
+        if use_pc:
+            return psgld_step(w, grad, anchors[: len(w)], cfg, noise, v_acc, bounds)
+        return sgld_step(w, grad, anchors[: len(w)], cfg, noise, bounds), v_acc
+
     for t in range(cfg.steps_per_chain):
         losses, grad = losses_grads(w, rngs)
-        trace[:, t] = losses
+        trace[: len(w), :, t] = losses
         for rng, row in zip(rngs, noise):
             rng.standard_normal(out=row)
         try:
-            if use_pc:
-                w, v_acc = psgld_step(w, grad, w_star, cfg, noise, v_acc, bounds)
-            else:
-                w = sgld_step(w, grad, w_star, cfg, noise, bounds)
+            w, v_acc = step(w, grad, v_acc)
         except ChainDivergedError as e:
-            raise ChainDivergedError(chain=e.chain, step=t, diagnostics=trace[:, : t + 1])
+            k, chain = divmod(e.chain, cfg.chains)
+            diverged = ChainDivergedError(chain=chain, step=t, diagnostics=trace[k, :, : t + 1],
+                                          checkpoint=k if stacked else None)
+            if k == 0:
+                raise diverged
+            # the error now falls to checkpoint k or a lower one, so only the
+            # lower ones step on; their rows are finite, so this step holds
+            w, v_acc = step(w[:k], grad[:k], v_acc[:k])
         if bounds is not None:
             at_bound = (w == bounds.lo) | (w == bounds.hi)
-            boundary_hits += int(np.count_nonzero(at_bound.any(axis=1)))
+            boundary_hits += int(np.count_nonzero(at_bound.any(axis=-1)))
+    if diverged is not None:
+        raise diverged
 
-    per_chain = trace[:, burn:].mean(axis=1)
-    lam = float(cfg.nbeta * (per_chain.mean() - baseline))
-    return LlcEstimate(
-        lambda_hat=lam,
-        per_chain_means=per_chain,
-        baseline_loss=baseline,
-        trace=trace,
-        config=cfg,
-        seed=seed,
-        boundary_hits=boundary_hits,
-    )
+    per_chain = trace[..., burn:].mean(axis=-1)
+    lam = cfg.nbeta * (per_chain.mean(axis=-1) - baseline)
+    estimates = [
+        LlcEstimate(
+            lambda_hat=float(lam_k),
+            per_chain_means=per_chain_k,
+            baseline_loss=float(base_k),
+            trace=trace_k,
+            config=cfg,
+            seed=seed,
+            boundary_hits=boundary_hits,
+        )
+        for lam_k, per_chain_k, base_k, trace_k in zip(lam, per_chain, baseline, trace)
+    ]
+    return estimates if stacked else estimates[0]

@@ -44,15 +44,17 @@ class MlpSpec:
 class MlpModel:
     """The network of `spec`. One body evaluates loss and gradient for one
     parameter vector (`loss_and_grad`) and for a stack of them
-    (`losses_and_grads`). Forward passes write each layer's activations into
-    buffers kept per batch shape and reused by later calls, so a call
-    allocates no activation-sized temporaries; no result is a view of one."""
+    (`losses_and_grads`). The forward pass writes each layer's activations,
+    and the backward pass its residual and deltas, into buffers kept per batch
+    shape and reused by later calls, so a warm call allocates no
+    activation-sized temporaries; no result is a view of one."""
 
     spec: MlpSpec
     _shapes: list[tuple[int, int]] = field(init=False)
     # (weights, biases) slices of each layer in the flat parameter vector
     _spans: list[tuple[slice, slice]] = field(init=False, repr=False)
     _buffers: dict = field(init=False, default_factory=dict, repr=False, compare=False)
+    _work_buffers: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         sizes = self.spec.layer_sizes
@@ -77,8 +79,8 @@ class MlpModel:
 
     def _checked(self, params: np.ndarray, stacked: bool) -> np.ndarray:
         params = np.asarray(params, dtype=float)
-        if params.ndim != 1 + stacked or params.shape[-1] != self.n_params:
-            want = f"(K, {self.n_params})" if stacked else self.n_params
+        if params.ndim == 0 or (params.ndim > 1) != stacked or params.shape[-1] != self.n_params:
+            want = f"(K, ..., {self.n_params})" if stacked else self.n_params
             raise InvalidInputError(f"expected {want} parameters, got shape {params.shape}")
         return params
 
@@ -96,6 +98,14 @@ class MlpModel:
         if bufs is None:
             bufs = self._buffers[lead] = [np.empty(lead + (o,)) for o, _ in self._shapes]
         return bufs
+
+    def _work(self, shape: tuple[int, ...]) -> np.ndarray:
+        """A backward-pass work buffer of `shape`, kept for later calls. The
+        backward pass holds at most one at a time, so one per shape suffices."""
+        buf = self._work_buffers.get(shape)
+        if buf is None:
+            buf = self._work_buffers[shape] = np.empty(shape)
+        return buf
 
     def _activations(self, params: np.ndarray, x: np.ndarray):
         """Layer views of `params` (leading shape L + (n_params,)) and the
@@ -134,14 +144,16 @@ class MlpModel:
         y = np.asarray(y, dtype=float)
         if y.shape != out.shape:
             raise InvalidInputError(f"targets shape {y.shape} != outputs {out.shape}")
+        # the residual goes into the output buffer, which the backward pass
+        # does not read
+        diff = np.subtract(out, y, out=out)
         if not need_grad:
-            # the residual goes into the output buffer, which nothing reads later
-            np.subtract(out, y, out=out)
-            np.square(out, out=out)
-            return out.reshape(lead + (-1,)).sum(axis=-1) / n, None
-        diff = out - y
-        loss = (diff * diff).reshape(lead + (-1,)).sum(axis=-1) / n
-        delta = 2.0 * diff / n
+            np.square(diff, out=diff)
+            return diff.reshape(lead + (-1,)).sum(axis=-1) / n, None
+        sq = np.multiply(diff, diff, out=self._work(diff.shape))
+        loss = sq.reshape(lead + (-1,)).sum(axis=-1) / n
+        delta = np.multiply(2.0, diff, out=diff)
+        np.divide(delta, n, out=delta)
 
         grad = np.empty(params.shape)
         for li in reversed(range(len(layers))):
@@ -150,7 +162,13 @@ class MlpModel:
             np.matmul(delta.swapaxes(-1, -2), acts[li], out=grad[..., span_w].reshape(w.shape))
             np.add.reduce(delta, axis=-2, out=grad[..., span_b])
             if li > 0:
-                delta = np.matmul(delta, w) * (1.0 - acts[li] ** 2)
+                # the next delta, (delta @ w) * (1 - a^2), goes into the buffer
+                # of a = acts[li], which no later step reads
+                a = acts[li]
+                back = np.matmul(delta, w, out=self._work(a.shape))
+                np.square(a, out=a)
+                np.subtract(1.0, a, out=a)
+                delta = np.multiply(back, a, out=a)
         return loss, grad
 
     def forward(self, params: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -173,14 +191,16 @@ class MlpModel:
         return float(loss), grad
 
     def losses_and_grads(
-        self, params: np.ndarray, x: np.ndarray, y: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Row k of the result is `loss_and_grad(params[k], x[k], y[k])`, bit for
-        bit, for params (K, n_params), x (K, B, in) and y (K, B, out); returns
-        losses (K,) and gradients (K, n_params).
-        The same body evaluates both, with each layer one stacked matmul."""
+        self, params: np.ndarray, x: np.ndarray, y: np.ndarray, need_grad: bool = True
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """Row k of the result is `loss_and_grad(params[k], x[k], y[k], need_grad)`,
+        bit for bit, for params L + (n_params,), x L + (B, in) and y L + (B, out)
+        with a nonempty leading shape L such as (K,) or (C, K); returns losses
+        (shape L) and gradients (L + (n_params,)). The same body evaluates
+        both, with each layer one stacked matmul. x and y may be broadcast views,
+        such as one batch shared by every row."""
         params = self._checked(params, stacked=True)
-        return self._evaluate(params, np.asarray(x, dtype=float), y, need_grad=True)
+        return self._evaluate(params, np.asarray(x, dtype=float), y, need_grad)
 
 
 @dataclass

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -488,9 +490,33 @@ class TestErrors:
         assert main([command, "--config", str(p), "--out", str(out)]) == 1
         assert not list(out.glob("*.csv"))
 
+    def test_diverging_llc_exit_2_names_first_checkpoint(self, workdir, tmp_path, capsys):
+        # every checkpoint diverges; the first in order (training step 100) is named
+        _, _, out = workdir
+        cfg = dict(SMALL)
+        cfg["llc"] = dict(SMALL["llc"], step_size=10.0)
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        capsys.readouterr()
+        with np.errstate(all="ignore"):
+            assert main(["estimate-llc", "--config", str(p), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "of checkpoint 0 (training step 100) diverged at step" in err
+        assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
     def test_diverging_training_exit_2(self, tmp_path):
         cfg = dict(SMALL)
         cfg["training"] = dict(SMALL["training"], learning_rate=100.0, steps=3000)
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(cfg))
         assert main(["train-toy", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+
+
+def test_cli_import_loads_no_test_or_scipy_modules():
+    # the import a user pays for on every subcommand: numpy only
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys, basinlab.cli; "
+            "print(sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'pytest', 'hypothesis'}))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=str(src)), timeout=120)
+    assert out.stdout.strip() == "[]"

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -82,9 +84,16 @@ def per_chain_oracle(target, cfg, seed, w_star=None):
                        config=cfg, seed=seed, boundary_hits=hits)
 
 
+def per_checkpoint_oracle(task, cfg, seed, w_stars):
+    """Reference for a stack of checkpoints: one estimate per checkpoint, in
+    order, as the command line made them one call at a time."""
+    return [per_chain_oracle(task, cfg, seed, w) for w in w_stars]
+
+
 def assert_same_estimate(a, b):
     """Every field of two estimates, bit for bit: stricter than a digest."""
-    assert a.lambda_hat == b.lambda_hat and a.baseline_loss == b.baseline_loss
+    assert a.lambda_hat.hex() == b.lambda_hat.hex()
+    assert a.baseline_loss.hex() == b.baseline_loss.hex()
     assert np.array_equal(a.trace, b.trace)
     assert np.array_equal(a.per_chain_means, b.per_chain_means)
     assert (a.boundary_hits, a.config, a.seed) == (b.boundary_hits, b.config, b.seed)
@@ -399,6 +408,99 @@ class TestLockstepMatchesPerChainOracle:
         assert_same_estimate(est, per_chain_oracle(target, cfg, 11, w_star))
         if case == "quadratic-boundary":
             assert est.boundary_hits > 0
+
+
+def checkpoint_stack(n, seed=10):
+    """A small MLP task and n distinct parameter vectors to anchor at."""
+    task = make_teacher_task(MlpSpec(layer_sizes=(4, 8, 4)), 256, seed=9)
+    rng = rng_stream(seed, 0)
+    return task, np.stack([task.model.init_params(rng) for _ in range(n)])
+
+
+MLP_CFG = LlcConfig(nbeta=30.0, gamma=300.0, step_size=2e-4, chains=3, steps_per_chain=40,
+                    burn_in=4, batch_size=32, baseline_batches=12)
+
+
+def diverge_at(task, when):
+    """Make the sampler's gradient infinite for (checkpoint, chain) at the
+    step `when` maps it to, counting steps by gradient calls. Returns the
+    list that records one entry per gradient call."""
+    inner = task.model.losses_and_grads
+    calls = []
+
+    def losses_and_grads(params, x, y, need_grad=True):
+        losses, grads = inner(params, x, y, need_grad)
+        if need_grad:
+            for (k, c), t in when.items():
+                # a (d,) w_star steps a (1, chains, d) stack: checkpoint 0
+                if t == len(calls) and k < len(grads):
+                    grads[k, c] = np.inf
+            calls.append(None)
+        return losses, grads
+
+    task.model.losses_and_grads = losses_and_grads
+    return calls
+
+
+class TestCheckpointStackMatchesPerCheckpointLoop:
+    """A (C, d) stack of w_star gives the estimates of one call per checkpoint."""
+
+    @pytest.mark.parametrize("n_ckpt", [1, 3])
+    @pytest.mark.parametrize("kind", ["none", "rmsprop"])
+    def test_estimates_equal_oracle(self, n_ckpt, kind):
+        task, w_stars = checkpoint_stack(n_ckpt)
+        cfg = dataclasses.replace(MLP_CFG, preconditioner=Preconditioner(kind=kind))
+        ests = estimate_llc(task, cfg, seed=11, w_star=w_stars)
+        assert isinstance(ests, list) and len(ests) == n_ckpt
+        for est, ref in zip(ests, per_checkpoint_oracle(task, cfg, 11, w_stars)):
+            assert_same_estimate(est, ref)
+
+    def test_single_w_star_returns_one_estimate(self):
+        task, w_stars = checkpoint_stack(1)
+        est = estimate_llc(task, MLP_CFG, seed=11, w_star=w_stars[0])
+        assert isinstance(est, LlcEstimate)
+        assert_same_estimate(est, estimate_llc(task, MLP_CFG, seed=11, w_star=w_stars)[0])
+
+    def test_bad_stack_shape_rejected(self):
+        task, w_stars = checkpoint_stack(2)
+        with pytest.raises(InvalidInputError):
+            estimate_llc(task, MLP_CFG, seed=0, w_star=w_stars[None])
+        with pytest.raises(InvalidInputError):
+            estimate_llc(task, MLP_CFG, seed=0, w_star=w_stars[:, :-1])
+        with pytest.raises(InvalidInputError):
+            estimate_llc(make_quadratic(2), CFG, seed=0, w_star=np.zeros((2, 2)))
+
+    def test_lower_checkpoint_diverging_later_is_raised(self):
+        # checkpoint 2 diverges at step 3, checkpoint 1 at step 7: the loop over
+        # checkpoints would have stopped at checkpoint 1, so the stack raises
+        # its error, with its own chain, step and trace
+        task, w_stars = checkpoint_stack(3)
+        clean = per_checkpoint_oracle(task, MLP_CFG, 11, w_stars)
+        diverge_at(task, {(2, 0): 3, (1, 1): 7})
+        with pytest.raises(ChainDivergedError) as e:
+            estimate_llc(task, MLP_CFG, seed=11, w_star=w_stars)
+        err = e.value
+        assert (err.checkpoint, err.chain, err.step) == (1, 1, 7)
+        assert "chain 1 of checkpoint 1 diverged at step 7" in str(err)
+        assert np.array_equal(err.diagnostics, clean[1].trace[:, :8])
+
+        # the same error as checkpoint 1 sampled alone
+        task, _ = checkpoint_stack(3)
+        diverge_at(task, {(0, 1): 7})
+        with pytest.raises(ChainDivergedError) as alone:
+            estimate_llc(task, MLP_CFG, seed=11, w_star=w_stars[1])
+        assert (alone.value.checkpoint, alone.value.chain, alone.value.step) == (None, 1, 7)
+        assert np.array_equal(alone.value.diagnostics, err.diagnostics)
+
+    def test_checkpoint_zero_raises_at_once(self):
+        task, w_stars = checkpoint_stack(3)
+        clean = per_checkpoint_oracle(task, MLP_CFG, 11, w_stars)
+        calls = diverge_at(task, {(1, 0): 2, (0, 2): 4})
+        with pytest.raises(ChainDivergedError) as e:
+            estimate_llc(task, MLP_CFG, seed=11, w_star=w_stars)
+        assert (e.value.checkpoint, e.value.chain, e.value.step) == (0, 2, 4)
+        assert np.array_equal(e.value.diagnostics, clean[0].trace[:, :5])
+        assert len(calls) == 5  # no step after the one that diverged
 
 
 class TestConfigValidation:

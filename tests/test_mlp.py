@@ -167,6 +167,36 @@ class TestBuffers:
             tracemalloc.stop()
         assert peak < 8 * np.getbufsize() + 4096
 
+    def test_warm_stacked_backward_allocates_only_the_gradient(self):
+        # 64 rows at B = 64: one 16-wide activation is 524,288 bytes and the
+        # 4-wide residual 131,072. The backward pass writes its residual and
+        # deltas into kept buffers, so a warm call allocates its returned
+        # (64, 420) gradient and nothing activation-sized besides
+        model = MlpModel(MlpSpec(layer_sizes=(4, 16, 16, 4)))
+        rng = rng_stream(0, 0)
+        params = np.stack([model.init_params(rng) for _ in range(64)])
+        x = rng.standard_normal((64, 64, 4))
+        y = rng.standard_normal((64, 64, 4))
+        model.losses_and_grads(params, x, y)
+        tracemalloc.start()
+        try:
+            _, grads = model.losses_and_grads(params, x, y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < grads.nbytes + 32_768
+
+    def test_results_survive_later_calls(self):
+        # the returned losses and gradients are fresh arrays, not the buffers
+        model = MlpModel(MlpSpec(layer_sizes=(4, 16, 16, 4)))
+        rng = rng_stream(7, 0)
+        params = np.stack([model.init_params(rng) for _ in range(3)])
+        x, y = rng.standard_normal((3, 8, 4)), rng.standard_normal((3, 8, 4))
+        losses, grads = model.losses_and_grads(params, x, y)
+        kept = losses.copy(), grads.copy()
+        model.losses_and_grads(params[::-1].copy(), x[::-1].copy(), y)
+        assert np.array_equal(losses, kept[0]) and np.array_equal(grads, kept[1])
+
     def test_forward_result_survives_later_calls(self):
         model = MlpModel(MlpSpec(layer_sizes=(3, 5, 2)))
         rng = rng_stream(5, 0)
@@ -194,6 +224,23 @@ class TestLossesAndGrads:
                 loss, grad = model.loss_and_grad(params[r], x[r], y[r])
                 assert losses[r] == loss
                 assert np.array_equal(grads[r], grad)
+
+    def test_checkpoint_stack_with_broadcast_batch_equals_single_path(self):
+        # a (C, K) stack with one (K, B, in) batch broadcast over C, the shape
+        # the LLC sampler passes for a stack of checkpoints
+        model = MlpModel(MlpSpec(layer_sizes=(4, 16, 16, 3)))
+        rng = rng_stream(8, 0)
+        params = np.stack([model.init_params(rng) for _ in range(12)]).reshape(3, 4, -1)
+        x, y = rng.standard_normal((4, 64, 4)), rng.standard_normal((4, 64, 3))
+        xs, ys = np.broadcast_to(x, (3,) + x.shape), np.broadcast_to(y, (3,) + y.shape)
+        losses, grads = model.losses_and_grads(params, xs, ys)
+        fwd, none = model.losses_and_grads(params, xs, ys, need_grad=False)
+        assert losses.shape == (3, 4) and grads.shape == (3, 4, model.n_params) and none is None
+        for c in range(3):
+            for k in range(4):
+                loss, grad = model.loss_and_grad(params[c, k], x[k], y[k])
+                assert losses[c, k] == loss == fwd[c, k]
+                assert np.array_equal(grads[c, k], grad)
 
     def test_shape_mismatch_rejected(self):
         model = MlpModel(MlpSpec(layer_sizes=(3, 2)))
