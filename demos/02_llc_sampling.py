@@ -65,9 +65,10 @@ def coordinate_losses(precondition: bool) -> np.ndarray:
         g = aniso.grad(w)
         noise = rng.standard_normal(2)
         if precondition:
-            w, v = psgld_step(w, g, np.zeros(2), c, noise, v, bounds)
+            w, v = psgld_step(w, g, np.zeros(2), c, noise, v)
         else:
-            w = sgld_step(w, g, np.zeros(2), c, noise, bounds)
+            w = sgld_step(w, g, np.zeros(2), c, noise)
+        w = bounds.clamp(w)  # the step functions do the arithmetic only
         if t >= 30_000:
             acc += np.array([w[0] ** 2, 100.0 * w[1] ** 2])
             n += 1

@@ -39,7 +39,6 @@ from .landscapes import (
     Bounds,
     Landscape,
     NormalCrossingSpec,
-    make_flat,
     make_normal_crossing,
     make_quadratic,
 )

@@ -103,16 +103,18 @@ VALUE_CHECKS = dict.fromkeys((
     "audit.instances", "audit.inclusion_configs", "mdl.n_seeds",
 ), (lambda v: v >= 1, "must be >= 1")) | dict.fromkeys(
     ("mdl.a", "volume.half_width", "training.learning_rate", "prune.learning_rate",
-     "llc.preconditioner.stabilizer"), (lambda v: v > 0, "must be positive")) | {
+     "llc.nbeta", "llc.step_size", "llc.preconditioner.stabilizer"),
+    (lambda v: v > 0, "must be positive")) | dict.fromkeys(
+    ("prune.retrain_steps", "llc.gamma"), (lambda v: v >= 0, "must be >= 0")) | {
     # the CLI's Bernoulli box [-0.5, 0.5]^2 keeps p_w in [0.25, 0.75], so m <= 0.25
     "audit.m_simplex": (lambda v: 0 < v <= 0.25, "must be in (0, 0.25]"),
     # checkpoint headers store the training seed as a u64
     "training.seed": (lambda v: 0 <= v < 2**64, "must be in [0, 2**64)"),
     "epsilons": (lambda v: v and min(v) > 0, "must be a nonempty list of positive numbers"),
-    "mdl.n_powers": (lambda v: len(v) > 0, "must be a nonempty list"),
+    # each n = 2**k must be a positive integer
+    "mdl.n_powers": (lambda v: v and min(v) >= 0, "must be a nonempty list of integers >= 0"),
     "prune.keep_fractions": (lambda v: v and all(0 < f <= 1 for f in v),
                              "must be a nonempty list of numbers in (0, 1]"),
-    "prune.retrain_steps": (lambda v: v >= 0, "must be >= 0"),
     "audit.outcomes": (lambda v: v >= 2, "must be >= 2"),
     "volume.multiplicity_mode": (lambda v: v == "select_by_fit" or type(v) is int,
                                  "expected 'select_by_fit' or an integer"),
@@ -180,6 +182,11 @@ def load_config(path: str | None, seed: int | None, out: str | None, epsilons: s
         cfg = merge_config("", cfg, user)
         if cfg["volume"]["landscape"] == "bernoulli_kl" and cfg["volume"]["dim"] != 2:
             raise ConfigError("volume.dim", "must be 2 for bernoulli_kl, a two-parameter model")
+        llc, training = cfg["llc"], cfg["training"]
+        if llc["burn_in"] is not None and not 0 <= llc["burn_in"] < llc["steps_per_chain"]:
+            raise ConfigError("llc.burn_in", "must be null or in [0, llc.steps_per_chain)")
+        if not all(0 <= s <= training["steps"] for s in training["checkpoint_schedule"]):
+            raise ConfigError("training.checkpoint_schedule", "must lie in [0, training.steps]")
     if seed is not None:
         cfg["seed"] = seed
     if out is not None:

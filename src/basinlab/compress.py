@@ -491,9 +491,7 @@ def prune_and_retrain(
     best_loss = [task.full_loss(row) for row in w]
     best_params = w.copy()
     for _ in range(retrain_steps):
-        xb, yb = task.batch(rng_batch, batch_size)
-        _, grads = model.losses_and_grads(w, np.broadcast_to(xb, (len(w),) + xb.shape),
-                                          np.broadcast_to(yb, (len(w),) + yb.shape))
+        _, grads = model.losses_and_grads(w, *task.batch(rng_batch, batch_size))
         w = w - learning_rate * (grads * masks)
         for k, row in enumerate(w):
             full = task.full_loss(row)

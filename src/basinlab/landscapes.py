@@ -174,17 +174,3 @@ def make_normal_crossing(spec: NormalCrossingSpec, bounds: Bounds | None = None)
         dim=spec.dim, bounds=bounds, value=value, grad=grad,
         true_lambda=float(lam), true_multiplicity=mult, name=f"nc-k({kstr})-d{spec.dim}",
     )
-
-
-def make_flat(d: int, bounds: Bounds | None = None) -> Landscape:
-    """K identically zero; useful as a null case for samplers."""
-    bounds = bounds or Bounds.symmetric(d)
-
-    def value(w):
-        w = np.asarray(w, dtype=float)
-        return np.zeros(w.shape[:-1])
-
-    def grad(w):
-        return np.zeros_like(np.asarray(w, dtype=float))
-
-    return Landscape(dim=d, bounds=bounds, value=value, grad=grad, name=f"flat-d{d}")

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ChainDivergedError, InvalidInputError
-from .landscapes import Bounds, Landscape
+from .landscapes import Landscape
 from .mlp import MlpTask
 from .rng import rng_stream
 
@@ -96,68 +96,40 @@ class LlcEstimate:
                 yield t, c, float(self.trace[c, t])
 
 
-def _require_finite(w_new: np.ndarray) -> None:
-    """Raise ChainDivergedError unless every coordinate is finite. For a stack
-    of rows it names the lowest non-finite row, counting rows in C order over
-    every leading axis (so row k * chains + c of a (C, chains, d) stack); the
-    step is left -1 for the caller to fill in."""
-    if not np.all(np.isfinite(w_new)):
-        chain = int(np.argmin(np.isfinite(w_new).all(axis=-1))) if w_new.ndim > 1 else -1
-        raise ChainDivergedError(chain=chain, step=-1)
-
-
-def sgld_step(
-    w: np.ndarray,
-    grad_loss: np.ndarray,
-    w_star: np.ndarray,
-    cfg: LlcConfig,
-    noise: np.ndarray,
-    bounds: Bounds | None = None,
-) -> np.ndarray:
-    """One Langevin step against the tempered, localized potential.
-
-    w' = w - (eps/2) [nbeta * grad_loss + gamma (w - w*)] + sqrt(eps) * noise,
-    clamped to the bounds when given. Elementwise, so w, grad_loss and noise
-    may be (chains, d) stacks that step every chain at once.
-    """
-    eps = cfg.step_size
-    # the arithmetic of w - 0.5 * eps * (nbeta * grad_loss + gamma * (w - w*))
-    # + sqrt(eps) * noise, in place in one w-shaped temporary
+def _langevin(w, tempered, w_star, cfg: LlcConfig, noise, scale=1.0) -> np.ndarray:
+    """w - (eps/2) scale [tempered + gamma (w - w*)] + sqrt(eps scale) noise,
+    in one w-shaped temporary."""
+    eps = cfg.step_size * scale
     w_new = np.subtract(w, w_star)
     w_new *= cfg.gamma
-    w_new += cfg.nbeta * grad_loss
+    w_new += tempered
     w_new *= 0.5 * eps
     np.subtract(w, w_new, out=w_new)
     w_new += np.sqrt(eps) * noise
-    _require_finite(w_new)
-    return bounds.clamp(w_new) if bounds is not None else w_new
+    return w_new
 
 
-def psgld_step(
-    w: np.ndarray,
-    grad_loss: np.ndarray,
-    w_star: np.ndarray,
-    cfg: LlcConfig,
-    noise: np.ndarray,
-    v_acc: np.ndarray,
-    bounds: Bounds | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+def sgld_step(w: np.ndarray, grad_loss: np.ndarray, w_star: np.ndarray, cfg: LlcConfig,
+              noise: np.ndarray) -> np.ndarray:
+    """One Langevin step against the tempered, localized potential,
+    w' = w - (eps/2) [nbeta * grad_loss + gamma (w - w*)] + sqrt(eps) * noise.
+    Pure elementwise arithmetic, so the arrays may be stacks of chains;
+    estimate_llc checks the result for finiteness and clamps it to bounds."""
+    return _langevin(w, cfg.nbeta * grad_loss, w_star, cfg, noise)
+
+
+def psgld_step(w: np.ndarray, grad_loss: np.ndarray, w_star: np.ndarray, cfg: LlcConfig,
+               noise: np.ndarray, v_acc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Preconditioned Langevin step; returns (new point, updated accumulator).
-
     The accumulator is updated first, then the drift is scaled per coordinate
     by 1/(sqrt(v) + stabilizer) and the noise by the square root of the same
-    factor. The curvature correction term of the full preconditioned scheme
-    is omitted.
-    """
+    factor; the curvature correction term of the full preconditioned scheme
+    is omitted. Pure arithmetic, like `sgld_step`."""
     pc = cfg.preconditioner
-    eps = cfg.step_size
     tempered = cfg.nbeta * grad_loss
     v_new = pc.decay * v_acc + (1.0 - pc.decay) * tempered**2
     scale = 1.0 / (np.sqrt(v_new) + pc.stabilizer)
-    drift = tempered + cfg.gamma * (w - w_star)
-    w_new = w - 0.5 * eps * scale * drift + np.sqrt(eps * scale) * noise
-    _require_finite(w_new)
-    return (bounds.clamp(w_new) if bounds is not None else w_new), v_new
+    return _langevin(w, tempered, w_star, cfg, noise, scale), v_new
 
 
 def estimate_llc(
@@ -185,13 +157,16 @@ def estimate_llc(
     a (C, chains, d) array, and each baseline batch is one C-row forward.
     A (d,) w_star is the C = 1 case of the same loop, returned unwrapped.
 
-    Raises ChainDivergedError (with the partial trace of every chain of the
-    diverged w_star attached) at the earliest step at which a chain produces a
-    non-finite state, naming the lowest such chain at that step. In a stack,
-    the error is the one the lowest diverging checkpoint would raise alone,
-    with its index as `checkpoint`: once checkpoint k diverges, checkpoints
-    k and above stop, the lower ones step on to the end, and the lowest that
-    diverged is raised (checkpoint 0 at once).
+    The step functions only do arithmetic; after each step this loop checks
+    the new states for finiteness before it clamps a landscape's chains to
+    its bounds (which would map inf to a bound) and counts the chains at a
+    bound. The earliest non-finite state raises ChainDivergedError, naming
+    the lowest such chain at that step, with the partial trace of every chain
+    of its w_star attached. In a stack, the error is the one the lowest
+    diverging checkpoint would raise alone, with its index as `checkpoint`:
+    once checkpoint k diverges, checkpoints k and above stop, the lower ones
+    step on to the end, and the lowest that diverged is raised (checkpoint 0
+    at once).
     """
     if isinstance(target, Landscape):
         w_star = np.asarray(target.minimum if w_star is None else w_star, dtype=float)
@@ -215,19 +190,15 @@ def estimate_llc(
         bounds = None
         model = target.model
 
-        def over(rows, batch):
-            """The batch's inputs and targets as views broadcast over `rows`."""
-            return [np.broadcast_to(a, rows + a.shape) for a in batch]
-
         def losses_grads(w, rngs):
-            return model.losses_and_grads(w, *over(w.shape[:1], target.batches(rngs, cfg.batch_size)))
+            return model.losses_and_grads(w, *target.batches(rngs, cfg.batch_size))
 
         rng_base = rng_stream(seed, cfg.chains)
         stack = w_star.reshape(-1, w_star.shape[-1])
         base_losses = np.empty((len(stack), cfg.baseline_batches))
         for j in range(cfg.baseline_batches):
             base_losses[:, j], _ = model.losses_and_grads(
-                stack, *over((len(stack),), target.batch(rng_base, cfg.batch_size)), need_grad=False)
+                stack, *target.batch(rng_base, cfg.batch_size), need_grad=False)
         # each row reduces in the order of np.mean over that checkpoint's list
         baseline = base_losses.mean(axis=-1)
     else:
@@ -246,28 +217,27 @@ def estimate_llc(
     noise = np.empty(w.shape[1:])
     diverged = None
 
-    def step(w, grad, v_acc):
-        if use_pc:
-            return psgld_step(w, grad, anchors[: len(w)], cfg, noise, v_acc, bounds)
-        return sgld_step(w, grad, anchors[: len(w)], cfg, noise, bounds), v_acc
-
     for t in range(cfg.steps_per_chain):
         losses, grad = losses_grads(w, rngs)
         trace[: len(w), :, t] = losses
         for rng, row in zip(rngs, noise):
             rng.standard_normal(out=row)
-        try:
-            w, v_acc = step(w, grad, v_acc)
-        except ChainDivergedError as e:
-            k, chain = divmod(e.chain, cfg.chains)
+        if use_pc:
+            w, v_acc = psgld_step(w, grad, anchors[: len(w)], cfg, noise, v_acc)
+        else:
+            w = sgld_step(w, grad, anchors[: len(w)], cfg, noise)
+        finite = np.isfinite(w).all(axis=-1)
+        if not finite.all():
+            # the lowest non-finite row in C order: checkpoint k, chain c
+            k, chain = divmod(int(np.argmin(finite)), cfg.chains)
             diverged = ChainDivergedError(chain=chain, step=t, diagnostics=trace[k, :, : t + 1],
                                           checkpoint=k if stacked else None)
             if k == 0:
                 raise diverged
-            # the error now falls to checkpoint k or a lower one, so only the
-            # lower ones step on; their rows are finite, so this step holds
-            w, v_acc = step(w[:k], grad[:k], v_acc[:k])
+            # only the checkpoints below k step on; the step is elementwise
+            w, v_acc = w[:k], v_acc[:k]
         if bounds is not None:
+            w = bounds.clamp(w)
             at_bound = (w == bounds.lo) | (w == bounds.hi)
             boundary_hits += int(np.count_nonzero(at_bound.any(axis=-1)))
     if diverged is not None:

@@ -207,6 +207,8 @@ def two_part_redundancy(
     """
     if a <= 0:
         raise InvalidInputError("grid constant a must be positive")
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise InvalidInputError(f"sample size n must be a positive integer, got {n!r}")
     lo, hi = model.image_interval()
     q1 = float(theta_q)
     if not (lo - 1e-12 <= q1 <= hi + 1e-12):

@@ -197,10 +197,17 @@ class MlpModel:
         bit for bit, for params L + (n_params,), x L + (B, in) and y L + (B, out)
         with a nonempty leading shape L such as (K,) or (C, K); returns losses
         (shape L) and gradients (L + (n_params,)). The same body evaluates
-        both, with each layer one stacked matmul. x and y may be broadcast views,
-        such as one batch shared by every row."""
+        both, with each layer one stacked matmul. x and y broadcast to L from
+        the right, as numpy does: one (B, in) batch serves every row, and a
+        (K, B, in) stack of batches serves a (C, K) stack row by row."""
         params = self._checked(params, stacked=True)
-        return self._evaluate(params, np.asarray(x, dtype=float), y, need_grad)
+        lead = params.shape[:-1]
+        try:
+            x, y = (np.broadcast_to(np.asarray(a, dtype=float), lead + np.shape(a)[-2:])
+                    for a in (x, y))
+        except ValueError:
+            raise InvalidInputError(f"batch {np.shape(x)}, {np.shape(y)} does not fit {lead}") from None
+        return self._evaluate(params, x, y, need_grad)
 
 
 @dataclass

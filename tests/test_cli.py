@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import json
 import math
@@ -178,9 +179,16 @@ class TestTracerNames:
         from tracing import Tracer
 
         tracer = Tracer()
-        with tracer.installed():
-            assert tracer.patched
+        tracer.install()
+        originals = list(tracer.patched)
+        try:
+            assert len(originals) == 33
+            # every patch point resolves to a wrapper of the name it replaced
+            assert all(getattr(owner, attr).__wrapped__ is orig for owner, attr, orig in originals)
+        finally:
+            tracer.uninstall()
         assert not tracer.patched
+        assert all(getattr(owner, attr) is orig for owner, attr, orig in originals)
 
 
 class TestDeterminism:
@@ -221,6 +229,35 @@ def typed_like(proto, value) -> bool:
 SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3)
 EDGE_VALUES = st.sampled_from(
     [math.nan, math.inf, -math.inf, 0, 1.5, True, None, "none", "rmsprop", "select_by_fit"])
+
+
+def valid_value(key, default, value) -> bool:
+    """Whether `value` passes the checks of `key` alone: its type (or one of
+    ALTERNATIVES), its VALUE_CHECKS entry and, for an object, the same checks
+    on each of its keys, which must be known."""
+    typed = [p for p in ALTERNATIVES.get(key, (default,)) if typed_like(p, value)]
+    if not typed or (key in VALUE_CHECKS and not VALUE_CHECKS[key][0](value)):
+        return False
+    return not isinstance(value, dict) or all(
+        k in typed[0] and valid_value(f"{key}.{k}", typed[0][k], v) for k, v in value.items())
+
+
+def cross_key_failure(path, value):
+    """The key load_config names when `value` at `path`, a value that passes
+    its own checks, breaks a condition between keys with the defaults."""
+    cfg = copy.deepcopy(DEFAULT_CONFIG)
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    llc, training = cfg["llc"], cfg["training"]
+    if llc["burn_in"] is not None and not 0 <= llc["burn_in"] < llc["steps_per_chain"]:
+        return "llc.burn_in"
+    if not all(0 <= s <= training["steps"] for s in training["checkpoint_schedule"]):
+        return "training.checkpoint_schedule"
+    return None
+
+
 JSON_VALUES = st.one_of(
     EDGE_VALUES, SCALARS, st.lists(EDGE_VALUES | SCALARS, max_size=3),
     st.dictionaries(st.sampled_from(["kind", "decay", "stabilizer", "x"]),
@@ -274,15 +311,15 @@ class TestConfigPass:
         default = DEFAULT_CONFIG
         for k in path:
             default = default[k]
-        valid = any(typed_like(p, value) for p in ALTERNATIVES.get(key, (default,)))
-        valid = valid and (key not in VALUE_CHECKS or bool(VALUE_CHECKS[key][0](value)))
+        valid = valid_value(key, default, value)
+        crossed = cross_key_failure(path, value) if valid else None
         try:
             cfg = load_config(str(cfg_path), None, None, None)
         except ConfigError as e:
-            assert not valid
-            assert e.key == key or e.key.startswith(key + "."), (e.key, key)
+            assert not valid or e.key == crossed, (e.key, crossed)
+            assert crossed or e.key == key or e.key.startswith(key + "."), (e.key, key)
             return
-        assert valid
+        assert valid and crossed is None
         got = cfg
         for k in path:
             got = got[k]
@@ -374,6 +411,16 @@ class TestErrors:
         ({"llc": {"preconditioner": {"decay": 0}}}, "llc.preconditioner.decay"),
         ({"llc": {"preconditioner": {"stabilizer": 0}}}, "llc.preconditioner.stabilizer"),
         ({"analyze": {"scheme": "prune"}}, "analyze.scheme"),
+        ({"mdl": {"n_powers": [6, -1]}}, "mdl.n_powers"),
+        ({"llc": {"nbeta": 0}}, "llc.nbeta"),
+        ({"llc": {"step_size": -1e-3}}, "llc.step_size"),
+        ({"llc": {"gamma": -1.0}}, "llc.gamma"),
+        ({"llc": {"burn_in": 1500}}, "llc.burn_in"),
+        ({"llc": {"burn_in": -1}}, "llc.burn_in"),
+        ({"llc": {"steps_per_chain": 300}}, "llc.burn_in"),
+        ({"training": {"checkpoint_schedule": [400, 51201]}}, "training.checkpoint_schedule"),
+        ({"training": {"checkpoint_schedule": [-1, 400]}}, "training.checkpoint_schedule"),
+        ({"training": {"steps": 1000}}, "training.checkpoint_schedule"),
     ], ids=["unknown-key", "top-level-array", "epsilons-string", "epsilons-nan",
             "layer-sizes-int", "checkpoint-schedule-int", "n-samples-float", "n-samples-bool",
             "layer-sizes-float-item", "write-traces-string", "n-seeds-string", "seed-string",
@@ -391,13 +438,25 @@ class TestErrors:
             "nq-cap-below-4", "quantize-mode-unknown", "noise-mode-unknown",
             "preconditioner-unknown", "preconditioner-kind-unknown",
             "preconditioner-decay-above-one", "preconditioner-decay-zero",
-            "preconditioner-stabilizer-zero", "analyze-scheme-prune"])
+            "preconditioner-stabilizer-zero", "analyze-scheme-prune", "n-powers-negative",
+            "nbeta-zero", "step-size-negative", "gamma-negative", "burn-in-at-steps",
+            "burn-in-negative", "steps-per-chain-at-burn-in", "checkpoint-above-steps",
+            "checkpoint-negative", "steps-below-schedule"])
     def test_unknown_config_key_exit_1(self, tmp_path, capsys, payload, key):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(payload))
         assert main(["train-toy", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and f"config key {key!r}" in err
+
+    def test_negative_n_power_exit_1_writes_nothing(self, tmp_path, capsys):
+        # n = 2**-1 is no sample size: refused at load, before any file is written
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"mdl": {"n_powers": [-1]}}))
+        assert main(["mdl-redundancy", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "config key 'mdl.n_powers'" in err
+        assert not (tmp_path / "o").exists()
 
     def test_audit_simplex_bound_too_large_exit_1(self, tmp_path, capsys):
         # m * outcomes >= 1 leaves no restricted simplex to sample

@@ -7,7 +7,6 @@ from itertools import product
 from basinlab import (
     Bounds,
     NormalCrossingSpec,
-    make_flat,
     make_normal_crossing,
     make_quadratic,
     rng_stream,
@@ -114,12 +113,6 @@ class TestLandscapeContracts:
         batch = L.value(w)
         for i in range(50):
             assert batch[i] == pytest.approx(float(L.value(w[i])))
-
-    def test_flat_landscape(self):
-        L = make_flat(3)
-        w = L.bounds.sample(rng_stream(4, 0), 10)
-        assert np.all(L.value(w) == 0.0)
-        assert np.all(L.grad(w) == 0.0)
 
 
 def kernel_inputs(d, seed):

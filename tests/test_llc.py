@@ -12,7 +12,6 @@ from basinlab import (
     NormalCrossingSpec,
     Preconditioner,
     estimate_llc,
-    make_flat,
     make_normal_crossing,
     make_quadratic,
     make_teacher_task,
@@ -74,10 +73,12 @@ def per_chain_oracle(target, cfg, seed, w_star=None):
             trace[c, t], grad = loss_grad(w, rng)
             noise = rng.standard_normal(dim)
             if cfg.preconditioner.kind == "rmsprop":
-                w, v_acc = psgld_step(w, grad, w_star, cfg, noise, v_acc, bounds)
+                w, v_acc = psgld_step(w, grad, w_star, cfg, noise, v_acc)
             else:
-                w = sgld_step(w, grad, w_star, cfg, noise, bounds)
-            hits += bounds is not None and bool(np.any((w == bounds.lo) | (w == bounds.hi)))
+                w = sgld_step(w, grad, w_star, cfg, noise)
+            if bounds is not None:
+                w = bounds.clamp(w)
+                hits += bool(np.any((w == bounds.lo) | (w == bounds.hi)))
     per_chain = trace[:, cfg.resolved_burn_in:].mean(axis=1)
     return LlcEstimate(lambda_hat=float(cfg.nbeta * (per_chain.mean() - baseline)),
                        per_chain_means=per_chain, baseline_loss=baseline, trace=trace,
@@ -113,18 +114,6 @@ class TestSgldStep:
         out = sgld_step(w_star.copy(), np.zeros(2), w_star, cfg, noise=e1)
         assert np.allclose(out, w_star + np.sqrt(4e-2) * e1)
 
-    def test_clamps_to_bounds(self):
-        cfg = LlcConfig(nbeta=1.0, gamma=0.0, step_size=1.0, chains=1, steps_per_chain=10)
-        b = Bounds.symmetric(2, 1.0)
-        out = sgld_step(np.array([0.9, 0.0]), np.zeros(2), np.zeros(2), cfg,
-                        noise=np.array([5.0, 0.0]), bounds=b)
-        assert out[0] == 1.0
-
-    def test_nonfinite_raises(self):
-        cfg = LlcConfig(nbeta=1.0, gamma=0.0, step_size=1.0, chains=1, steps_per_chain=10)
-        with pytest.raises(ChainDivergedError):
-            sgld_step(np.array([0.0]), np.array([np.inf]), np.zeros(1), cfg, noise=np.zeros(1))
-
     def test_stationary_variance_matches_ou_law(self):
         # quadratic potential: the chain is an AR(1) whose stationary variance
         # is eps / (1 - a^2) with a = 1 - eps (2 nbeta + gamma) / 2; for small
@@ -137,7 +126,7 @@ class TestSgldStep:
         for chain in range(4):
             w = np.zeros(2)
             for t in range(10_000):
-                w = sgld_step(w, L.grad(w), np.zeros(2), cfg, rng.standard_normal(2), L.bounds)
+                w = L.bounds.clamp(sgld_step(w, L.grad(w), np.zeros(2), cfg, rng.standard_normal(2)))
                 if t >= 1000:
                     samples.append(w.copy())
         var = np.array(samples).ravel().var()
@@ -215,9 +204,10 @@ class TestPsgldStep:
                 g = L.grad(w)
                 noise = rng.standard_normal(2)
                 if cfg.preconditioner.kind == "rmsprop":
-                    w, v = psgld_step(w, g, np.zeros(2), cfg, noise, v, bounds)
+                    w, v = psgld_step(w, g, np.zeros(2), cfg, noise, v)
                 else:
-                    w = sgld_step(w, g, np.zeros(2), cfg, noise, bounds)
+                    w = sgld_step(w, g, np.zeros(2), cfg, noise)
+                w = bounds.clamp(w)
                 if t >= burn:
                     acc += np.array([w[0] ** 2, 100.0 * w[1] ** 2])
                     n += 1
@@ -236,7 +226,9 @@ class TestPsgldStep:
 
 class TestEstimateLlc:
     def test_flat_landscape_gives_zero(self):
-        est = estimate_llc(make_flat(2), CFG, seed=0)
+        flat = Landscape(dim=2, bounds=Bounds.symmetric(2),
+                         value=lambda w: np.zeros(np.shape(w)[:-1]), grad=np.zeros_like)
+        est = estimate_llc(flat, CFG, seed=0)
         assert abs(est.lambda_hat) < 0.05
         assert est.lambda_hat == 0.0  # identically zero loss
 
@@ -278,7 +270,7 @@ class TestEstimateLlc:
 
     def test_localization_strength_shrinks_excursions(self):
         # step size chosen stable for the largest gamma (eps * gamma / 2 < 1)
-        L = make_flat(2)
+        bounds = Bounds.symmetric(2)  # a flat potential: only the localization acts
         dists = {}
         for gamma in (300.0, 1e6):
             cfg = LlcConfig(nbeta=30.0, gamma=gamma, step_size=1e-6, chains=1,
@@ -287,7 +279,7 @@ class TestEstimateLlc:
             w = np.zeros(2)
             total = 0.0
             for t in range(30_000):
-                w = sgld_step(w, np.zeros(2), np.zeros(2), cfg, rng.standard_normal(2), L.bounds)
+                w = bounds.clamp(sgld_step(w, np.zeros(2), np.zeros(2), cfg, rng.standard_normal(2)))
                 if t >= 15_000:
                     total += np.linalg.norm(w)
             dists[gamma] = total / 15_000
@@ -367,6 +359,44 @@ class TestEstimateLlc:
         assert (e.value.chain, e.value.step) == (1, 3)
         assert e.value.diagnostics.shape == (3, 4)
         assert np.all(e.value.diagnostics[:, 1:] > 0)
+
+    def test_nonfinite_raises_before_clamping(self):
+        # the gradient turns +inf at step 5 inside a box: clamping the state
+        # first would pin it to the bound and sample on
+        calls = []
+
+        def grad(w):
+            g = 2.0 * np.asarray(w, dtype=float)
+            if len(calls) == 5:
+                g[...] = np.inf
+            calls.append(None)
+            return g
+
+        L = Landscape(dim=2, bounds=Bounds.symmetric(2, 1.0),
+                      value=lambda w: np.sum(w * w, axis=-1), grad=grad)
+        cfg = LlcConfig(nbeta=30.0, gamma=1.0, step_size=1e-3, chains=2, steps_per_chain=10)
+        with pytest.raises(ChainDivergedError) as e:
+            estimate_llc(L, cfg, seed=0)
+        assert (e.value.chain, e.value.step) == (0, 5)
+        assert e.value.diagnostics.shape == (2, 6) and len(calls) == 6
+
+    def test_clamps_to_bounds(self):
+        # a flat potential in a narrow box: unit-variance noise pushes every
+        # chain past the walls, so each state evaluated lies in the box and
+        # some lie on it
+        box = Bounds.symmetric(2, 0.01)
+        seen = []
+
+        def value(w):
+            seen.extend(np.reshape(w, (-1, 2)))
+            return np.zeros(np.shape(w)[:-1])
+
+        L = Landscape(dim=2, bounds=box, value=value, grad=np.zeros_like)
+        cfg = LlcConfig(nbeta=1.0, gamma=0.0, step_size=1.0, chains=2, steps_per_chain=20)
+        est = estimate_llc(L, cfg, seed=0)
+        assert np.all(box.contains(np.array(seen)))
+        assert np.any(np.abs(seen) == 0.01)
+        assert est.boundary_hits > 0
 
     def test_trace_rows_align(self):
         est = estimate_llc(make_quadratic(1), LlcConfig(

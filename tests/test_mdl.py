@@ -383,6 +383,11 @@ class TestTwoPartRedundancy:
         with pytest.raises(InvalidInputError):
             two_part_redundancy(model, 0.9, n=32, seed=0)
 
+    @pytest.mark.parametrize("n", [0.5, 0, -4])
+    def test_non_positive_integer_n_rejected(self, model, n):
+        with pytest.raises(InvalidInputError):
+            two_part_redundancy(model, model.truth, n=n, seed=0)
+
     def test_net_reuse_matches_fresh_build(self, model):
         net = build_eps_net(model, epsilon=1.0 / 128)
         a = two_part_redundancy(model, model.truth, n=128, a=1.0, seed=9, net=net)

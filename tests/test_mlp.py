@@ -226,21 +226,27 @@ class TestLossesAndGrads:
                 assert np.array_equal(grads[r], grad)
 
     def test_checkpoint_stack_with_broadcast_batch_equals_single_path(self):
-        # a (C, K) stack with one (K, B, in) batch broadcast over C, the shape
-        # the LLC sampler passes for a stack of checkpoints
+        # a (C, K) stack with one (K, B, in) batch, which the evaluator
+        # broadcasts over C: the shape the LLC sampler passes for a stack of
+        # checkpoints
         model = MlpModel(MlpSpec(layer_sizes=(4, 16, 16, 3)))
         rng = rng_stream(8, 0)
         params = np.stack([model.init_params(rng) for _ in range(12)]).reshape(3, 4, -1)
         x, y = rng.standard_normal((4, 64, 4)), rng.standard_normal((4, 64, 3))
-        xs, ys = np.broadcast_to(x, (3,) + x.shape), np.broadcast_to(y, (3,) + y.shape)
-        losses, grads = model.losses_and_grads(params, xs, ys)
-        fwd, none = model.losses_and_grads(params, xs, ys, need_grad=False)
+        losses, grads = model.losses_and_grads(params, x, y)
+        fwd, none = model.losses_and_grads(params, x, y, need_grad=False)
         assert losses.shape == (3, 4) and grads.shape == (3, 4, model.n_params) and none is None
         for c in range(3):
             for k in range(4):
                 loss, grad = model.loss_and_grad(params[c, k], x[k], y[k])
                 assert losses[c, k] == loss == fwd[c, k]
                 assert np.array_equal(grads[c, k], grad)
+        # one (B, in) batch serves every row of the stack
+        shared, shared_grads = model.losses_and_grads(params, x[1], y[1])
+        for c in range(3):
+            for k in range(4):
+                loss, grad = model.loss_and_grad(params[c, k], x[1], y[1])
+                assert shared[c, k] == loss and np.array_equal(shared_grads[c, k], grad)
 
     def test_shape_mismatch_rejected(self):
         model = MlpModel(MlpSpec(layer_sizes=(3, 2)))
