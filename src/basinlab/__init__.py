@@ -23,7 +23,6 @@ from .compress import (
     FactorizationResult,
     PruneResult,
     QuantizationSpec,
-    add_noise,
     critical_compression_fraction,
     critical_nq,
     critical_sigma,

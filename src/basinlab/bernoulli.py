@@ -31,7 +31,6 @@ class SingularBernoulli:
             )
         self.bounds = bounds
         self.m_simplex = float(m_simplex)
-        self.n_outcomes = 2
 
     # -- parameter-to-distribution map ------------------------------------
 

@@ -53,7 +53,7 @@ DEFAULT_CONFIG = {
     "seed": 0,
     "out": "runs/default",
     "model": {"layer_sizes": [4, 16, 16, 4]},
-    "data": {"n_samples": 1024, "seed": 13, "teacher_gain": 3.0, "input_scale": 1.0},
+    "data": {"n_samples": 1024, "seed": 13, "teacher_gain": 3.0},
     "training": {
         "steps": 51200, "learning_rate": 0.03, "batch_size": 32, "seed": 1,
         "checkpoint_schedule": [400, 800, 1600, 3200, 6400, 12800, 25600, 51200],
@@ -73,7 +73,7 @@ DEFAULT_CONFIG = {
     },
     "volume": {
         "landscape": "quadratic", "dim": 2, "exponents": None, "active_dims": None,
-        "half_width": 1.0, "ladder_min_k": 2, "ladder_max_k": 10,
+        "half_width": 1.0, "ladder_max_k": 10,
         "samples": 1_000_000, "seed": 0, "multiplicity_mode": "select_by_fit",
         "max_epsilon": 0.25,
     },
@@ -83,7 +83,7 @@ DEFAULT_CONFIG = {
     },
     "audit": {"instances": 10_000, "m_simplex": 0.2, "outcomes": 3,
               "inclusion_configs": 20, "seed": 0},
-    "analyze": {"scheme": "quantize", "epsilon": 0.5, "excluded_steps": [], "gnuplot": False},
+    "analyze": {"scheme": "quantize", "epsilon": 0.5, "excluded_steps": []},
 }
 
 
@@ -102,8 +102,8 @@ VALUE_CHECKS = dict.fromkeys((
     "noise.noise_draws", "volume.dim", "volume.samples", "mdl.mc_samples",
     "audit.instances", "audit.inclusion_configs", "mdl.n_seeds",
 ), (lambda v: v >= 1, "must be >= 1")) | dict.fromkeys(
-    ("mdl.a", "volume.half_width", "training.learning_rate", "prune.learning_rate",
-     "llc.nbeta", "llc.step_size", "llc.preconditioner.stabilizer"),
+    ("mdl.a", "volume.half_width", "volume.max_epsilon", "training.learning_rate",
+     "prune.learning_rate", "llc.nbeta", "llc.step_size", "llc.preconditioner.stabilizer"),
     (lambda v: v > 0, "must be positive")) | dict.fromkeys(
     ("prune.retrain_steps", "llc.gamma"), (lambda v: v >= 0, "must be >= 0")) | {
     # the CLI's Bernoulli box [-0.5, 0.5]^2 keeps p_w in [0.25, 0.75], so m <= 0.25
@@ -116,6 +116,9 @@ VALUE_CHECKS = dict.fromkeys((
     "prune.keep_fractions": (lambda v: v and all(0 < f <= 1 for f in v),
                              "must be a nonempty list of numbers in (0, 1]"),
     "audit.outcomes": (lambda v: v >= 2, "must be >= 2"),
+    "model.layer_sizes": (lambda v: len(v) >= 2 and min(v) >= 1, "needs >= 2 entries, each >= 1"),
+    # the ladder starts at 2**-2
+    "volume.ladder_max_k": (lambda v: v >= 2, "must be >= 2"),
     "volume.multiplicity_mode": (lambda v: v == "select_by_fit" or type(v) is int,
                                  "expected 'select_by_fit' or an integer"),
     "quantize.nq_cap": (lambda v: v >= 4, "must be >= 4, the smallest n_q probed"),
@@ -363,7 +366,7 @@ def cmd_prune_sweep(cfg: dict) -> int:
 def cmd_volume_fit(cfg: dict) -> int:
     v = cfg["volume"]
     landscape = build_landscape(cfg)
-    ladder = default_ladder(v["ladder_min_k"], v["ladder_max_k"])
+    ladder = default_ladder(k_max=v["ladder_max_k"])
     curve = volume_curve(landscape, ladder, v["samples"], seed=v["seed"])
     fit = fit_scaling(curve, v["multiplicity_mode"], max_epsilon=v["max_epsilon"])
     emit(cfg, "volume-fit", {
@@ -456,6 +459,9 @@ def cmd_analyze(cfg: dict) -> int:
     _, _, sweep_rows = csvio.read_csv(sweep_path)
     _, _, llc_rows = csvio.read_csv(llc_path)
     eps = an["epsilon"]
+    held = sorted({float(r[5]) for r in sweep_rows})
+    if eps not in held:
+        raise ConfigError("analyze.epsilon", f"{sweep_path} holds epsilons {held} only")
     lam_by_step = {int(r[0]): float(r[1]) for r in llc_rows}
     joined = []
     for r in sweep_rows:
@@ -476,14 +482,6 @@ def cmd_analyze(cfg: dict) -> int:
         "analysis_residuals.csv": (
             ["step", "lambda_hat", "critical_value", "included", "residual"], resid),
     })
-    if an["gnuplot"]:
-        script = (
-            "set datafile separator ','\n"
-            f"set xlabel 'lambda_hat'\nset ylabel 'critical value ({scheme})'\n"
-            f"plot 'analysis_residuals.csv' skip 2 using 2:3 with points title '{scheme}', \\\n"
-            f"     {result.slope:.17g}*x + {result.intercept:.17g} title 'fit'\n"
-        )
-        (d / "analysis.gp").write_text(script, encoding="utf-8", newline="\n")
     print(f"{scheme} vs lambda_hat: slope={result.slope:.4f} "
           f"intercept={result.intercept:.4f} R2={result.r_squared:.4f} "
           f"({int(result.included.sum())}/{len(steps)} checkpoints)")

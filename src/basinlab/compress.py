@@ -358,16 +358,6 @@ def critical_compression_fraction(
     return results
 
 
-def add_noise(w: np.ndarray, sigma: float, mode: str, seed: int, stream_id: int = 0) -> np.ndarray:
-    """Perturb parameters with seeded Gaussian noise.
-
-    absolute: w + sigma * z; relative: w + w * sigma * z, with z standard
-    normal per coordinate.
-    """
-    w = np.asarray(w, dtype=float)
-    return _perturb(w, rng_stream(seed, stream_id).standard_normal(w.shape), sigma, mode)
-
-
 def _perturb(w: np.ndarray, z: np.ndarray, sigma: float, mode: str) -> np.ndarray:
     if sigma < 0:
         raise InvalidInputError("sigma must be nonnegative")
@@ -378,7 +368,7 @@ def _perturb(w: np.ndarray, z: np.ndarray, sigma: float, mode: str) -> np.ndarra
 
 def _noise_delta(params: np.ndarray, mode: str, loss_eval: LossEval, noise_draws: int, seed: int):
     """sigma -> noise_delta_loss(params, sigma, ...), with the base loss and the
-    unit perturbations of add_noise (streams 0 .. noise_draws - 1) made once,
+    unit perturbations (streams 0 .. noise_draws - 1 of `seed`) made once,
     and each sigma's value kept."""
     base = loss_eval(params)
     draws = [rng_stream(seed, k).standard_normal(params.shape) for k in range(noise_draws)]
@@ -394,7 +384,8 @@ def noise_delta_loss(
     noise_draws: int = 8,
     seed: int = 0,
 ) -> float:
-    """Mean loss increase over the seeded noise draws at a fixed sigma."""
+    """Mean loss increase over the seeded noise draws at a fixed sigma: draw k is
+    w + sigma * z (absolute) or w + w * sigma * z (relative), z ~ N(0, I) from stream k."""
     return _noise_delta(np.asarray(params, dtype=float), mode, loss_eval, noise_draws, seed)(sigma)
 
 

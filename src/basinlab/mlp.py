@@ -240,7 +240,6 @@ def make_teacher_task(
     spec: MlpSpec,
     n_samples: int,
     seed: int,
-    input_scale: float = 1.0,
     teacher_gain: float = 1.0,
 ) -> MlpTask:
     """Fixed regression dataset: inputs are Gaussian, targets come from a
@@ -250,7 +249,7 @@ def make_teacher_task(
     model = MlpModel(spec)
     rng_x = rng_stream(seed, 0)
     rng_t = rng_stream(seed, 1)
-    x = input_scale * rng_x.standard_normal((n_samples, spec.layer_sizes[0]))
+    x = rng_x.standard_normal((n_samples, spec.layer_sizes[0]))
     t_params = model.init_params(rng_t) * teacher_gain
     y = model.forward(t_params, x)
     return MlpTask(model=model, x=x, y=y)

@@ -36,7 +36,6 @@ class VolumeCurve:
     epsilons: np.ndarray
     volumes: np.ndarray
     standard_errors: np.ndarray
-    mc_samples: int
     total_volume: float
 
 
@@ -95,7 +94,7 @@ def volume_curve(
 
     volumes, ses = mc_volumes(landscape.bounds, samples, rng_stream(seed, stream_id), count)
     return VolumeCurve(epsilons=epsilons, volumes=volumes, standard_errors=ses,
-                       mc_samples=samples, total_volume=landscape.bounds.volume())
+                       total_volume=landscape.bounds.volume())
 
 
 def fit_scaling(

@@ -275,19 +275,19 @@ class TestGoldenBytes:
 
     @pytest.mark.parametrize("command,payload,name,digest", [
         ("volume-fit", {"volume": {"landscape": "quadratic", "dim": 2, "samples": 200_000}},
-         "volume.csv", "4aba941f2256b9d9f228925a134347daeaecf2f9cf89a6ab70406c061ad42e0b"),
+         "volume.csv", "fa18d4253c4c039e9195652e931c0af04d5204af1dbb9959d5eb1eca87b1da7f"),
         ("lemma-audit", {"audit": {"instances": 2000, "inclusion_configs": 2}},
-         "audit.csv", "511f28a81c5396eaa08b1d8a98244369ca2f6ee87a11c1fb8928314d81ec1978"),
+         "audit.csv", "373a0a993d8e05257d6db3c94fd47ab3a5d670f9b37601d8a7478eb685ce4557"),
         # three mc-geometry benchmark geometries at its size: 1M samples, ladder to 2^-14
         ("volume-fit", {"volume": {"landscape": "normal_crossing", "exponents": [1],
                                    "active_dims": [0], "samples": 1_000_000, "ladder_max_k": 14}},
-         "volume.csv", "2b29f2fe36487739c0c0176fdfffe83f2ea311af390a27f689dabfa26cd3b97d"),
+         "volume.csv", "bdc8a6b0a39b9e3855d66338c3f6e7529d828cd314f37871d6c01ce9c445b47e"),
         ("volume-fit", {"volume": {"landscape": "normal_crossing", "exponents": [2],
                                    "active_dims": [0], "samples": 1_000_000, "ladder_max_k": 14}},
-         "volume.csv", "e100c813303da22935c393ddbcbc8df66ee58b6bbac108e71fcf99cd356e4900"),
+         "volume.csv", "59b65958e407f9c0db3e58b8e7cdb6fce1f06b3c952d08a823ba9460fcf8c2ae"),
         ("volume-fit", {"volume": {"landscape": "bernoulli_kl", "samples": 1_000_000,
                                    "ladder_max_k": 14}},
-         "volume.csv", "c54e071bd23d02d9a19e2dadac714f0fd0542c56d72be7ecb2117d2b6a55cdbe"),
+         "volume.csv", "a101646b6c649337245ea3fa601a54d46d8a2971cdafaa552b0114954d1b3d0f"),
     ], ids=["volume-fit", "lemma-audit", "volume-fit-nc-k1", "volume-fit-nc-k2",
             "volume-fit-bernoulli-kl"])
     def test_output_digest_pinned(self, tmp_path, command, payload, name, digest):
@@ -347,9 +347,14 @@ class TestConfigPass:
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
         assert [k for k in (*VALUE_CHECKS, *ALTERNATIVES) if f"`{k}`" not in readme] == []
 
+    def test_readme_names_every_config_key(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        keys = [".".join(p) for p in leaf_paths(DEFAULT_CONFIG)]
+        assert [k for k in keys if f"`{k}`" not in readme] == []
+
     def test_default_config_hash_pinned(self):
         assert experiment_hash(load_config(None, None, None, None)) == (
-            "57b3910f1ecba526778eceee5bcd4ded6f4b35e0ce62de4dd819fab883c2085b")
+            "27d2439ac1088b5fef3c3c91c516876a8181c97cea02c68159620e0f6604ba63")
 
 
 class TestErrors:
@@ -421,6 +426,9 @@ class TestErrors:
         ({"training": {"checkpoint_schedule": [400, 51201]}}, "training.checkpoint_schedule"),
         ({"training": {"checkpoint_schedule": [-1, 400]}}, "training.checkpoint_schedule"),
         ({"training": {"steps": 1000}}, "training.checkpoint_schedule"),
+        ({"model": {"layer_sizes": [4]}}, "model.layer_sizes"),
+        ({"volume": {"max_epsilon": -1}}, "volume.max_epsilon"),
+        ({"volume": {"ladder_max_k": 1}}, "volume.ladder_max_k"),
     ], ids=["unknown-key", "top-level-array", "epsilons-string", "epsilons-nan",
             "layer-sizes-int", "checkpoint-schedule-int", "n-samples-float", "n-samples-bool",
             "layer-sizes-float-item", "write-traces-string", "n-seeds-string", "seed-string",
@@ -441,7 +449,8 @@ class TestErrors:
             "preconditioner-stabilizer-zero", "analyze-scheme-prune", "n-powers-negative",
             "nbeta-zero", "step-size-negative", "gamma-negative", "burn-in-at-steps",
             "burn-in-negative", "steps-per-chain-at-burn-in", "checkpoint-above-steps",
-            "checkpoint-negative", "steps-below-schedule"])
+            "checkpoint-negative", "steps-below-schedule", "layer-sizes-one-entry",
+            "max-epsilon-negative", "ladder-empty"])
     def test_unknown_config_key_exit_1(self, tmp_path, capsys, payload, key):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(payload))
@@ -524,6 +533,22 @@ class TestErrors:
                   [(s, "quantize", 8.0, 0.1, 8.0, 0.5, 0) for s in (1, 2, 3, 4)])
         _, cfg_path, _ = workdir
         assert main(["analyze", "--config", str(cfg_path), "--out", str(out)]) == 1
+
+    def test_analyze_epsilon_not_swept_exit_1(self, tmp_path, capsys):
+        # the sweep ran at 0.5 and 1.0 only; analyze asks for 0.3
+        from basinlab.csvio import write_csv
+        write_csv(tmp_path / "llc.csv", ["step", "lambda_hat"], [(s, s) for s in (1, 2, 3, 4)])
+        write_csv(tmp_path / "sweep_quantize.csv",
+                  ["step", "scheme", "control_parameter", "delta_loss", "critical_value",
+                   "epsilon", "seed"],
+                  [(s, "quantize", 8.0, 0.1, 8.0 * s, e, 0)
+                   for s in (1, 2, 3, 4) for e in (0.5, 1.0)])
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"analyze": {"epsilon": 0.3}}))
+        assert main(["analyze", "--config", str(p), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "config key 'analyze.epsilon'" in err
+        assert "[0.5, 1.0]" in err and not (tmp_path / "analysis.csv").exists()
 
     def test_lemma_audit_violation_exit_2(self, workdir, tmp_path, monkeypatch):
         # force a failing validator to confirm the nonzero-exit contract

@@ -222,7 +222,7 @@ class TestFitScaling:
         vols = eps**0.5 * (-np.log(eps)) ** 1
         curve = VolumeCurve(
             epsilons=eps, volumes=vols,
-            standard_errors=1e-9 * vols, mc_samples=1, total_volume=4.0,
+            standard_errors=1e-9 * vols, total_volume=4.0,
         )
         fit = fit_scaling(curve, multiplicity_mode="select_by_fit")
         assert fit.lam == pytest.approx(0.5, abs=1e-6)
