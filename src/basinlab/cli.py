@@ -119,8 +119,8 @@ VALUE_CHECKS = dict.fromkeys((
     "model.layer_sizes": (lambda v: len(v) >= 2 and min(v) >= 1, "needs >= 2 entries, each >= 1"),
     # the ladder starts at 2**-2
     "volume.ladder_max_k": (lambda v: v >= 2, "must be >= 2"),
-    "volume.multiplicity_mode": (lambda v: v == "select_by_fit" or type(v) is int,
-                                 "expected 'select_by_fit' or an integer"),
+    "volume.multiplicity_mode": (lambda v: v == "select_by_fit" or (type(v) is int and v >= 1),
+                                 "expected 'select_by_fit' or an integer >= 1"),
     "quantize.nq_cap": (lambda v: v >= 4, "must be >= 4, the smallest n_q probed"),
     "quantize.mode": (lambda v: v in ("loss_min", "max_abs"), "must be 'loss_min' or 'max_abs'"),
     "noise.mode": (lambda v: v in ("absolute", "relative"), "must be 'absolute' or 'relative'"),
@@ -190,6 +190,14 @@ def load_config(path: str | None, seed: int | None, out: str | None, epsilons: s
             raise ConfigError("llc.burn_in", "must be null or in [0, llc.steps_per_chain)")
         if not all(0 <= s <= training["steps"] for s in training["checkpoint_schedule"]):
             raise ConfigError("training.checkpoint_schedule", "must lie in [0, training.steps]")
+        # the fitted rungs, from the first 2^-k at or below max_epsilon down,
+        # must span two decades: 2^7 >= 100
+        k_top, volume = 2, cfg["volume"]
+        while 2.0**-k_top > volume["max_epsilon"]:
+            k_top += 1
+        if volume["ladder_max_k"] < k_top + 7:
+            raise ConfigError("volume.ladder_max_k", f"must be >= {k_top + 7} for the fit's rungs "
+                              "to span two decades below volume.max_epsilon")
     if seed is not None:
         cfg["seed"] = seed
     if out is not None:

@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -255,6 +256,12 @@ def cross_key_failure(path, value):
         return "llc.burn_in"
     if not all(0 <= s <= training["steps"] for s in training["checkpoint_schedule"]):
         return "training.checkpoint_schedule"
+    # volume-fit fits the rungs 2^-k at or below max_epsilon, which must
+    # span two decades: from the first such k to ladder_max_k, at least 2^7
+    volume = cfg["volume"]
+    k_top = next(k for k in itertools.count(2) if 2.0**-k <= volume["max_epsilon"])
+    if volume["ladder_max_k"] < k_top + 7:
+        return "volume.ladder_max_k"
     return None
 
 
@@ -352,6 +359,20 @@ class TestConfigPass:
         keys = [".".join(p) for p in leaf_paths(DEFAULT_CONFIG)]
         assert [k for k in keys if f"`{k}`" not in readme] == []
 
+    @pytest.mark.parametrize("max_epsilon,lowest_k", [
+        (0.25, 9), (1e300, 9), (0.1, 11), (2.0**-6, 13), (0.9 * 2.0**-6, 14)])
+    def test_ladder_reaches_two_decades_below_fit_top(self, tmp_path, max_epsilon, lowest_k):
+        cfg_path = tmp_path / "cfg.json"
+        for k, ok in ((lowest_k, True), (lowest_k - 1, False)):
+            cfg_path.write_text(json.dumps(
+                {"volume": {"max_epsilon": max_epsilon, "ladder_max_k": k}}))
+            if ok:
+                assert load_config(str(cfg_path), None, None, None)["volume"]["ladder_max_k"] == k
+            else:
+                with pytest.raises(ConfigError) as err:
+                    load_config(str(cfg_path), None, None, None)
+                assert err.value.key == "volume.ladder_max_k"
+
     def test_default_config_hash_pinned(self):
         assert experiment_hash(load_config(None, None, None, None)) == (
             "27d2439ac1088b5fef3c3c91c516876a8181c97cea02c68159620e0f6604ba63")
@@ -429,6 +450,10 @@ class TestErrors:
         ({"model": {"layer_sizes": [4]}}, "model.layer_sizes"),
         ({"volume": {"max_epsilon": -1}}, "volume.max_epsilon"),
         ({"volume": {"ladder_max_k": 1}}, "volume.ladder_max_k"),
+        ({"volume": {"multiplicity_mode": 0}}, "volume.multiplicity_mode"),
+        ({"volume": {"multiplicity_mode": -3}}, "volume.multiplicity_mode"),
+        ({"volume": {"ladder_max_k": 8}}, "volume.ladder_max_k"),
+        ({"volume": {"max_epsilon": 0.01}}, "volume.ladder_max_k"),
     ], ids=["unknown-key", "top-level-array", "epsilons-string", "epsilons-nan",
             "layer-sizes-int", "checkpoint-schedule-int", "n-samples-float", "n-samples-bool",
             "layer-sizes-float-item", "write-traces-string", "n-seeds-string", "seed-string",
@@ -450,7 +475,9 @@ class TestErrors:
             "nbeta-zero", "step-size-negative", "gamma-negative", "burn-in-at-steps",
             "burn-in-negative", "steps-per-chain-at-burn-in", "checkpoint-above-steps",
             "checkpoint-negative", "steps-below-schedule", "layer-sizes-one-entry",
-            "max-epsilon-negative", "ladder-empty"])
+            "max-epsilon-negative", "ladder-empty", "multiplicity-mode-zero",
+            "multiplicity-mode-negative", "ladder-below-two-decades",
+            "max-epsilon-shrinks-ladder"])
     def test_unknown_config_key_exit_1(self, tmp_path, capsys, payload, key):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(payload))

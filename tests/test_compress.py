@@ -503,7 +503,7 @@ class TestCriticalCompressionFraction:
         params = model.pack([(w_true, np.zeros(8))])
         x = rng.standard_normal((256, 8))
         y = model.forward(params, x)
-        loss_eval = lambda p: model.loss(p, x, y)
+        loss_eval = lambda p: model.loss_and_grad(p, x, y, need_grad=False)[0]
         (res,) = critical_compression_fraction(model, params, epsilons=[1e-10],
                                                loss_eval=loss_eval, layer_selection=[0])
         assert res.value == 3 / 8
@@ -769,7 +769,7 @@ class TestPruneAndRetrain:
         assert res.n_pruned == 16
         out = task.model.forward(res.params, task.x)
         assert np.allclose(out, out[0])  # output bias only
-        const_loss = task.model.loss(res.params, task.x, task.y)
+        const_loss = task.model.loss_and_grad(res.params, task.x, task.y, need_grad=False)[0]
         assert res.delta_loss == pytest.approx(const_loss - task.full_loss(ck.params), abs=1e-12)
 
     def test_masked_weights_stay_exactly_zero(self, trained):

@@ -61,8 +61,10 @@ def per_chain_oracle(target, cfg, seed, w_star=None):
             return target.model.loss_and_grad(w, *target.batch(rng, cfg.batch_size))
 
         rng_base = rng_stream(seed, cfg.chains)
-        baseline = float(np.mean([target.model.loss(w_star, *target.batch(rng_base, cfg.batch_size))
-                                  for _ in range(cfg.baseline_batches)]))
+        baseline = float(np.mean([
+            target.model.loss_and_grad(w_star, *target.batch(rng_base, cfg.batch_size),
+                                       need_grad=False)[0]
+            for _ in range(cfg.baseline_batches)]))
     trace = np.zeros((cfg.chains, cfg.steps_per_chain))
     hits = 0
     for c in range(cfg.chains):

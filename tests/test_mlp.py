@@ -1,10 +1,30 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from basinlab import MlpModel, MlpSpec, estimate_llc, LlcConfig, make_teacher_task, rng_stream
+from basinlab import (
+    LlcConfig,
+    MlpModel,
+    MlpSpec,
+    critical_compression_fraction,
+    critical_nq,
+    critical_sigma,
+    estimate_llc,
+    make_teacher_task,
+    prune_and_retrain,
+    rng_stream,
+    train_sgd,
+)
 from basinlab.errors import InvalidInputError
+from basinlab.mlp import MlpTask
+
+
+def row_major_loss(model, params, x, y):
+    """The oracle of every full-data loss: the forward branch of the row-major
+    evaluator that training and the LLC sampler run on."""
+    return model.loss_and_grad(params, x, y, need_grad=False)[0]
 
 
 def finite_difference_grad(model, params, x, y, indices, h=1e-5):
@@ -13,7 +33,7 @@ def finite_difference_grad(model, params, x, y, indices, h=1e-5):
         pp, pm = params.copy(), params.copy()
         pp[i] += h
         pm[i] -= h
-        g[j] = (model.loss(pp, x, y) - model.loss(pm, x, y)) / (2 * h)
+        g[j] = (row_major_loss(model, pp, x, y) - row_major_loss(model, pm, x, y)) / (2 * h)
     return g
 
 
@@ -101,7 +121,7 @@ class TestLossAndGrad:
             params = model.init_params(rng)
             x = rng.standard_normal((n, 4))
             y = rng.standard_normal((n, out))
-            assert model.loss(params, x, y) == model.loss_and_grad(params, x, y)[0]
+            assert row_major_loss(model, params, x, y) == model.loss_and_grad(params, x, y)[0]
 
     def test_target_shape_mismatch_rejected(self):
         model = MlpModel(MlpSpec(layer_sizes=(3, 2)))
@@ -136,6 +156,106 @@ class TestTeacherTask:
             estimate_llc(task, LlcConfig(), seed=0)
 
 
+class TestFullLoss:
+    """`MlpTask.full_loss`, the feature-major evaluator, against the row-major
+    loss of `loss_and_grad`."""
+
+    # Worst relative difference measured at shapes other than 4-16-16-4 at
+    # N = 1,024, over 300 vectors per (shape, N) on this grid and a few more
+    # shapes: 7.2e-15, at N = 1 and 2, where OpenBLAS picks another kernel
+    # for one layout. The tolerance is about seven times that.
+    RTOL = 5e-14
+
+    @staticmethod
+    def random_params(model, rng):
+        scale = rng.uniform(0.05, 3.0)
+        return model.init_params(rng) * scale + scale * rng.standard_normal(model.n_params)
+
+    def test_bit_identical_at_shipped_shape(self):
+        task = make_teacher_task(MlpSpec(layer_sizes=(4, 16, 16, 4)), 1024, seed=21)
+        rng = rng_stream(21, 1)
+        for _ in range(2000):
+            params = self.random_params(task.model, rng)
+            expect = row_major_loss(task.model, params, task.x, task.y)
+            assert task.full_loss(params).hex() == expect.hex()
+
+    @pytest.mark.parametrize("sizes", [(3, 5, 2), (2, 1), (1, 3, 1), (4, 32, 32, 4),
+                                       (5, 7, 3, 2), (8, 64, 4)])
+    def test_close_at_other_shapes(self, sizes):
+        model = MlpModel(MlpSpec(layer_sizes=sizes))
+        rng = rng_stream(22, 0)
+        for n in (1, 2, 7, 64, 100, 3000):
+            task = MlpTask(model, rng.standard_normal((n, sizes[0])),
+                           rng.standard_normal((n, sizes[-1])))
+            for _ in range(20):
+                params = self.random_params(model, rng)
+                expect = row_major_loss(model, params, task.x, task.y)
+                assert task.full_loss(params) == pytest.approx(expect, rel=self.RTOL, abs=0)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, 1e200, -1e200])
+    def test_non_finite_exactly_where_oracle_is(self, bad):
+        task = make_teacher_task(MlpSpec(layer_sizes=(4, 16, 16, 4)), 1024, seed=23)
+        model = task.model
+        rng = rng_stream(23, 1)
+        # the first entry of every weight matrix and bias, then random ones
+        where = [i for span_w, span_b in model._spans for i in (span_w.start, span_b.start)]
+        where += list(rng.choice(model.n_params, 20, replace=False))
+        finite = []
+        with np.errstate(all="ignore"):
+            for i in where:
+                params = model.init_params(rng)
+                params[i] = bad
+                got = task.full_loss(params)
+                expect = row_major_loss(model, params, task.x, task.y)
+                assert np.isfinite(got) == np.isfinite(expect)
+                assert got == expect or (np.isnan(got) and np.isnan(expect))
+                finite.append(np.isfinite(got))
+        # NaN reaches the loss from any entry; an infinite or huge entry can
+        # saturate a tanh and leave it finite, but no output-layer one does
+        assert not all(finite) and (any(finite) != np.isnan(bad))
+
+    def test_wrong_shape_rejected(self):
+        task = make_teacher_task(MlpSpec(layer_sizes=(3, 5, 2)), 16, seed=24)
+        d = task.model.n_params
+        for params in (np.zeros(d + 1), np.zeros(d - 1), np.zeros((1, d)), np.float64(0.0)):
+            with pytest.raises(InvalidInputError):
+                task.full_loss(params)
+        with pytest.raises(InvalidInputError):
+            MlpTask(task.model, task.x[:, :2], task.y)
+        with pytest.raises(InvalidInputError):
+            MlpTask(task.model, task.x[:0], task.y[:0])
+
+    def test_critical_searches_equal_under_oracle(self, monkeypatch):
+        # every search the sweeps run, on a trained shipped-shape checkpoint,
+        # gives the same bits under either evaluator
+        task = make_teacher_task(MlpSpec(layer_sizes=(4, 16, 16, 4)), 1024, seed=25)
+        (ck,) = train_sgd(task, steps=1500, learning_rate=0.05, batch_size=32, seed=1,
+                          checkpoint_schedule=(1500,))
+
+        def oracle(params):
+            return row_major_loss(task.model, params, task.x, task.y)
+
+        def hexes(results):
+            return [tuple(float(v).hex() for v in dataclasses.astuple(r)) for r in results]
+
+        eps = [0.5, 0.1, 0.02]
+        for search in (lambda f: critical_nq(ck.params, eps, f),
+                       lambda f: critical_sigma(ck.params, eps, "relative", f, noise_draws=4),
+                       lambda f: critical_compression_fraction(task.model, ck.params, eps, f)):
+            assert hexes(search(task.full_loss)) == hexes(search(oracle))
+
+        def prune():
+            return prune_and_retrain(task, ck.params, [0.5, 0.75], learning_rate=0.01,
+                                     retrain_steps=40, seed=2)
+
+        fast = prune()
+        monkeypatch.setattr(MlpTask, "full_loss", lambda self, p: oracle(p))
+        slow = prune()
+        for a, b in zip(fast, slow):
+            assert a.delta_loss.hex() == b.delta_loss.hex()
+            assert np.array_equal(a.params, b.params)
+
+
 class TestBuffers:
     def test_full_loss_allocates_no_activation_temporaries(self):
         # one (1024, 16) float64 activation is 131,072 bytes; after the
@@ -153,9 +273,10 @@ class TestBuffers:
 
     @pytest.mark.parametrize("n_out", [4, 16])
     def test_warm_full_loss_allocates_only_the_ufunc_buffer(self, n_out):
-        # numpy buffers the broadcast bias add in np.getbufsize() float64s
-        # (64 KiB); the mse loss forms its residual in the output buffer, so
-        # no (1024, n_out) temporary adds to that at any output width
+        # the bound allows one ufunc buffer of np.getbufsize() float64s
+        # (64 KiB). Each bias rides in its layer's matmul, and the output
+        # layer writes straight into the residual buffer, so a warm call
+        # needs none, and no (1024, n_out) temporary at any output width
         task = make_teacher_task(MlpSpec(layer_sizes=(4, 16, 16, n_out)), 1024, seed=13)
         params = task.model.init_params(rng_stream(0, 0))
         task.full_loss(params)
