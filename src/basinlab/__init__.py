@@ -31,8 +31,6 @@ from .compress import (
     prune_and_retrain,
     quantization_delta_loss,
     quantize,
-    quantize_loss_min_m,
-    quantize_max_abs,
 )
 from .landscapes import (
     Bounds,

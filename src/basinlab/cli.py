@@ -44,7 +44,7 @@ from .mdl import build_eps_net, mc_ball_volumes, two_part_redundancy, validate_k
 from .mlp import MlpSpec, MlpTask, make_teacher_task
 from .rng import rng_stream
 from .simplex import kl_bernoulli, sample_restricted
-from .training import load_checkpoint, train_sgd
+from .training import Checkpoint, load_checkpoint, train_sgd
 from .volume import default_ladder, fit_scaling, volume_curve
 
 LN2 = float(np.log(2.0))
@@ -178,8 +178,10 @@ def load_config(path: str | None, seed: int | None, out: str | None, epsilons: s
     if path is not None:
         try:
             user = json.loads(Path(path).read_text(encoding="utf-8"))
-        except FileNotFoundError:
-            raise ConfigError("config", f"file not found: {path}")
+        except OSError as e:
+            raise ConfigError("config", f"cannot read {path}: {e.strerror}")
+        except UnicodeDecodeError as e:
+            raise ConfigError("config", f"{path} is not UTF-8: {e}")
         except json.JSONDecodeError as e:
             raise ConfigError("config", f"invalid JSON: {e}")
         cfg = merge_config("", cfg, user)
@@ -258,9 +260,13 @@ def experiment_hash(cfg: dict) -> str:
     return csvio.config_hash(trimmed)
 
 
-def out_dir(cfg: dict) -> Path:
-    d = Path(cfg["out"])
-    d.mkdir(parents=True, exist_ok=True)
+def out_dir(cfg: dict, *parts: str) -> Path:
+    """`out`, or the directory `parts` names below it, made if missing."""
+    d = Path(cfg["out"], *parts)
+    try:
+        d.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise ConfigError("out", f"cannot make directory {d}: {e.strerror}")
     return d
 
 
@@ -282,11 +288,12 @@ def emit(cfg: dict, subcommand: str, files: dict[str, tuple[list[str], list[tupl
 
 
 def cmd_train_toy(cfg: dict) -> int:
-    cks = train_sgd(build_task(cfg), **cfg["training"], out_dir=checkpoints_dir(cfg))
+    d = out_dir(cfg, "checkpoints")  # before training: a bad `out` fails at once
+    cks = train_sgd(build_task(cfg), **cfg["training"], out_dir=d)
     emit(cfg, "train-toy", {
         "training.csv": (["step", "train_loss"], [(c.step, c.train_loss) for c in cks]),
     })
-    print(f"wrote {len(cks)} checkpoints to {checkpoints_dir(cfg)}")
+    print(f"wrote {len(cks)} checkpoints to {d}")
     return 0
 
 
@@ -326,49 +333,47 @@ SWEEP_HEADER = ["step", "scheme", "control_parameter", "delta_loss",
                 "critical_value", "epsilon", "seed"]
 
 
-def sweep(cfg: dict, subcommand: str, scheme: str,
-          search: Callable[[MlpTask, np.ndarray, list[float]], list[CriticalResult]]) -> int:
-    """One sweep row per (checkpoint, epsilon), from the CriticalResults that
-    one `search(task, params, epsilons)` call per checkpoint returns."""
+def sweep(cfg: dict, subcommand: str, rows_for: Callable[[MlpTask, Checkpoint], list[tuple]]) -> int:
+    """The loop every sweep runs: `rows_for(task, ck)` gives each checkpoint's
+    rows, which go to one CSV under `out`."""
     task = build_task(cfg)
-    rows = []
-    for ck in load_checkpoints(cfg):
-        for eps, res in zip(cfg["epsilons"], search(task, ck.params, cfg["epsilons"])):
-            rows.append((ck.step, scheme, res.value, res.delta_loss, res.critical_value,
-                         eps, cfg["seed"]))
+    rows = [row for ck in load_checkpoints(cfg) for row in rows_for(task, ck)]
     name = f"sweep_{subcommand.removesuffix('-sweep')}.csv"
     d = emit(cfg, subcommand, {name: (SWEEP_HEADER, rows)})
     print(f"wrote {len(rows)} rows -> {d / name}")
     return 0
 
 
+def critical_rows(cfg: dict, scheme: str, ck: Checkpoint,
+                  results: list[CriticalResult]) -> list[tuple]:
+    """A checkpoint's sweep rows, one per epsilon, from its search's results."""
+    return [(ck.step, scheme, res.value, res.delta_loss, res.critical_value, eps, cfg["seed"])
+            for eps, res in zip(cfg["epsilons"], results)]
+
+
 def cmd_quantize_sweep(cfg: dict) -> int:
-    return sweep(cfg, "quantize-sweep", "quantize", lambda task, params, epsilons:
-                 critical_nq(params, epsilons, task.full_loss, **cfg["quantize"]))
+    return sweep(cfg, "quantize-sweep", lambda task, ck: critical_rows(cfg, "quantize", ck,
+                 critical_nq(ck.params, cfg["epsilons"], task.full_loss, **cfg["quantize"])))
 
 
 def cmd_factorize_sweep(cfg: dict) -> int:
-    return sweep(cfg, "factorize-sweep", "factorize", lambda task, params, epsilons:
-                 critical_compression_fraction(task.model, params, epsilons, task.full_loss))
+    return sweep(cfg, "factorize-sweep", lambda task, ck: critical_rows(cfg, "factorize", ck,
+                 critical_compression_fraction(task.model, ck.params, cfg["epsilons"],
+                                               task.full_loss)))
 
 
 def cmd_noise_sweep(cfg: dict) -> int:
-    return sweep(cfg, "noise-sweep", f"noise_{cfg['noise']['mode']}", lambda task, params, epsilons:
-                 critical_sigma(params, epsilons, loss_eval=task.full_loss, **cfg["noise"]))
+    return sweep(cfg, "noise-sweep", lambda task, ck: critical_rows(
+        cfg, f"noise_{cfg['noise']['mode']}", ck,
+        critical_sigma(ck.params, cfg["epsilons"], loss_eval=task.full_loss, **cfg["noise"])))
 
 
 def cmd_prune_sweep(cfg: dict) -> int:
-    task = build_task(cfg)
-    rows = []
-    for ck in load_checkpoints(cfg):
-        results = prune_and_retrain(task, ck.params, **cfg["prune"])
-        for frac, res in zip(cfg["prune"]["keep_fractions"], results):
-            # rugged curves: no critical-threshold search for pruning
-            rows.append((ck.step, "prune", frac, res.delta_loss, None,
-                         cfg["epsilons"][0], cfg["seed"]))
-    d = emit(cfg, "prune-sweep", {"sweep_prune.csv": (SWEEP_HEADER, rows)})
-    print(f"wrote {len(rows)} rows -> {d / 'sweep_prune.csv'}")
-    return 0
+    # rugged curves: no critical-threshold search for pruning
+    return sweep(cfg, "prune-sweep", lambda task, ck: [
+        (ck.step, "prune", frac, res.delta_loss, None, cfg["epsilons"][0], cfg["seed"])
+        for frac, res in zip(cfg["prune"]["keep_fractions"],
+                             prune_and_retrain(task, ck.params, **cfg["prune"]))])
 
 
 def cmd_volume_fit(cfg: dict) -> int:
@@ -434,14 +439,14 @@ def cmd_lemma_audit(cfg: dict) -> int:
 
     model = SingularBernoulli(m_simplex=m_simplex)
     rng_inc = rng_stream(au["seed"], 1)
+    lo, hi = model.image_interval()
+    grid = np.linspace(lo, hi, 20_001)
     violations = 0
     for _ in range(au["inclusion_configs"]):
         eps = float(np.exp(rng_inc.uniform(np.log(1e-4), np.log(1e-1))))
         w_q = model.bounds.sample(rng_inc, 1)[0]
         theta_q = float(model.prob_one(w_q))
         # pick a center within the KL ball of radius eps around q
-        lo, hi = model.image_interval()
-        grid = np.linspace(lo, hi, 20_001)
         ok = grid[kl_bernoulli(theta_q, grid) <= eps]
         theta_star = float(rng_inc.choice(ok))
         chk = validate_volume_inclusions(model, theta_q, theta_star, eps)

@@ -2,10 +2,13 @@
 compressibility.
 
 Every scheme perturbs a parameter vector and reports the induced loss
-increase on a fixed, deterministic loss evaluator. The critical searches find
-the most aggressive setting whose loss increase still meets the tolerance,
-and always end with a verification pass so the returned value satisfies its
-defining inequality exactly as measured.
+increase on a fixed, deterministic loss evaluator; `quantization_delta_loss`
+and `noise_delta_loss` are the single-setting probes. The critical searches
+find the most aggressive setting whose loss increase still meets the
+tolerance, and end with a verification pass so the returned value satisfies
+its defining inequality exactly as measured. One exception: when even
+critical_sigma's lower bound, sigma = 1e-6, exceeds the tolerance, it returns
+that bound with its delta_loss above epsilon.
 """
 
 from __future__ import annotations
@@ -17,10 +20,12 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import InvalidInputError, QuantizationFailedError, UnreachableToleranceError
+from .errors import (InvalidInputError, QuantizationFailedError, TrainingDivergedError,
+                     UnreachableToleranceError)
 from .linalg import svd
 from .mlp import MlpModel, MlpTask
 from .rng import rng_stream
+from .training import DIVERGENCE_CAP
 
 LossEval = Callable[[np.ndarray], float]
 
@@ -163,32 +168,17 @@ def _clamp_search(params: np.ndarray, n_q: int, loss_eval: LossEval, mode: str, 
     yield best_m, best_loss - base
 
 
-def _complete_clamp_search(params, n_q: int, loss_eval: LossEval, mode: str) -> tuple[float, float]:
-    """(m, delta_loss): the clamp search at n_q run to its end."""
-    params = np.asarray(params, dtype=float)
-    *_, result = _clamp_search(params, n_q, loss_eval, mode, loss_eval(params))
-    return result
-
-
-def quantize_max_abs(params: np.ndarray, n_q: int, loss_eval: LossEval) -> tuple[float, float]:
-    """Quantize with the clamp set to the largest absolute parameter value."""
-    return _complete_clamp_search(params, n_q, loss_eval, "max_abs")
-
-
-def quantize_loss_min_m(params: np.ndarray, n_q: int, loss_eval: LossEval) -> tuple[float, float]:
-    """The clamp m with the lowest post-quantization loss, and its delta_loss.
-    max|w| is a candidate, so this never does worse than quantize_max_abs."""
-    return _complete_clamp_search(params, n_q, loss_eval, "loss_min")
-
-
 def quantization_delta_loss(
     params: np.ndarray,
     n_q: int,
     loss_eval: LossEval,
     mode: str = "loss_min",
 ) -> float:
-    """Loss increase of quantizing `params` to n_q levels, the clamp set by `mode`."""
-    return _complete_clamp_search(params, n_q, loss_eval, mode)[1]
+    """Loss increase of quantizing `params` to n_q levels, the clamp set by
+    `mode`: the clamp search at n_q run to its end."""
+    params = np.asarray(params, dtype=float)
+    *_, (_, delta) = _clamp_search(params, n_q, loss_eval, mode, loss_eval(params))
+    return delta
 
 
 def _passes(delta_loss: float, epsilon: float) -> bool:
@@ -358,22 +348,17 @@ def critical_compression_fraction(
     return results
 
 
-def _perturb(w: np.ndarray, z: np.ndarray, sigma: float, mode: str) -> np.ndarray:
-    if sigma < 0:
-        raise InvalidInputError("sigma must be nonnegative")
+def _noise_delta(params: np.ndarray, mode: str, loss_eval: LossEval, noise_draws: int, seed: int):
+    """sigma -> noise_delta_loss(params, sigma, ...), with the mode checked, the
+    base loss and the unit perturbations (streams 0 .. noise_draws - 1 of
+    `seed`) made once, and each sigma's value kept."""
     if mode not in ("absolute", "relative"):
         raise InvalidInputError(f"unknown noise mode {mode!r}")
-    return w + sigma * z if mode == "absolute" else w + w * sigma * z
-
-
-def _noise_delta(params: np.ndarray, mode: str, loss_eval: LossEval, noise_draws: int, seed: int):
-    """sigma -> noise_delta_loss(params, sigma, ...), with the base loss and the
-    unit perturbations (streams 0 .. noise_draws - 1 of `seed`) made once,
-    and each sigma's value kept."""
     base = loss_eval(params)
     draws = [rng_stream(seed, k).standard_normal(params.shape) for k in range(noise_draws)]
+    scale = params if mode == "relative" else 1.0  # 1.0 * sigma is sigma, bit for bit
     return functools.cache(lambda sigma: float(np.mean(
-        [loss_eval(_perturb(params, z, sigma, mode)) for z in draws])) - base)
+        [loss_eval(params + scale * sigma * z) for z in draws])) - base)
 
 
 def noise_delta_loss(
@@ -386,6 +371,8 @@ def noise_delta_loss(
 ) -> float:
     """Mean loss increase over the seeded noise draws at a fixed sigma: draw k is
     w + sigma * z (absolute) or w + w * sigma * z (relative), z ~ N(0, I) from stream k."""
+    if sigma < 0:
+        raise InvalidInputError("sigma must be nonnegative")
     return _noise_delta(np.asarray(params, dtype=float), mode, loss_eval, noise_draws, seed)(sigma)
 
 
@@ -447,7 +434,9 @@ def prune_and_retrain(
     retraining by masking their gradients. The reported loss is the minimum
     full-dataset training loss seen during retraining, and delta_loss is
     measured against the unpruned parameters. Pruning zero units is flagged
-    as a no-op, not an error.
+    as a no-op, not an error. Retraining follows train_sgd's divergence rule
+    on every run: a non-finite batch loss, or one above DIVERGENCE_CAP,
+    raises TrainingDivergedError naming the step.
 
     Every run draws the same minibatches from `rng_stream(seed, 1)`, so the
     runs step in lockstep as one (K, d) stack: one batch draw and one stacked
@@ -481,8 +470,11 @@ def prune_and_retrain(
     rng_batch = rng_stream(seed, 1)
     best_loss = [task.full_loss(row) for row in w]
     best_params = w.copy()
-    for _ in range(retrain_steps):
-        _, grads = model.losses_and_grads(w, *task.batch(rng_batch, batch_size))
+    for step in range(1, retrain_steps + 1):
+        losses, grads = model.losses_and_grads(w, *task.batch(rng_batch, batch_size))
+        worst = losses.max()  # NaN if any run's loss is NaN
+        if not np.isfinite(worst) or worst > DIVERGENCE_CAP:
+            raise TrainingDivergedError(step=step, loss=float(worst))
         w = w - learning_rate * (grads * masks)
         for k, row in enumerate(w):
             full = task.full_loss(row)

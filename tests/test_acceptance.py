@@ -32,8 +32,6 @@ from basinlab import (
     measured_bits_per_coordinate,
     quantization_delta_loss,
     quantize,
-    quantize_loss_min_m,
-    quantize_max_abs,
     rng_stream,
     sample_restricted,
     train_sgd,
@@ -189,8 +187,8 @@ def test_c07_quantization_mechanics(monkeypatch):
     for i, w in enumerate(vectors):
         loss_eval = lambda v: float(np.sum(curvature * (v - w) ** 2))
         for nq in nqs:
-            dl_min = quantize_loss_min_m(w, nq, loss_eval)[1]
-            dl_max = quantize_max_abs(w, nq, loss_eval)[1]
+            dl_min = quantization_delta_loss(w, nq, loss_eval, "loss_min")
+            dl_max = quantization_delta_loss(w, nq, loss_eval, "max_abs")
             assert dl_min <= dl_max + 1e-12, f"vector {i}, n_q {nq}"
     report(7, f"quantization mechanics on {len(vectors)} vectors x {len(nqs)} grids: "
               "idempotence, odd symmetry, cardinality, loss-min dominance all hold")

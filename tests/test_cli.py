@@ -12,9 +12,12 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from basinlab import cli
 from basinlab.cli import (
-    ALTERNATIVES, DEFAULT_CONFIG, VALUE_CHECKS, experiment_hash, load_config, main,
+    ALTERNATIVES, DEFAULT_CONFIG, VALUE_CHECKS, build_task, experiment_hash, load_checkpoints,
+    load_config, main,
 )
+from basinlab.compress import prune_and_retrain
 from basinlab.csvio import read_csv
 from basinlab.errors import ConfigError
 
@@ -77,9 +80,19 @@ class TestSubcommands:
         assert 0.0 <= r2 <= 1.0
 
     def test_prune_rows_have_empty_critical(self, workdir):
-        _, _, out = workdir
+        _, cfg_path, out = workdir
+        assert run(cfg_path, out, "prune-sweep") == 0
         _, _, rows = read_csv(out / "sweep_prune.csv")
         assert all(r[4] == "" for r in rows)
+        # each row is a direct prune_and_retrain call's, checkpoint by checkpoint
+        cfg = load_config(str(cfg_path), None, str(out), None)
+        task = build_task(cfg)
+        expected = [(ck.step, "prune", frac, res.delta_loss, "", cfg["epsilons"][0], cfg["seed"])
+                    for ck in load_checkpoints(cfg)
+                    for frac, res in zip(cfg["prune"]["keep_fractions"],
+                                         prune_and_retrain(task, ck.params, **cfg["prune"]))]
+        assert [(int(r[0]), r[1], float(r[2]), float(r[3]), r[4], float(r[5]), int(r[6]))
+                for r in rows] == expected
 
     def test_volume_fit(self, workdir):
         _, cfg_path, out = workdir
@@ -494,6 +507,29 @@ class TestErrors:
         assert len(err.splitlines()) == 1 and "config key 'mdl.n_powers'" in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command", ["train-toy", "volume-fit"])
+    @pytest.mark.parametrize("under_file", [True, False], ids=["under-file", "file"])
+    def test_unusable_out_exit_1(self, tmp_path, capsys, monkeypatch, command, under_file):
+        # `out` is a regular file or lies below one; train-toy fails before training
+        monkeypatch.setattr(cli, "train_sgd", lambda *a, **k: pytest.fail("trained"))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(SMALL))
+        out = cfg_path / "o" if under_file else cfg_path
+        assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "config key 'out'" in err
+
+    @pytest.mark.parametrize("content", [None, b'{"seed": "\xff"}'], ids=["directory", "not-utf8"])
+    def test_unreadable_config_exit_1(self, tmp_path, capsys, content):
+        cfg_path = tmp_path / "cfg"
+        if content is None:
+            cfg_path.mkdir()
+        else:
+            cfg_path.write_bytes(content)
+        assert main(["volume-fit", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "config key 'config'" in err
+
     def test_audit_simplex_bound_too_large_exit_1(self, tmp_path, capsys):
         # m * outcomes >= 1 leaves no restricted simplex to sample
         bad = tmp_path / "bad.json"
@@ -614,6 +650,15 @@ class TestErrors:
         err = capsys.readouterr().err
         assert "of checkpoint 0 (training step 100) diverged at step" in err
         assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+    def test_diverging_prune_retrain_exit_2(self, workdir, tmp_path, capsys):
+        _, _, out = workdir
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(dict(SMALL, prune=dict(SMALL["prune"], learning_rate=50.0))))
+        capsys.readouterr()
+        assert main(["prune-sweep", "--config", str(p), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "training diverged at step" in err
 
     def test_diverging_training_exit_2(self, tmp_path):
         cfg = dict(SMALL)

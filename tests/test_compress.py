@@ -16,14 +16,14 @@ from basinlab import (
     prune_and_retrain,
     quantization_delta_loss,
     quantize,
-    quantize_loss_min_m,
-    quantize_max_abs,
     rng_stream,
     svd,
     train_sgd,
 )
 from basinlab import compress
-from basinlab.errors import InvalidInputError, QuantizationFailedError, UnreachableToleranceError
+from basinlab.errors import (InvalidInputError, QuantizationFailedError, TrainingDivergedError,
+                             UnreachableToleranceError)
+from basinlab.training import DIVERGENCE_CAP
 
 
 def reference_quantize(w, spec):
@@ -255,13 +255,21 @@ class TestQuantize:
         assert quantize(w, spec, out=w) is w and w.tobytes() == q.tobytes()
 
 
+def loss_min_clamp(params, n_q, loss_eval):
+    """(m, delta_loss): the clamp the loss_min search chooses, read from the
+    search's result pair."""
+    params = np.asarray(params, dtype=float)
+    *_, result = compress._clamp_search(params, n_q, loss_eval, "loss_min", loss_eval(params))
+    return result
+
+
 class TestLossMinClampSearch:
     def test_on_grid_params_are_lossless(self):
         # params already on the n_q=8 grid for m = max|w|
         spec = QuantizationSpec(n_q=8, m_clamp=0.9)
         params = spec.grid()[[0, 2, 3, 5, 6]]
         loss_eval = lambda w: float(np.sum((w - params) ** 2))
-        m_star, dl = quantize_loss_min_m(params, 8, loss_eval)
+        m_star, dl = loss_min_clamp(params, 8, loss_eval)
         assert dl == 0.0
         assert m_star == pytest.approx(0.9)
 
@@ -270,13 +278,13 @@ class TestLossMinClampSearch:
         # value, so the searched minimum is exactly lossless
         loss_eval = lambda w: float((w[0] - 0.5) ** 2)
         params = np.array([0.5])
-        m_star, dl = quantize_loss_min_m(params, 4, loss_eval)
+        m_star, dl = loss_min_clamp(params, 4, loss_eval)
         assert dl <= 1e-12
         q = quantize(params, QuantizationSpec(n_q=4, m_clamp=m_star))
         assert q[0] == pytest.approx(0.5, abs=1e-6)
 
     def test_zero_vector_short_circuits(self):
-        m_star, dl = quantize_loss_min_m(np.zeros(5), 4, lambda w: float(np.sum(w**2)))
+        m_star, dl = loss_min_clamp(np.zeros(5), 4, lambda w: float(np.sum(w**2)))
         assert dl == 0.0
 
     def test_dominates_max_abs_mode(self, monkeypatch):
@@ -287,8 +295,8 @@ class TestLossMinClampSearch:
             a = rng.uniform(0.5, 2.0, 12)
             loss_eval = lambda v: float(np.sum(a * (v - w) ** 2))
             for nq in (4, 8, 16):
-                dl_min = quantize_loss_min_m(w, nq, loss_eval)[1]
-                dl_max = quantize_max_abs(w, nq, loss_eval)[1]
+                dl_min = quantization_delta_loss(w, nq, loss_eval, "loss_min")
+                dl_max = quantization_delta_loss(w, nq, loss_eval, "max_abs")
                 assert dl_min <= dl_max + 1e-12
 
 
@@ -565,8 +573,14 @@ class TestNoiseDeltaLoss:
         assert noise_delta_loss(np.zeros(50), 3.0, "relative", self.loss_eval, seed=1) == 0.0
 
     def test_unknown_mode_rejected(self):
+        # before any loss is evaluated, the base loss included
+        calls = []
+        loss_eval = lambda v: calls.append(v) or self.loss_eval(v)
         with pytest.raises(InvalidInputError):
-            noise_delta_loss(np.ones(3), 0.1, "multiplicative", self.loss_eval, seed=0)
+            noise_delta_loss(np.ones(3), 0.1, "multiplicative", loss_eval, seed=0)
+        with pytest.raises(InvalidInputError, match="unknown noise mode"):
+            critical_sigma(np.ones(3), [0.1], "multiplicative", loss_eval)
+        assert calls == []
 
 
 class TestCriticalSigma:
@@ -812,6 +826,17 @@ class TestPruneAndRetrain:
         leads = set(task.model._buffers)
         assert (len(self.FRACTIONS), 32) in leads
         assert (len(self.FRACTIONS), task.n_samples) not in leads
+
+    def test_diverging_retrain_raises_at_first_bad_step(self, trained):
+        # train_sgd's rule on every run: the step named is the first whose
+        # batch loss is non-finite or above the cap; one step fewer returns
+        task, ck = trained
+        kwargs = dict(keep_fractions=[0.9375, 0.5], learning_rate=50.0, seed=3)
+        with pytest.raises(TrainingDivergedError) as err:
+            prune_and_retrain(task, ck.params, retrain_steps=100, **kwargs)
+        step, loss = err.value.step, err.value.loss
+        assert 1 < step <= 100 and not loss <= DIVERGENCE_CAP
+        prune_and_retrain(task, ck.params, retrain_steps=step - 1, **kwargs)
 
     @pytest.mark.parametrize("fractions", [[], [0.5, 0.0], [1.5]])
     def test_bad_keep_fractions_rejected(self, trained, fractions):
