@@ -14,9 +14,6 @@ from .linalg import FitResult, linear_fit
 class AnalysisResult:
     """Linear fit of a critical compression value on the complexity estimate."""
 
-    steps: np.ndarray
-    lambda_hats: np.ndarray
-    critical_values: np.ndarray
     included: np.ndarray
     fit: FitResult
 
@@ -72,8 +69,8 @@ def analyze(
     """Fit critical value against lambda_hat over the non-excluded checkpoints.
 
     The exclusion mask is explicit configuration, never automatic outlier
-    rejection, and the stored rows are returned untouched. Needs at least 3
-    included points.
+    rejection; the result holds it as `included`, one flag per row, beside
+    the fit. Needs at least 3 included points.
     """
     steps = np.asarray(steps, dtype=int)
     lam = np.asarray(lambda_hats, dtype=float)
@@ -86,6 +83,4 @@ def analyze(
             f"only {int(included.sum())} included checkpoints (need >= 3)"
         )
     fit = linear_fit(lam[included], crit[included])
-    return AnalysisResult(
-        steps=steps, lambda_hats=lam, critical_values=crit, included=included, fit=fit
-    )
+    return AnalysisResult(included=included, fit=fit)

@@ -37,7 +37,7 @@ from .compress import (
 # Not called here since the searches report their own delta_loss, but kept
 # importable: benchmarks/tracing.py patches the probes under these names.
 from .compress import noise_delta_loss, quantization_delta_loss  # noqa: F401
-from .errors import ChainDivergedError, ConfigError
+from .errors import ChainDivergedError, ConfigError, TrainingDivergedError
 from .landscapes import Bounds, NormalCrossingSpec, make_normal_crossing, make_quadratic
 from .llc import LlcConfig, Preconditioner, estimate_llc
 from .mdl import build_eps_net, mc_ball_volumes, two_part_redundancy, validate_kl_l2, validate_triangle, validate_variance_bound, validate_volume_inclusions
@@ -369,11 +369,16 @@ def cmd_noise_sweep(cfg: dict) -> int:
 
 
 def cmd_prune_sweep(cfg: dict) -> int:
-    # rugged curves: no critical-threshold search for pruning
-    return sweep(cfg, "prune-sweep", lambda task, ck: [
-        (ck.step, "prune", frac, res.delta_loss, None, cfg["epsilons"][0], cfg["seed"])
-        for frac, res in zip(cfg["prune"]["keep_fractions"],
-                             prune_and_retrain(task, ck.params, **cfg["prune"]))])
+    def rows_for(task, ck):
+        try:
+            results = prune_and_retrain(task, ck.params, **cfg["prune"])
+        except TrainingDivergedError as e:
+            # name the checkpoint by its training step, as estimate-llc does
+            raise TrainingDivergedError(e.step, e.loss, e.keep_fraction, ck.step) from e
+        # rugged curves: no critical-threshold search for pruning
+        return [(ck.step, "prune", frac, res.delta_loss, None, cfg["epsilons"][0], cfg["seed"])
+                for frac, res in zip(cfg["prune"]["keep_fractions"], results)]
+    return sweep(cfg, "prune-sweep", rows_for)
 
 
 def cmd_volume_fit(cfg: dict) -> int:
@@ -413,7 +418,7 @@ def cmd_mdl_redundancy(cfg: dict) -> int:
         for s in range(m["n_seeds"]):
             run = two_part_redundancy(model, model.truth, n=n, a=a, seed=s, net=net)
             # lengths reported in bits at the CSV boundary
-            rows.append((run.n, run.a, run.seed, run.code_length / LN2,
+            rows.append((n, a, s, run.code_length / LN2,
                          run.excess_data_nats / LN2, run.redundancy / LN2))
     files["redundancy.csv"] = (["n", "a", "seed", "code_length", "excess_bits", "redundancy"],
                                rows)

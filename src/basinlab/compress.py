@@ -94,7 +94,6 @@ class PruneResult:
     delta_loss: float
     n_pruned: int
     mask: np.ndarray
-    no_op: bool
 
 
 def quantize(w: np.ndarray, spec: QuantizationSpec, out: np.ndarray | None = None) -> np.ndarray:
@@ -259,6 +258,18 @@ def critical_nq(
     return results
 
 
+def _selected_layers(model: MlpModel, layer_selection: list[int] | None) -> list[int]:
+    """The weight-matrix indices `layer_selection` names, each once and in
+    order; None selects the interior layers (never the input or output map)."""
+    n_layers = model.spec.n_layers
+    if layer_selection is None:
+        layer_selection = range(1, n_layers - 1)
+    bad = [i for i in layer_selection if not 0 <= i < n_layers]
+    if bad:
+        raise InvalidInputError(f"layer selection out of range: {bad}")
+    return sorted(set(layer_selection))
+
+
 def factorize(
     model: MlpModel,
     params: np.ndarray,
@@ -269,39 +280,25 @@ def factorize(
 
     Each selected (d1, d2) matrix keeps n = ceil(keep_fraction * min(d1, d2))
     singular values and is counted as d1*n + n + n*d2 stored parameters.
-    The default selection is the interior layers (never the input or output
-    map). Returns the reconstructed flat parameters and the model-wide ratio
-    of stored parameters after versus before.
+    The default selection is the interior layers. Returns the reconstructed
+    flat parameters, a copy with each selected matrix overwritten, and the
+    model-wide ratio of stored parameters after versus before.
     """
     if not (0.0 < keep_fraction <= 1.0):
         raise InvalidInputError("keep_fraction must be in (0, 1]")
-    if layer_selection is None:
-        layer_selection = list(range(1, model.spec.n_layers - 1))
-    layers = model.unpack(params)
-    bad = [i for i in layer_selection if i < 0 or i >= len(layers)]
-    if bad:
-        raise InvalidInputError(f"layer selection out of range: {bad}")
-
-    new_layers = []
+    selected = _selected_layers(model, layer_selection)
+    out = np.array(params, dtype=float)
+    layers = model.unpack(out)  # views: writes land in `out`
     n_kept = {}
-    before = after = 0
-    for li, (w, b) in enumerate(layers):
+    stored = model.n_params
+    for li in selected:
+        w = layers[li][0]
         d1, d2 = w.shape
-        before += d1 * d2 + len(b)
-        if li in layer_selection:
-            n = max(1, int(np.ceil(keep_fraction * min(d1, d2))))
-            n_kept[li] = n
-            res = svd(w)
-            new_layers.append((res.reconstruct(n), b.copy()))
-            after += d1 * n + n + n * d2 + len(b)
-        else:
-            new_layers.append((w.copy(), b.copy()))
-            after += d1 * d2 + len(b)
-    return FactorizationResult(
-        params=model.pack(new_layers),
-        compression_fraction=after / before,
-        n_kept=n_kept,
-    )
+        n = n_kept[li] = max(1, int(np.ceil(keep_fraction * min(d1, d2))))
+        w[...] = svd(w).reconstruct(n)
+        stored -= d1 * d2 - (d1 * n + n + n * d2)
+    return FactorizationResult(params=out, compression_fraction=stored / model.n_params,
+                               n_kept=n_kept)
 
 
 def critical_compression_fraction(
@@ -321,17 +318,16 @@ def critical_compression_fraction(
     fraction j/min_dim and its critical_value the stored-parameter ratio.
     """
     tolerances = _tolerances(epsilons)
-    if layer_selection is None:
-        layer_selection = list(range(1, model.spec.n_layers - 1))
-    if not layer_selection:
+    selected = _selected_layers(model, layer_selection)
+    if not selected:
         raise InvalidInputError("no layers selected for factorization")
     layers = model.unpack(params)
-    min_dim = min(min(layers[i][0].shape) for i in layer_selection)
+    min_dim = min(min(layers[i][0].shape) for i in selected)
     base = loss_eval(params)
 
     @functools.cache
     def probe(j):
-        res = factorize(model, params, j / min_dim, layer_selection)
+        res = factorize(model, params, j / min_dim, selected)
         return loss_eval(res.params) - base, res.compression_fraction
 
     def passes(j, eps):
@@ -354,6 +350,8 @@ def _noise_delta(params: np.ndarray, mode: str, loss_eval: LossEval, noise_draws
     `seed`) made once, and each sigma's value kept."""
     if mode not in ("absolute", "relative"):
         raise InvalidInputError(f"unknown noise mode {mode!r}")
+    if noise_draws < 1:
+        raise InvalidInputError("noise_draws must be >= 1")
     base = loss_eval(params)
     draws = [rng_stream(seed, k).standard_normal(params.shape) for k in range(noise_draws)]
     scale = params if mode == "relative" else 1.0  # 1.0 * sigma is sigma, bit for bit
@@ -396,8 +394,6 @@ def critical_sigma(
     result's value and critical_value are sigma.
     """
     tolerances = _tolerances(epsilons, allow_zero=True)
-    if noise_draws < 1:
-        raise InvalidInputError("noise_draws must be >= 1")
     dl = _noise_delta(np.asarray(params, dtype=float), mode, loss_eval, noise_draws, seed)
     results = []
     for eps in tolerances:
@@ -433,10 +429,11 @@ def prune_and_retrain(
     and outgoing weights are zeroed (biases kept) and held at zero through
     retraining by masking their gradients. The reported loss is the minimum
     full-dataset training loss seen during retraining, and delta_loss is
-    measured against the unpruned parameters. Pruning zero units is flagged
-    as a no-op, not an error. Retraining follows train_sgd's divergence rule
-    on every run: a non-finite batch loss, or one above DIVERGENCE_CAP,
-    raises TrainingDivergedError naming the step.
+    measured against the unpruned parameters. Pruning zero units is not an
+    error; its result reads n_pruned == 0. Retraining follows train_sgd's
+    divergence rule on every run: a non-finite batch loss, or one above
+    DIVERGENCE_CAP, raises TrainingDivergedError naming the step, and the
+    keep fraction and loss of the lowest such run.
 
     Every run draws the same minibatches from `rng_stream(seed, 1)`, so the
     runs step in lockstep as one (K, d) stack: one batch draw and one stacked
@@ -474,12 +471,13 @@ def prune_and_retrain(
         losses, grads = model.losses_and_grads(w, *task.batch(rng_batch, batch_size))
         worst = losses.max()  # NaN if any run's loss is NaN
         if not np.isfinite(worst) or worst > DIVERGENCE_CAP:
-            raise TrainingDivergedError(step=step, loss=float(worst))
+            k = int(np.argmin(losses <= DIVERGENCE_CAP))  # the lowest run failing the rule
+            raise TrainingDivergedError(step, float(losses[k]), keep_fraction=fractions[k])
         w = w - learning_rate * (grads * masks)
         for k, row in enumerate(w):
             full = task.full_loss(row)
             if full < best_loss[k]:
                 best_loss[k] = full
                 best_params[k] = row
-    return [PruneResult(params=p, delta_loss=loss - base, n_pruned=n, mask=m, no_op=(n == 0))
+    return [PruneResult(params=p, delta_loss=loss - base, n_pruned=n, mask=m)
             for p, loss, n, m in zip(best_params, best_loss, n_pruned, masks)]

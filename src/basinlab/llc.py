@@ -81,8 +81,6 @@ class LlcEstimate:
     per_chain_means: np.ndarray
     baseline_loss: float
     trace: np.ndarray  # (chains, steps_per_chain) losses, pre-update
-    config: LlcConfig
-    seed: int
     boundary_hits: int = 0
 
     @property
@@ -251,8 +249,6 @@ def estimate_llc(
             per_chain_means=per_chain_k,
             baseline_loss=float(base_k),
             trace=trace_k,
-            config=cfg,
-            seed=seed,
             boundary_hits=boundary_hits,
         )
         for lam_k, per_chain_k, base_k, trace_k in zip(lam, per_chain, baseline, trace)

@@ -70,9 +70,6 @@ class EpsilonNet:
 class RedundancyRun:
     """One two-part coding experiment. All lengths in nats."""
 
-    n: int
-    a: float
-    seed: int
     code_length: float
     excess_data_nats: float
     redundancy: float
@@ -229,10 +226,8 @@ def two_part_redundancy(
     k_n = f_hat * np.log(q1 / theta_star) + (1 - f_hat) * np.log((1 - q1) / (1 - theta_star))
     code_length = float(net.code_lengths[idx])
     excess = float(n * k_n)
-    return RedundancyRun(
-        n=n, a=a, seed=seed, code_length=code_length, excess_data_nats=excess,
-        redundancy=code_length + excess, theta_star=theta_star,
-    )
+    return RedundancyRun(code_length=code_length, excess_data_nats=excess,
+                         redundancy=code_length + excess, theta_star=theta_star)
 
 
 # ---------------------------------------------------------------------------

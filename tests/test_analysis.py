@@ -60,8 +60,8 @@ class TestAnalyze:
         masked = analyze(steps, lam, crit, excluded_steps=(5,))
         assert masked.r_squared == pytest.approx(1.0)
         assert full.r_squared < 0.9
-        assert np.array_equal(masked.lambda_hats, lam)
-        assert np.array_equal(masked.critical_values, crit)
+        assert np.array_equal(lam, [1.0, 2.0, 3.0, 4.0, 100.0])
+        assert np.array_equal(crit, [2.0, 4.0, 6.0, 8.0, 0.0])
         assert list(masked.included) == [True, True, True, True, False]
 
     def test_too_few_included_points(self):

@@ -659,6 +659,8 @@ class TestErrors:
         assert main(["prune-sweep", "--config", str(p), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and "training diverged at step" in err
+        # the lowest diverging run's keep fraction, and its checkpoint's training step
+        assert "while retraining keep fraction 0.5 of the checkpoint at training step 100" in err
 
     def test_diverging_training_exit_2(self, tmp_path):
         cfg = dict(SMALL)

@@ -140,7 +140,7 @@ def reference_prune_and_retrain(task, params, keep_fraction, learning_rate, retr
             best_loss = full
             best_params = w.copy()
     return compress.PruneResult(params=best_params, delta_loss=best_loss - base,
-                                n_pruned=n_prune, mask=mask, no_op=(n_prune == 0))
+                                n_pruned=n_prune, mask=mask)
 
 
 def outcome(search, epsilons):
@@ -461,6 +461,37 @@ class TestCriticalNq:
             assert quantization_delta_loss(ck.params, nq - 2, task.full_loss) > 0.5
 
 
+def reference_factorize(model, params, keep_fraction, layer_selection=None):
+    """factorize as it was first written: every layer copied or truncated,
+    packed anew, and the stored parameters summed before and after."""
+    if layer_selection is None:
+        layer_selection = list(range(1, model.spec.n_layers - 1))
+    new_layers, n_kept, before, after = [], {}, 0, 0
+    for li, (w, b) in enumerate(model.unpack(params)):
+        d1, d2 = w.shape
+        before += d1 * d2 + len(b)
+        if li in layer_selection:
+            n = n_kept[li] = max(1, int(np.ceil(keep_fraction * min(d1, d2))))
+            new_layers.append((svd(w).reconstruct(n), b.copy()))
+            after += d1 * n + n + n * d2 + len(b)
+        else:
+            new_layers.append((w.copy(), b.copy()))
+            after += d1 * d2 + len(b)
+    return model.pack(new_layers), after / before, n_kept
+
+
+def assert_factorize_equals_rebuild(model, params, keep_fraction, layer_selection=None):
+    """factorize equals the rebuild bit for bit and leaves `params` as it was."""
+    before = params.copy()
+    res = factorize(model, params, keep_fraction, layer_selection)
+    ref_params, ref_fraction, ref_kept = reference_factorize(model, params, keep_fraction,
+                                                             layer_selection)
+    assert np.array_equal(res.params, ref_params)
+    assert res.compression_fraction == ref_fraction
+    assert res.n_kept == ref_kept
+    assert np.array_equal(params, before)
+
+
 class TestFactorize:
     def test_full_rank_accounting_and_tiny_loss_change(self):
         model = MlpModel(MlpSpec(layer_sizes=(4, 16, 16, 4)))
@@ -497,6 +528,19 @@ class TestFactorize:
         model = MlpModel(MlpSpec(layer_sizes=(4, 8, 4)))
         with pytest.raises(InvalidInputError):
             factorize(model, np.zeros(model.n_params), keep_fraction=0.0)
+
+    def test_every_rank_equals_rebuild_on_checkpoint(self, checkpoints):
+        params, _ = checkpoints["4-16-16-4"]
+        model = MlpModel(MlpSpec(layer_sizes=(4, 16, 16, 4)))
+        for j in range(1, 17):
+            assert_factorize_equals_rebuild(model, params, j / 16)
+
+    @pytest.mark.parametrize("selection", [None, [0], [1, 2], [0, 3], [1, 1]])
+    def test_selections_equal_rebuild(self, selection):
+        model = MlpModel(MlpSpec(layer_sizes=(6, 5, 7, 3, 2)))
+        params = model.init_params(rng_stream(15, 0))
+        for keep in (1e-9, 0.2, 1 / 3, 0.5, 0.6, 0.75, 1.0):
+            assert_factorize_equals_rebuild(model, params, keep, selection)
 
 
 class TestCriticalCompressionFraction:
@@ -540,6 +584,16 @@ class TestCriticalCompressionFraction:
         assert res.delta_loss == task.full_loss(fresh.params) - base
         assert res.critical_value == fresh.compression_fraction
 
+    @pytest.mark.parametrize("selection", [[5], [-1], [1, 3]])
+    def test_out_of_range_selection_rejected(self, selection):
+        # before the search starts, as factorize would reject it
+        model = MlpModel(MlpSpec(layer_sizes=(4, 16, 16, 4)))
+        calls = []
+        with pytest.raises(InvalidInputError, match="layer selection out of range"):
+            critical_compression_fraction(model, model.init_params(rng_stream(7, 0)), [0.5],
+                                          lambda p: calls.append(p) or 0.0, selection)
+        assert calls == []
+
     def test_probes_pinned_settings(self, monkeypatch):
         # the ranks j probed, in order, on the scan test's checkpoint
         task = make_teacher_task(MlpSpec(layer_sizes=(4, 16, 16, 4)), 256, seed=11, teacher_gain=2.0)
@@ -580,6 +634,19 @@ class TestNoiseDeltaLoss:
             noise_delta_loss(np.ones(3), 0.1, "multiplicative", loss_eval, seed=0)
         with pytest.raises(InvalidInputError, match="unknown noise mode"):
             critical_sigma(np.ones(3), [0.1], "multiplicative", loss_eval)
+        assert calls == []
+
+    @pytest.mark.parametrize("noise_draws", [0, -1])
+    def test_no_draws_rejected(self, noise_draws):
+        # as critical_sigma rejects them, before any loss is evaluated
+        calls = []
+        loss_eval = lambda v: calls.append(v) or self.loss_eval(v)
+        for search in (lambda: noise_delta_loss(np.ones(3), 0.1, "absolute", loss_eval,
+                                                noise_draws=noise_draws),
+                       lambda: critical_sigma(np.ones(3), [0.1], "absolute", loss_eval,
+                                              noise_draws=noise_draws)):
+            with pytest.raises(InvalidInputError, match="noise_draws must be >= 1"):
+                search()
         assert calls == []
 
 
@@ -772,7 +839,7 @@ class TestPruneAndRetrain:
         task, ck = trained
         (res,) = prune_and_retrain(task, ck.params, keep_fractions=[1.0], learning_rate=0.005,
                                    retrain_steps=50, seed=0)
-        assert res.no_op and res.n_pruned == 0
+        assert res.n_pruned == 0
         assert res.delta_loss <= 1e-9  # retraining can only improve the minimum
 
     def test_prune_all_units_gives_constant_predictor(self, trained):
@@ -816,7 +883,7 @@ class TestPruneAndRetrain:
             assert res.delta_loss.hex() == ref.delta_loss.hex()
             assert np.array_equal(res.params, ref.params)
             assert np.array_equal(res.mask, ref.mask)
-            assert (res.n_pruned, res.no_op) == (ref.n_pruned, ref.no_op)
+            assert res.n_pruned == ref.n_pruned
 
     def test_full_loss_stays_per_row(self, trained):
         # a stacked full-data forward saves little time for K times the buffers
@@ -837,6 +904,29 @@ class TestPruneAndRetrain:
         step, loss = err.value.step, err.value.loss
         assert 1 < step <= 100 and not loss <= DIVERGENCE_CAP
         prune_and_retrain(task, ck.params, retrain_steps=step - 1, **kwargs)
+
+    @pytest.mark.parametrize("learning_rate, fractions", [
+        (10.0, [1.0, 0.9375, 0.5, 0.25]),  # alone, 0.5 diverges at step 3, the others at 4
+        (20.0, [0.9375, 0.5, 0.75]),  # alone, 0.5 and 0.75 at step 3, 0.9375 at 4
+    ])
+    def test_divergence_names_lowest_run_at_first_bad_step(self, trained, learning_rate,
+                                                           fractions):
+        # each run alone raises at its own first bad step; the lockstep call
+        # raises at the earliest, naming the lowest such run and its own loss
+        task, ck = trained
+        kwargs = dict(learning_rate=learning_rate, retrain_steps=100, seed=3)
+        alone = []
+        for f in fractions:
+            with pytest.raises(TrainingDivergedError) as err:
+                prune_and_retrain(task, ck.params, [f], **kwargs)
+            assert err.value.keep_fraction == f
+            alone.append((err.value.step, err.value.loss.hex(), f))
+        step, loss, frac = min(alone, key=lambda a: a[0])  # min keeps the first of a tie
+        assert frac != fractions[0]
+        with pytest.raises(TrainingDivergedError) as err:
+            prune_and_retrain(task, ck.params, fractions, **kwargs)
+        assert (err.value.step, err.value.loss.hex(), err.value.keep_fraction) == (step, loss, frac)
+        assert str(err.value).endswith(f"while retraining keep fraction {frac}")
 
     @pytest.mark.parametrize("fractions", [[], [0.5, 0.0], [1.5]])
     def test_bad_keep_fractions_rejected(self, trained, fractions):
