@@ -37,7 +37,7 @@ from .compress import (
 # Not called here since the searches report their own delta_loss, but kept
 # importable: benchmarks/tracing.py patches the probes under these names.
 from .compress import noise_delta_loss, quantization_delta_loss  # noqa: F401
-from .errors import ChainDivergedError, ConfigError, TrainingDivergedError
+from .errors import ChainDivergedError, ConfigError, InvalidInputError
 from .landscapes import Bounds, NormalCrossingSpec, make_normal_crossing, make_quadratic
 from .llc import LlcConfig, Preconditioner, estimate_llc
 from .mdl import build_eps_net, mc_ball_volumes, two_part_redundancy, validate_kl_l2, validate_triangle, validate_variance_bound, validate_volume_inclusions
@@ -87,8 +87,13 @@ DEFAULT_CONFIG = {
 }
 
 
-# The values of volume.landscape, each one that build_landscape builds.
-LANDSCAPES = ("quadratic", "normal_crossing", "bernoulli_kl")
+# Each value of volume.landscape, with its builder from the volume section and the box.
+LANDSCAPES = {
+    "quadratic": lambda v, bounds: make_quadratic(v["dim"], bounds),
+    "normal_crossing": lambda v, bounds: make_normal_crossing(
+        NormalCrossingSpec(v["dim"], v["exponents"] or (), v["active_dims"]), bounds),
+    "bernoulli_kl": lambda v, bounds: SingularBernoulli().kl_landscape(),
+}
 # Keys whose default does not fix their type: one prototype per type taken.
 ALTERNATIVES = {
     "llc.burn_in": (0, None), "llc.preconditioner": ("none", dataclasses.asdict(Preconditioner())),
@@ -200,6 +205,10 @@ def load_config(path: str | None, seed: int | None, out: str | None, epsilons: s
         if volume["ladder_max_k"] < k_top + 7:
             raise ConfigError("volume.ladder_max_k", f"must be >= {k_top + 7} for the fit's rungs "
                               "to span two decades below volume.max_epsilon")
+        # m * outcomes < 1, with no float made of a JSON integer past the largest double
+        if cfg["audit"]["outcomes"] >= 1 / cfg["audit"]["m_simplex"]:
+            raise ConfigError("audit.m_simplex", "times audit.outcomes must be below 1")
+        build_landscape(cfg)  # the landscape rules live in its builder
     if seed is not None:
         cfg["seed"] = seed
     if out is not None:
@@ -218,19 +227,13 @@ def build_task(cfg: dict):
 
 
 def build_landscape(cfg: dict):
-    """The landscape `volume.landscape` names, one of LANDSCAPES (load_config checks)."""
+    """The landscape `volume.landscape` names, built by its LANDSCAPES entry."""
     v = cfg["volume"]
-    name = v["landscape"]
-    bounds = Bounds.symmetric(v["dim"], v["half_width"])
-    if name == "quadratic":
-        return make_quadratic(v["dim"], bounds)
-    if name == "normal_crossing":
-        if not v["exponents"]:
-            raise ConfigError("volume.exponents", "required for normal_crossing")
-        spec = NormalCrossingSpec(dim=v["dim"], exponents=v["exponents"],
-                                  active_dims=v["active_dims"])
-        return make_normal_crossing(spec, bounds)
-    return SingularBernoulli().kl_landscape()  # bernoulli_kl
+    try:
+        return LANDSCAPES[v["landscape"]](v, Bounds.symmetric(v["dim"], v["half_width"]))
+    except InvalidInputError as e:  # a NormalCrossingSpec rule: its message starts with the field
+        field, _, message = str(e).partition(" ")
+        raise ConfigError(f"volume.{field}", message) from e
 
 
 def checkpoints_dir(cfg: dict) -> Path:
@@ -335,9 +338,16 @@ SWEEP_HEADER = ["step", "scheme", "control_parameter", "delta_loss",
 
 def sweep(cfg: dict, subcommand: str, rows_for: Callable[[MlpTask, Checkpoint], list[tuple]]) -> int:
     """The loop every sweep runs: `rows_for(task, ck)` gives each checkpoint's
-    rows, which go to one CSV under `out`."""
+    rows, which go to one CSV under `out`. A numerical failure is named by its
+    checkpoint's training step, as estimate-llc does."""
     task = build_task(cfg)
-    rows = [row for ck in load_checkpoints(cfg) for row in rows_for(task, ck)]
+    rows = []
+    for ck in load_checkpoints(cfg):
+        try:
+            rows += rows_for(task, ck)
+        except RuntimeError as e:
+            e.args = (f"{e} of the checkpoint at training step {ck.step}",)
+            raise
     name = f"sweep_{subcommand.removesuffix('-sweep')}.csv"
     d = emit(cfg, subcommand, {name: (SWEEP_HEADER, rows)})
     print(f"wrote {len(rows)} rows -> {d / name}")
@@ -370,11 +380,7 @@ def cmd_noise_sweep(cfg: dict) -> int:
 
 def cmd_prune_sweep(cfg: dict) -> int:
     def rows_for(task, ck):
-        try:
-            results = prune_and_retrain(task, ck.params, **cfg["prune"])
-        except TrainingDivergedError as e:
-            # name the checkpoint by its training step, as estimate-llc does
-            raise TrainingDivergedError(e.step, e.loss, e.keep_fraction, ck.step) from e
+        results = prune_and_retrain(task, ck.params, **cfg["prune"])
         # rugged curves: no critical-threshold search for pruning
         return [(ck.step, "prune", frac, res.delta_loss, None, cfg["epsilons"][0], cfg["seed"])
                 for frac, res in zip(cfg["prune"]["keep_fractions"], results)]
@@ -431,8 +437,6 @@ def cmd_lemma_audit(cfg: dict) -> int:
     au = cfg["audit"]
     n = au["instances"]
     m_simplex = au["m_simplex"]
-    if m_simplex * au["outcomes"] >= 1:
-        raise ConfigError("audit.m_simplex", "m_simplex * outcomes must be below 1")
     rng = rng_stream(au["seed"], 0)
     qs, ps, p2s = (sample_restricted(rng, n, au["outcomes"], m_simplex) for _ in range(3))
     # one stacked call per validator; `passed` is an array over the n instances

@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -273,16 +274,16 @@ def _selected_layers(model: MlpModel, layer_selection: list[int] | None) -> list
 def factorize(
     model: MlpModel,
     params: np.ndarray,
-    keep_fraction: float,
+    keep_fraction: float | Fraction,
     layer_selection: list[int] | None = None,
 ) -> FactorizationResult:
     """Replace selected weight matrices by truncated SVD reconstructions.
 
     Each selected (d1, d2) matrix keeps n = ceil(keep_fraction * min(d1, d2))
-    singular values and is counted as d1*n + n + n*d2 stored parameters.
-    The default selection is the interior layers. Returns the reconstructed
-    flat parameters, a copy with each selected matrix overwritten, and the
-    model-wide ratio of stored parameters after versus before.
+    singular values (exact for a Fraction), counted as d1*n + n + n*d2 stored
+    parameters. The default selection is the interior layers. Returns the
+    reconstructed flat parameters, a copy with each selected matrix
+    overwritten, and the model-wide ratio of stored parameters after versus before.
     """
     if not (0.0 < keep_fraction <= 1.0):
         raise InvalidInputError("keep_fraction must be in (0, 1]")
@@ -294,7 +295,7 @@ def factorize(
     for li in selected:
         w = layers[li][0]
         d1, d2 = w.shape
-        n = n_kept[li] = max(1, int(np.ceil(keep_fraction * min(d1, d2))))
+        n = n_kept[li] = max(1, math.ceil(keep_fraction * min(d1, d2)))
         w[...] = svd(w).reconstruct(n)
         stored -= d1 * d2 - (d1 * n + n + n * d2)
     return FactorizationResult(params=out, compression_fraction=stored / model.n_params,
@@ -327,7 +328,8 @@ def critical_compression_fraction(
 
     @functools.cache
     def probe(j):
-        res = factorize(model, params, j / min_dim, selected)
+        # exact: the float j / min_dim can round up past j after ceil(... * min_dim)
+        res = factorize(model, params, Fraction(j, min_dim), selected)
         return loss_eval(res.params) - base, res.compression_fraction
 
     def passes(j, eps):

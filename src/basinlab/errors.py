@@ -31,18 +31,13 @@ class FitWindowError(ValueError):
 
 class TrainingDivergedError(RuntimeError):
     """SGD training loss became non-finite or exceeded the divergence cap. In a
-    prune retraining, `keep_fraction` names the run and `training_step`, where
-    the caller knows it, the step of the checkpoint it started from."""
+    prune retraining, `keep_fraction` names the run."""
 
-    def __init__(self, step: int, loss: float, keep_fraction: float | None = None,
-                 training_step: int | None = None):
+    def __init__(self, step: int, loss: float, keep_fraction: float | None = None):
         self.step = step
         self.loss = loss
         self.keep_fraction = keep_fraction
-        self.training_step = training_step
         where = "" if keep_fraction is None else f" while retraining keep fraction {keep_fraction}"
-        if training_step is not None:
-            where += f" of the checkpoint at training step {training_step}"
         super().__init__(f"training diverged at step {step} (loss={loss}){where}")
 
 

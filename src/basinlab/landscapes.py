@@ -102,16 +102,17 @@ class NormalCrossingSpec:
             self.active_dims = tuple(range(len(self.exponents)))
         self.exponents = tuple(int(k) for k in self.exponents)
         self.active_dims = tuple(int(i) for i in self.active_dims)
+        # each message starts with the field it names
         if len(self.exponents) == 0:
-            raise InvalidInputError("normal-crossing spec needs at least one active coordinate")
+            raise InvalidInputError("exponents must name at least one active coordinate")
         if len(self.exponents) != len(self.active_dims):
-            raise InvalidInputError("exponents and active_dims must have the same length")
+            raise InvalidInputError("active_dims must have the length of exponents")
         if any(k < 1 for k in self.exponents):
-            raise InvalidInputError("normal-crossing exponents must be >= 1")
+            raise InvalidInputError("exponents must be >= 1")
         if len(set(self.active_dims)) != len(self.active_dims):
             raise InvalidInputError("active_dims must be distinct")
         if any(i < 0 or i >= self.dim for i in self.active_dims):
-            raise InvalidInputError("active_dims out of range")
+            raise InvalidInputError("active_dims must lie in [0, dim)")
 
     def ground_truth(self) -> tuple[Fraction, int]:
         """Scaling exponent min_i 1/(2 k_i) and the count of indices attaining it."""

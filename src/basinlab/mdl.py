@@ -253,8 +253,6 @@ class TriangleCheck:
 
 @dataclass
 class InclusionCheck:
-    epsilon: float
-    constant: float
     v_inner: float
     v_reversed: float
     v_outer: float
@@ -349,7 +347,6 @@ def validate_volume_inclusions(
     v_in, v_rev, v_out = model.interval_volume(
         [lo_in, lo_rev, lo_out], [hi_in, hi_rev, hi_out]).tolist()
     return InclusionCheck(
-        epsilon=epsilon, constant=c,
         v_inner=v_in, v_reversed=v_rev, v_outer=v_out,
         passed_pointwise=bool(lo_out <= lo_rev <= lo_in and hi_in <= hi_rev <= hi_out),
         passed_3se=v_in <= v_rev <= v_out,

@@ -35,7 +35,7 @@ def kl_bernoulli(theta_q, theta_p):
         in_place = tp.ndim > 0 and 0 < tq < 1
     else:
         in_place = tp.ndim == 0 and tq.size > 0 and 0 < tq.min() and tq.max() < 1
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         if in_place:
             one_q = 1 - tq
             b = np.divide(one_q, 1 - tp)

@@ -275,6 +275,12 @@ def cross_key_failure(path, value):
     k_top = next(k for k in itertools.count(2) if 2.0**-k <= volume["max_epsilon"])
     if volume["ladder_max_k"] < k_top + 7:
         return "volume.ladder_max_k"
+    # the restricted simplex that lemma-audit samples must not be empty
+    if cfg["audit"]["m_simplex"] * cfg["audit"]["outcomes"] >= 1:
+        return "audit.m_simplex"
+    # of the landscape rules, one changed key can break only this one
+    if volume["landscape"] == "normal_crossing" and not volume["exponents"]:
+        return "volume.exponents"
     return None
 
 
@@ -467,6 +473,15 @@ class TestErrors:
         ({"volume": {"multiplicity_mode": -3}}, "volume.multiplicity_mode"),
         ({"volume": {"ladder_max_k": 8}}, "volume.ladder_max_k"),
         ({"volume": {"max_epsilon": 0.01}}, "volume.ladder_max_k"),
+        ({"volume": {"landscape": "normal_crossing"}}, "volume.exponents"),
+        ({"volume": {"landscape": "normal_crossing", "exponents": [1, 2], "active_dims": [0]}},
+         "volume.active_dims"),
+        ({"volume": {"landscape": "normal_crossing", "exponents": [1, 0]}}, "volume.exponents"),
+        ({"volume": {"landscape": "normal_crossing", "exponents": [1, 2], "active_dims": [1, 1]}},
+         "volume.active_dims"),
+        ({"volume": {"landscape": "normal_crossing", "exponents": [1], "active_dims": [2]}},
+         "volume.active_dims"),
+        ({"audit": {"m_simplex": 0.25, "outcomes": 4}}, "audit.m_simplex"),
     ], ids=["unknown-key", "top-level-array", "epsilons-string", "epsilons-nan",
             "layer-sizes-int", "checkpoint-schedule-int", "n-samples-float", "n-samples-bool",
             "layer-sizes-float-item", "write-traces-string", "n-seeds-string", "seed-string",
@@ -490,7 +505,9 @@ class TestErrors:
             "checkpoint-negative", "steps-below-schedule", "layer-sizes-one-entry",
             "max-epsilon-negative", "ladder-empty", "multiplicity-mode-zero",
             "multiplicity-mode-negative", "ladder-below-two-decades",
-            "max-epsilon-shrinks-ladder"])
+            "max-epsilon-shrinks-ladder", "normal-crossing-no-exponents",
+            "active-dims-length-mismatch", "exponent-zero", "active-dims-repeated",
+            "active-dim-out-of-range", "audit-simplex-empty"])
     def test_unknown_config_key_exit_1(self, tmp_path, capsys, payload, key):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(payload))
@@ -661,6 +678,19 @@ class TestErrors:
         assert len(err.splitlines()) == 1 and "training diverged at step" in err
         # the lowest diverging run's keep fraction, and its checkpoint's training step
         assert "while retraining keep fraction 0.5 of the checkpoint at training step 100" in err
+
+    def test_unreachable_quantize_tolerance_exit_2_names_checkpoint(self, workdir, tmp_path,
+                                                                     capsys):
+        # no n_q up to the cap brings the first checkpoint (training step 100) within 1e-9
+        _, _, out = workdir
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(dict(SMALL, quantize={"nq_cap": 8})))
+        capsys.readouterr()
+        assert main(["quantize-sweep", "--config", str(p), "--out", str(out),
+                     "--epsilon", "1e-9"]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert "at n_q=8 of the checkpoint at training step 100" in err
 
     def test_diverging_training_exit_2(self, tmp_path):
         cfg = dict(SMALL)

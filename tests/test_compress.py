@@ -612,6 +612,30 @@ class TestCriticalCompressionFraction:
             assert probed == js
             assert loss_eval.base_evals == 1
 
+    def test_every_probed_rank_is_kept_exactly(self, monkeypatch):
+        # 25 is the narrowest width where ceil(j / 25 * 25) can exceed j in floats
+        model = MlpModel(MlpSpec(layer_sizes=(3, 25, 25, 2)))
+        params = rng_stream(12, 0).standard_normal(model.n_params)
+        s = np.linalg.svd(model.unpack(params)[1][0], compute_uv=False)
+        # err[j]: the distance of the rank-j reconstruction from params, j = 0 .. 25
+        err = np.append(np.sqrt(np.cumsum(s[::-1] ** 2))[::-1], 0.0)
+        # one epsilon per critical rank j = 1 .. 25, so every rank is probed
+        epsilons = [2 * err[1], *((err[1:-1] + err[2:]) / 2)]
+        kept = []
+        probe = compress.factorize
+
+        def recording(model, params, keep, *a):
+            res = probe(model, params, keep, *a)
+            kept.append((keep * 25, res))
+            return res
+
+        monkeypatch.setattr(compress, "factorize", recording)
+        results = critical_compression_fraction(
+            model, params, epsilons, lambda p: float(np.linalg.norm(p - params)))
+        assert sorted(round(j) for j, _ in kept) == list(range(1, 26))
+        assert [res.n_kept for _, res in kept] == [{1: j} for j, _ in kept]
+        assert [r.value for r in results] == [j / 25 for j in range(1, 26)]
+
 
 class TestNoiseDeltaLoss:
     @staticmethod

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -56,7 +58,7 @@ class TestKl:
 def kl_bernoulli_where(theta_q, theta_p):
     """kl_bernoulli with both np.where selections, for any theta_q."""
     tq, tp = np.asarray(theta_q, dtype=float), np.asarray(theta_p, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         a = np.where(tq > 0, tq * np.log(tq / tp), 0.0)
         b = np.where(tq < 1, (1 - tq) * np.log((1 - tq) / (1 - tp)), 0.0)
     return a + b
@@ -109,6 +111,15 @@ class TestKlBernoulliInPlace:
 
     def test_empty_array_q(self):
         assert kl_bernoulli(np.empty(0), 0.4).shape == (0,)
+
+    def test_overflowing_ratio_gives_inf_without_warning(self):
+        # q / p past the largest double: KL is infinite, as at p = 0
+        tiny = np.array([5e-324, 0.3])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = [kl_bernoulli(0.5, tiny), kl_bernoulli(np.array([0.5, 0.4]), 5e-324),
+                   kl_bernoulli(np.array([0.5, 0.4]), tiny)]
+        assert [g[0] for g in got] == [np.inf] * 3
 
 
 class TestRestrictedSampling:
