@@ -102,15 +102,13 @@ ALTERNATIVES = {
 }
 # Checks of a well-typed value: (passes, message on failure); the counts first.
 VALUE_CHECKS = dict.fromkeys((
-    "data.n_samples", "training.steps", "training.batch_size", "llc.batch_size",
-    "prune.batch_size", "llc.chains", "llc.steps_per_chain", "llc.baseline_batches",
+    "data.n_samples", "training.steps", "training.batch_size", "prune.batch_size",
     "noise.noise_draws", "volume.dim", "volume.samples", "mdl.mc_samples",
     "audit.instances", "audit.inclusion_configs", "mdl.n_seeds",
 ), (lambda v: v >= 1, "must be >= 1")) | dict.fromkeys(
     ("mdl.a", "volume.half_width", "volume.max_epsilon", "training.learning_rate",
-     "prune.learning_rate", "llc.nbeta", "llc.step_size", "llc.preconditioner.stabilizer"),
-    (lambda v: v > 0, "must be positive")) | dict.fromkeys(
-    ("prune.retrain_steps", "llc.gamma"), (lambda v: v >= 0, "must be >= 0")) | {
+     "prune.learning_rate"), (lambda v: v > 0, "must be positive")) | {
+    "prune.retrain_steps": (lambda v: v >= 0, "must be >= 0"),
     # the CLI's Bernoulli box [-0.5, 0.5]^2 keeps p_w in [0.25, 0.75], so m <= 0.25
     "audit.m_simplex": (lambda v: 0 < v <= 0.25, "must be in (0, 0.25]"),
     # checkpoint headers store the training seed as a u64
@@ -121,7 +119,6 @@ VALUE_CHECKS = dict.fromkeys((
     "prune.keep_fractions": (lambda v: v and all(0 < f <= 1 for f in v),
                              "must be a nonempty list of numbers in (0, 1]"),
     "audit.outcomes": (lambda v: v >= 2, "must be >= 2"),
-    "model.layer_sizes": (lambda v: len(v) >= 2 and min(v) >= 1, "needs >= 2 entries, each >= 1"),
     # the ladder starts at 2**-2
     "volume.ladder_max_k": (lambda v: v >= 2, "must be >= 2"),
     "volume.multiplicity_mode": (lambda v: v == "select_by_fit" or (type(v) is int and v >= 1),
@@ -131,10 +128,6 @@ VALUE_CHECKS = dict.fromkeys((
     "noise.mode": (lambda v: v in ("absolute", "relative"), "must be 'absolute' or 'relative'"),
     "volume.landscape": (lambda v: v in LANDSCAPES,
                          "must be one of " + ", ".join(map(repr, LANDSCAPES))),
-    "llc.preconditioner": (lambda v: type(v) is dict or v in ("none", "rmsprop"),
-                           "must be 'none', 'rmsprop' or an object"),
-    "llc.preconditioner.kind": (lambda v: v in ("none", "rmsprop"), "must be 'none' or 'rmsprop'"),
-    "llc.preconditioner.decay": (lambda v: 0 < v < 1, "must be in (0, 1)"),
     # the sweeps with a critical value to fit; prune-sweep reports none
     "analyze.scheme": (lambda v: v in ("quantize", "factorize", "noise"),
                        "must be 'quantize', 'factorize' or 'noise'"),
@@ -192,9 +185,7 @@ def load_config(path: str | None, seed: int | None, out: str | None, epsilons: s
         cfg = merge_config("", cfg, user)
         if cfg["volume"]["landscape"] == "bernoulli_kl" and cfg["volume"]["dim"] != 2:
             raise ConfigError("volume.dim", "must be 2 for bernoulli_kl, a two-parameter model")
-        llc, training = cfg["llc"], cfg["training"]
-        if llc["burn_in"] is not None and not 0 <= llc["burn_in"] < llc["steps_per_chain"]:
-            raise ConfigError("llc.burn_in", "must be null or in [0, llc.steps_per_chain)")
+        training = cfg["training"]
         if not all(0 <= s <= training["steps"] for s in training["checkpoint_schedule"]):
             raise ConfigError("training.checkpoint_schedule", "must lie in [0, training.steps]")
         # the fitted rungs, from the first 2^-k at or below max_epsilon down,
@@ -208,7 +199,8 @@ def load_config(path: str | None, seed: int | None, out: str | None, epsilons: s
         # m * outcomes < 1, with no float made of a JSON integer past the largest double
         if cfg["audit"]["outcomes"] >= 1 / cfg["audit"]["m_simplex"]:
             raise ConfigError("audit.m_simplex", "times audit.outcomes must be below 1")
-        build_landscape(cfg)  # the landscape rules live in its builder
+        # built for their rules alone: the type of each holds its section's
+        build_landscape(cfg), built("model", MlpSpec, cfg["model"]), build_llc_config(cfg)
     if seed is not None:
         cfg["seed"] = seed
     if out is not None:
@@ -222,18 +214,32 @@ def load_config(path: str | None, seed: int | None, out: str | None, epsilons: s
     return cfg
 
 
+def built(key: str, make: Callable, section):
+    """`make(**section)` (`make(section)` for a kind string): the library object whose
+    type holds the rules of the config section at `key`. A broken rule is reported under
+    the key of the field its message starts with, a kind string's under `key`."""
+    has_fields = isinstance(section, dict)
+    try:
+        return make(**section) if has_fields else make(section)
+    except InvalidInputError as e:
+        field, _, message = str(e).partition(" ")
+        raise ConfigError(f"{key}.{field}" if has_fields else key, message) from e
+
+
 def build_task(cfg: dict):
-    return make_teacher_task(MlpSpec(**cfg["model"]), **cfg["data"])
+    return make_teacher_task(built("model", MlpSpec, cfg["model"]), **cfg["data"])
 
 
 def build_landscape(cfg: dict):
     """The landscape `volume.landscape` names, built by its LANDSCAPES entry."""
-    v = cfg["volume"]
-    try:
-        return LANDSCAPES[v["landscape"]](v, Bounds.symmetric(v["dim"], v["half_width"]))
-    except InvalidInputError as e:  # a NormalCrossingSpec rule: its message starts with the field
-        field, _, message = str(e).partition(" ")
-        raise ConfigError(f"volume.{field}", message) from e
+    return built("volume", lambda **v: LANDSCAPES[v["landscape"]](
+        v, Bounds.symmetric(v["dim"], v["half_width"])), cfg["volume"])
+
+
+def build_llc_config(cfg: dict) -> LlcConfig:
+    llc = {k: v for k, v in cfg["llc"].items() if k not in ("seed", "write_traces")}
+    llc["preconditioner"] = built("llc.preconditioner", Preconditioner, llc["preconditioner"])
+    return built("llc", LlcConfig, llc)
 
 
 def checkpoints_dir(cfg: dict) -> Path:
@@ -248,7 +254,7 @@ def load_checkpoints(cfg: dict):
     if not files:
         raise ConfigError("out", f"no checkpoint files under {d}; run train-toy first")
     cks = [load_checkpoint(f) for f in files]
-    spec_hash = MlpSpec(**cfg["model"]).spec_hash()
+    spec_hash = built("model", MlpSpec, cfg["model"]).spec_hash()
     for f, ck in zip(files, cks):
         if ck.spec_hash != spec_hash:
             raise ConfigError("model", f"{f} was trained with another model")
@@ -302,33 +308,22 @@ def cmd_train_toy(cfg: dict) -> int:
 
 def cmd_estimate_llc(cfg: dict) -> int:
     task = build_task(cfg)
-    llc = {k: v for k, v in cfg["llc"].items() if k not in ("seed", "write_traces")}
-    pc = llc["preconditioner"]
-    llc["preconditioner"] = Preconditioner(kind=pc) if isinstance(pc, str) else Preconditioner(**pc)
-    llc_cfg = LlcConfig(**llc)
-    seed, write_traces = cfg["llc"]["seed"], cfg["llc"]["write_traces"]
+    llc_cfg, seed = build_llc_config(cfg), cfg["llc"]["seed"]
     cks = load_checkpoints(cfg)
     try:
         # one call samples every checkpoint, sharing its draws
         ests = estimate_llc(task, llc_cfg, seed=seed, w_star=np.stack([ck.params for ck in cks]))
     except ChainDivergedError as e:
-        # name the checkpoint by its training step too, as llc.csv does
-        raise ChainDivergedError(e.chain, e.step, e.diagnostics, e.checkpoint,
-                                 training_step=cks[e.checkpoint].step) from e
-    rows = []
-    trace_rows = []
-    for ck, est in zip(cks, ests):
-        rows.append((ck.step, est.lambda_hat, llc_cfg.nbeta, llc_cfg.gamma,
-                     llc_cfg.step_size, llc_cfg.chains, seed))
-        if write_traces:
-            trace_rows.extend((ck.step, s, c, loss) for s, c, loss in est.trace_rows())
+        raise at_checkpoint(e, cks[e.checkpoint])
     files = {}
-    if write_traces:
-        files["llc_traces.csv"] = (["checkpoint_step", "step", "chain", "loss"], trace_rows)
-    files["llc.csv"] = (["step", "lambda_hat", "nbeta", "gamma", "step_size", "chains", "seed"],
-                        rows)
+    if cfg["llc"]["write_traces"]:
+        files["llc_traces.csv"] = (["checkpoint_step", "step", "chain", "loss"], [
+            (ck.step, *row) for ck, est in zip(cks, ests) for row in est.trace_rows()])
+    files["llc.csv"] = (["step", "lambda_hat", "nbeta", "gamma", "step_size", "chains", "seed"], [
+        (ck.step, est.lambda_hat, llc_cfg.nbeta, llc_cfg.gamma, llc_cfg.step_size,
+         llc_cfg.chains, seed) for ck, est in zip(cks, ests)])
     d = emit(cfg, "estimate-llc", files)
-    print(f"estimated {len(rows)} checkpoints -> {d / 'llc.csv'}")
+    print(f"estimated {len(cks)} checkpoints -> {d / 'llc.csv'}")
     return 0
 
 
@@ -336,18 +331,22 @@ SWEEP_HEADER = ["step", "scheme", "control_parameter", "delta_loss",
                 "critical_value", "epsilon", "seed"]
 
 
+def at_checkpoint(e: RuntimeError, ck: Checkpoint) -> RuntimeError:
+    """`e`, a numerical failure on `ck`, named by the checkpoint's training step."""
+    e.args = (f"{e} of the checkpoint at training step {ck.step}",)
+    return e
+
+
 def sweep(cfg: dict, subcommand: str, rows_for: Callable[[MlpTask, Checkpoint], list[tuple]]) -> int:
     """The loop every sweep runs: `rows_for(task, ck)` gives each checkpoint's
-    rows, which go to one CSV under `out`. A numerical failure is named by its
-    checkpoint's training step, as estimate-llc does."""
+    rows, which go to one CSV under `out`."""
     task = build_task(cfg)
     rows = []
     for ck in load_checkpoints(cfg):
         try:
             rows += rows_for(task, ck)
         except RuntimeError as e:
-            e.args = (f"{e} of the checkpoint at training step {ck.step}",)
-            raise
+            raise at_checkpoint(e, ck)
     name = f"sweep_{subcommand.removesuffix('-sweep')}.csv"
     d = emit(cfg, subcommand, {name: (SWEEP_HEADER, rows)})
     print(f"wrote {len(rows)} rows -> {d / name}")

@@ -9,6 +9,12 @@ class InvalidInputError(ValueError):
     """Input violates a documented precondition (shape, finiteness, range)."""
 
 
+def require(holds, message: str) -> None:
+    """Raise InvalidInputError(message) unless `holds`, a rule that a NaN breaks."""
+    if not holds:
+        raise InvalidInputError(message)
+
+
 class ConfigError(ValueError):
     """Experiment configuration is missing or has an invalid key."""
 
@@ -43,19 +49,14 @@ class TrainingDivergedError(RuntimeError):
 
 class ChainDivergedError(RuntimeError):
     """A sampling chain produced a non-finite state. In a call that samples a
-    stack of checkpoints, `checkpoint` is the index of the chain's own and
-    `training_step`, where the caller knows it, that checkpoint's step."""
+    stack of checkpoints, `checkpoint` is the index of the chain's own."""
 
-    def __init__(self, chain: int, step: int, diagnostics=None, checkpoint: int | None = None,
-                 training_step: int | None = None):
+    def __init__(self, chain: int, step: int, diagnostics=None, checkpoint: int | None = None):
         self.chain = chain
         self.step = step
         self.diagnostics = diagnostics
         self.checkpoint = checkpoint
-        self.training_step = training_step
         where = "" if checkpoint is None else f" of checkpoint {checkpoint}"
-        if training_step is not None:
-            where += f" (training step {training_step})"
         super().__init__(f"chain {chain}{where} diverged at step {step}")
 
 

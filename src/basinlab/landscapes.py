@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, require
 
 
 class Bounds:
@@ -103,16 +103,13 @@ class NormalCrossingSpec:
         self.exponents = tuple(int(k) for k in self.exponents)
         self.active_dims = tuple(int(i) for i in self.active_dims)
         # each message starts with the field it names
-        if len(self.exponents) == 0:
-            raise InvalidInputError("exponents must name at least one active coordinate")
-        if len(self.exponents) != len(self.active_dims):
-            raise InvalidInputError("active_dims must have the length of exponents")
-        if any(k < 1 for k in self.exponents):
-            raise InvalidInputError("exponents must be >= 1")
-        if len(set(self.active_dims)) != len(self.active_dims):
-            raise InvalidInputError("active_dims must be distinct")
-        if any(i < 0 or i >= self.dim for i in self.active_dims):
-            raise InvalidInputError("active_dims must lie in [0, dim)")
+        require(len(self.exponents) > 0, "exponents must name at least one active coordinate")
+        require(len(self.exponents) == len(self.active_dims),
+                "active_dims must have the length of exponents")
+        require(min(self.exponents) >= 1, "exponents must be >= 1")
+        require(len(set(self.active_dims)) == len(self.active_dims), "active_dims must be distinct")
+        require(all(0 <= i < self.dim for i in self.active_dims),
+                "active_dims must lie in [0, dim)")
 
     def ground_truth(self) -> tuple[Fraction, int]:
         """Scaling exponent min_i 1/(2 k_i) and the count of indices attaining it."""

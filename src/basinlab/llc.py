@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ChainDivergedError, InvalidInputError
+from .errors import ChainDivergedError, InvalidInputError, require
 from .landscapes import Landscape
 from .mlp import MlpTask
 from .rng import rng_stream
@@ -37,18 +37,16 @@ class Preconditioner:
     stabilizer: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("none", "rmsprop"):
-            raise InvalidInputError(f"unknown preconditioner kind {self.kind!r}")
-        if not (0.0 < self.decay < 1.0):
-            raise InvalidInputError("decay must be in (0, 1)")
-        if self.stabilizer <= 0:
-            raise InvalidInputError("stabilizer must be positive")
+        require(self.kind in ("none", "rmsprop"), "kind must be 'none' or 'rmsprop'")
+        require(0.0 < self.decay < 1.0, "decay must be in (0, 1)")
+        require(self.stabilizer > 0, "stabilizer must be positive")
 
 
 @dataclass(frozen=True)
 class LlcConfig:
-    """Sampler hyperparameters. Defaults follow the small-model settings used
-    throughout the experiments (nbeta 30, gamma 300, 4 chains)."""
+    """Sampler hyperparameters. These defaults are the library's, for small
+    models (nbeta 30, gamma 300, 4 chains x 200 steps, step size 1e-3); the
+    CLI's are `DEFAULT_CONFIG["llc"]` (8 chains x 1,500 steps, step size 2e-4)."""
 
     nbeta: float = 30.0
     gamma: float = 300.0
@@ -61,14 +59,13 @@ class LlcConfig:
     preconditioner: Preconditioner = field(default_factory=Preconditioner)
 
     def __post_init__(self):
-        if self.nbeta <= 0 or self.step_size <= 0:
-            raise InvalidInputError("nbeta and step_size must be positive")
-        if self.gamma < 0:
-            raise InvalidInputError("gamma must be nonnegative")
-        if self.chains < 1 or self.steps_per_chain < 1 or self.baseline_batches < 1:
-            raise InvalidInputError("need at least one chain, one step and one baseline batch")
-        if self.burn_in is not None and not (0 <= self.burn_in < self.steps_per_chain):
-            raise InvalidInputError("burn_in must satisfy 0 <= burn_in < steps_per_chain")
+        require(self.nbeta > 0, "nbeta must be positive")
+        require(self.step_size > 0, "step_size must be positive")
+        require(self.gamma >= 0, "gamma must be >= 0")
+        for name in ("chains", "steps_per_chain", "batch_size", "baseline_batches"):
+            require(getattr(self, name) >= 1, f"{name} must be >= 1")
+        require(self.burn_in is None or 0 <= self.burn_in < self.steps_per_chain,
+                "burn_in must be null or in [0, steps_per_chain)")
 
     @property
     def resolved_burn_in(self) -> int:
@@ -168,10 +165,8 @@ def estimate_llc(
     """
     if isinstance(target, Landscape):
         w_star = np.asarray(target.minimum if w_star is None else w_star, dtype=float)
-        if w_star.ndim != 1:
-            raise InvalidInputError("landscape targets take one (d,) w_star")
-        if not bool(target.bounds.contains(w_star)):
-            raise InvalidInputError("w_star outside the parameter bounds")
+        require(w_star.ndim == 1, "landscape targets take one (d,) w_star")
+        require(target.bounds.contains(w_star), "w_star outside the parameter bounds")
         bounds = target.bounds
 
         def losses_grads(w, rngs):
@@ -180,11 +175,9 @@ def estimate_llc(
 
         baseline = np.array([float(target.value(w_star))])
     elif isinstance(target, MlpTask):
-        if w_star is None:
-            raise InvalidInputError("mlp targets need an explicit w_star")
+        require(w_star is not None, "mlp targets need an explicit w_star")
         w_star = np.asarray(w_star, dtype=float)
-        if w_star.ndim not in (1, 2):
-            raise InvalidInputError(f"w_star must be (d,) or (C, d), got shape {w_star.shape}")
+        require(w_star.ndim in (1, 2), f"w_star must be (d,) or (C, d), got shape {w_star.shape}")
         bounds = None
         model = target.model
 

@@ -12,7 +12,7 @@ from hashlib import sha256
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, require
 
 
 @dataclass(frozen=True)
@@ -23,8 +23,8 @@ class MlpSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "layer_sizes", tuple(int(s) for s in self.layer_sizes))
-        if len(self.layer_sizes) < 2 or any(s < 1 for s in self.layer_sizes):
-            raise InvalidInputError("layer_sizes needs >= 2 positive entries")
+        require(len(self.layer_sizes) >= 2 and min(self.layer_sizes) >= 1,
+                "layer_sizes needs >= 2 entries, each >= 1")
 
     @property
     def n_layers(self) -> int:

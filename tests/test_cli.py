@@ -19,7 +19,9 @@ from basinlab.cli import (
 )
 from basinlab.compress import prune_and_retrain
 from basinlab.csvio import read_csv
-from basinlab.errors import ConfigError
+from basinlab.errors import ConfigError, InvalidInputError
+from basinlab.llc import LlcConfig, Preconditioner
+from basinlab.mlp import MlpSpec
 
 SMALL = {
     "epsilons": [0.5],
@@ -256,17 +258,34 @@ def valid_value(key, default, value) -> bool:
         k in typed[0] and valid_value(f"{key}.{k}", typed[0][k], v) for k, v in value.items())
 
 
+def library_refusal(cfg):
+    """The key of the field that MlpSpec, Preconditioner or LlcConfig, asked
+    directly, refuses in `cfg`'s model or llc section; None if none does. A
+    string preconditioner is its kind, named by `llc.preconditioner` alone."""
+    llc = {k: v for k, v in cfg["llc"].items() if k not in ("seed", "write_traces")}
+    pc = llc.pop("preconditioner")
+    for key, build in (("model", lambda: MlpSpec(**cfg["model"])),
+                       ("llc.preconditioner", lambda: Preconditioner(**pc)
+                        if isinstance(pc, dict) else Preconditioner(pc)),
+                       ("llc", lambda: LlcConfig(**llc))):
+        try:
+            build()
+        except InvalidInputError as e:
+            return key if isinstance(pc, str) and key == "llc.preconditioner" else (
+                f"{key}.{str(e).split()[0]}")
+    return None
+
+
 def cross_key_failure(path, value):
     """The key load_config names when `value` at `path`, a value that passes
-    its own checks, breaks a condition between keys with the defaults."""
+    its own checks, breaks a condition between keys with the defaults, or a
+    rule of the library type built from its section."""
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     node = cfg
     for key in path[:-1]:
         node = node[key]
     node[path[-1]] = value
-    llc, training = cfg["llc"], cfg["training"]
-    if llc["burn_in"] is not None and not 0 <= llc["burn_in"] < llc["steps_per_chain"]:
-        return "llc.burn_in"
+    training = cfg["training"]
     if not all(0 <= s <= training["steps"] for s in training["checkpoint_schedule"]):
         return "training.checkpoint_schedule"
     # volume-fit fits the rungs 2^-k at or below max_epsilon, which must
@@ -281,7 +300,20 @@ def cross_key_failure(path, value):
     # of the landscape rules, one changed key can break only this one
     if volume["landscape"] == "normal_crossing" and not volume["exponents"]:
         return "volume.exponents"
-    return None
+    return library_refusal(cfg)
+
+
+# Well-typed values of each llc and model field, on both sides of its rules.
+LIBRARY_CASES = {
+    "model.layer_sizes": [[4, 4], [1, 1], [4], [], [4, 0, 4], [-1, 4]],
+    "llc.nbeta": [1e-300, 1, 0, -1.0], "llc.step_size": [1e-300, 0.0, -1e-3],
+    "llc.gamma": [0, 1e-300, -1e-300], "llc.chains": [1, 0, -2],
+    "llc.steps_per_chain": [301, 300, 0], "llc.burn_in": [None, 0, 1499, 1500, -1],
+    "llc.batch_size": [1, 0, -1], "llc.baseline_batches": [1, 0],
+    "llc.preconditioner": ["none", "rmsprop", "bogus", "", {"kind": "rmsprop", "decay": 0.5},
+                           {"kind": "adam"}, {"decay": 1}, {"decay": 0}, {"stabilizer": 0},
+                           {"stabilizer": 1e-300}, {"stabilizer": -1}, {}],
+}
 
 
 JSON_VALUES = st.one_of(
@@ -351,6 +383,23 @@ class TestConfigPass:
             got = got[k]
         # returned as written: an integer in a float key stays an integer
         assert json.dumps(got, sort_keys=True) == json.dumps(value, sort_keys=True)
+
+    @pytest.mark.parametrize("key,value", [(k, v) for k, vs in LIBRARY_CASES.items() for v in vs],
+                             ids=lambda x: json.dumps(x, separators=(",", ":")).strip('"'))
+    def test_llc_and_model_refused_exactly_when_library_refuses(self, tmp_path, key, value):
+        # one home per rule: load_config refuses a well-typed value exactly when
+        # the library type does, and names the field the library names
+        section, field = key.split(".")
+        cfg = copy.deepcopy(DEFAULT_CONFIG)
+        cfg[section][field] = value
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({section: {field: value}}))
+        try:
+            load_config(str(cfg_path), None, None, None)
+            refused = None
+        except ConfigError as e:
+            refused = e.key
+        assert refused == library_refusal(cfg)
 
     def test_benchmark_configs_load_unchanged(self, monkeypatch, tmp_path):
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "benchmarks"))
@@ -665,7 +714,8 @@ class TestErrors:
         with np.errstate(all="ignore"):
             assert main(["estimate-llc", "--config", str(p), "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert "of checkpoint 0 (training step 100) diverged at step" in err
+        assert "chain 0 of checkpoint 0 diverged at step" in err
+        assert err.rstrip().endswith("of the checkpoint at training step 100")
         assert "Traceback" not in err and len(err.strip().splitlines()) == 1
 
     def test_diverging_prune_retrain_exit_2(self, workdir, tmp_path, capsys):

@@ -548,6 +548,20 @@ class TestConfigValidation:
         with pytest.raises(InvalidInputError):
             LlcConfig(baseline_batches=0)
 
+    @pytest.mark.parametrize("field", ["nbeta", "gamma", "step_size"])
+    def test_nan_setting_refused_naming_its_field(self, field):
+        # a NaN fails every comparison; the sampler would diverge at step 0 on it
+        with pytest.raises(InvalidInputError, match=f"^{field} "):
+            LlcConfig(**{field: float("nan")})
+
+    def test_nan_stabilizer_refused_naming_its_field(self):
+        with pytest.raises(InvalidInputError, match="^stabilizer "):
+            Preconditioner(kind="rmsprop", stabilizer=float("nan"))
+
+    def test_zero_batch_size_refused_naming_its_field(self):
+        with pytest.raises(InvalidInputError, match="^batch_size "):
+            LlcConfig(batch_size=0)
+
     def test_default_burn_in_is_tenth(self):
         cfg = LlcConfig(steps_per_chain=500)
         assert cfg.resolved_burn_in == 50
