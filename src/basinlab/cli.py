@@ -45,7 +45,7 @@ from .mlp import MlpSpec, MlpTask, make_teacher_task
 from .rng import rng_stream
 from .simplex import kl_bernoulli, sample_restricted
 from .training import Checkpoint, load_checkpoint, train_sgd
-from .volume import default_ladder, fit_scaling, volume_curve
+from .volume import MC_CHUNK, default_ladder, fit_scaling, volume_curve
 
 LN2 = float(np.log(2.0))
 
@@ -100,10 +100,12 @@ ALTERNATIVES = {
     "volume.exponents": (None, [0]), "volume.active_dims": (None, [0]),
     "volume.multiplicity_mode": ("select_by_fit", 0), "analyze.excluded_steps": ([0],),
 }
+# volume-fit draws MC_CHUNK rows of volume.dim doubles at a time: 1 GiB at most
+MAX_DIM = 2**30 // (8 * MC_CHUNK)
 # Checks of a well-typed value: (passes, message on failure); the counts first.
 VALUE_CHECKS = dict.fromkeys((
     "data.n_samples", "training.steps", "training.batch_size", "prune.batch_size",
-    "noise.noise_draws", "volume.dim", "volume.samples", "mdl.mc_samples",
+    "noise.noise_draws", "volume.samples", "mdl.mc_samples",
     "audit.instances", "audit.inclusion_configs", "mdl.n_seeds",
 ), (lambda v: v >= 1, "must be >= 1")) | dict.fromkeys(
     ("mdl.a", "volume.half_width", "volume.max_epsilon", "training.learning_rate",
@@ -119,8 +121,7 @@ VALUE_CHECKS = dict.fromkeys((
     "prune.keep_fractions": (lambda v: v and all(0 < f <= 1 for f in v),
                              "must be a nonempty list of numbers in (0, 1]"),
     "audit.outcomes": (lambda v: v >= 2, "must be >= 2"),
-    # the ladder starts at 2**-2
-    "volume.ladder_max_k": (lambda v: v >= 2, "must be >= 2"),
+    "volume.dim": (lambda v: 1 <= v <= MAX_DIM, f"must be in [1, {MAX_DIM}]"),
     "volume.multiplicity_mode": (lambda v: v == "select_by_fit" or (type(v) is int and v >= 1),
                                  "expected 'select_by_fit' or an integer >= 1"),
     "quantize.nq_cap": (lambda v: v >= 4, "must be >= 4, the smallest n_q probed"),

@@ -6,9 +6,8 @@ increase on a fixed, deterministic loss evaluator; `quantization_delta_loss`
 and `noise_delta_loss` are the single-setting probes. The critical searches
 find the most aggressive setting whose loss increase still meets the
 tolerance, and end with a verification pass so the returned value satisfies
-its defining inequality exactly as measured. One exception: when even
-critical_sigma's lower bound, sigma = 1e-6, exceeds the tolerance, it returns
-that bound with its delta_loss above epsilon.
+its defining inequality exactly as measured; a search that cannot find such
+a setting raises UnreachableToleranceError.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .errors import (InvalidInputError, QuantizationFailedError, TrainingDivergedError,
-                     UnreachableToleranceError)
+                     UnreachableToleranceError, require)
 from .linalg import svd
 from .mlp import MlpModel, MlpTask
 from .rng import rng_stream
@@ -53,8 +52,7 @@ class QuantizationSpec:
     m_clamp: float
 
     def __post_init__(self):
-        if self.n_q < 4 or self.n_q % 2 != 0:
-            raise InvalidInputError(f"n_q must be even and >= 4, got {self.n_q}")
+        require(self.n_q >= 4 and self.n_q % 2 == 0, f"n_q must be even and >= 4, got {self.n_q}")
         if self.m_clamp <= 0:
             raise InvalidInputError("m_clamp must be positive")
 
@@ -124,8 +122,7 @@ def _clamp_search(params: np.ndarray, n_q: int, loss_eval: LossEval, mode: str, 
     stops after the top clamp, max|w| itself. A non-finite loss is never the
     best, and a grid of only non-finite losses raises.
     """
-    if mode not in ("loss_min", "max_abs"):
-        raise InvalidInputError(f"unknown quantization mode {mode!r}")
+    require(mode in ("loss_min", "max_abs"), f"unknown quantization mode {mode!r}")
     max_abs = float(np.max(np.abs(params)))
     if max_abs == 0.0:
         yield 1.0, 0.0
@@ -186,10 +183,9 @@ def _passes(delta_loss: float, epsilon: float) -> bool:
     return math.isfinite(delta_loss) and delta_loss <= epsilon
 
 
-def _tolerances(epsilons: Sequence[float], allow_zero: bool = False) -> list[float]:
-    if np.ndim(epsilons) != 1 or not all(e > 0 or (allow_zero and e == 0) for e in epsilons):
-        sign = "nonnegative" if allow_zero else "positive"
-        raise InvalidInputError(f"epsilons must be a sequence of {sign} tolerances")
+def _tolerances(epsilons: Sequence[float]) -> list[float]:
+    require(np.ndim(epsilons) == 1 and all(e > 0 for e in epsilons),
+            "epsilons must be a sequence of positive tolerances")
     return [float(e) for e in epsilons]
 
 
@@ -226,8 +222,7 @@ def critical_nq(
     Doubling past nq_cap (at least 4) raises.
     """
     tolerances = _tolerances(epsilons)
-    if nq_cap < 4:
-        raise InvalidInputError(f"nq_cap must be >= 4, the smallest n_q probed, got {nq_cap}")
+    require(nq_cap >= 4, f"nq_cap must be >= 4, the smallest n_q probed, got {nq_cap}")
     params = np.asarray(params, dtype=float)
     base = loss_eval(params)
     searches: dict[int, tuple[Iterator[tuple[float, float]], list[tuple[float, float]]]] = {}
@@ -259,40 +254,26 @@ def critical_nq(
     return results
 
 
-def _selected_layers(model: MlpModel, layer_selection: list[int] | None) -> list[int]:
-    """The weight-matrix indices `layer_selection` names, each once and in
-    order; None selects the interior layers (never the input or output map)."""
-    n_layers = model.spec.n_layers
-    if layer_selection is None:
-        layer_selection = range(1, n_layers - 1)
-    bad = [i for i in layer_selection if not 0 <= i < n_layers]
-    if bad:
-        raise InvalidInputError(f"layer selection out of range: {bad}")
-    return sorted(set(layer_selection))
-
-
 def factorize(
     model: MlpModel,
     params: np.ndarray,
     keep_fraction: float | Fraction,
-    layer_selection: list[int] | None = None,
 ) -> FactorizationResult:
-    """Replace selected weight matrices by truncated SVD reconstructions.
+    """Replace the interior weight matrices (never the input or output map) by
+    truncated SVD reconstructions.
 
-    Each selected (d1, d2) matrix keeps n = ceil(keep_fraction * min(d1, d2))
+    Each interior (d1, d2) matrix keeps n = ceil(keep_fraction * min(d1, d2))
     singular values (exact for a Fraction), counted as d1*n + n + n*d2 stored
-    parameters. The default selection is the interior layers. Returns the
-    reconstructed flat parameters, a copy with each selected matrix
-    overwritten, and the model-wide ratio of stored parameters after versus before.
+    parameters. Returns the reconstructed flat parameters, a copy with each
+    interior matrix overwritten, and the model-wide ratio of stored parameters
+    after versus before.
     """
-    if not (0.0 < keep_fraction <= 1.0):
-        raise InvalidInputError("keep_fraction must be in (0, 1]")
-    selected = _selected_layers(model, layer_selection)
+    require(0.0 < keep_fraction <= 1.0, "keep_fraction must be in (0, 1]")
     out = np.array(params, dtype=float)
     layers = model.unpack(out)  # views: writes land in `out`
     n_kept = {}
     stored = model.n_params
-    for li in selected:
+    for li in range(1, model.spec.n_layers - 1):
         w = layers[li][0]
         d1, d2 = w.shape
         n = n_kept[li] = max(1, math.ceil(keep_fraction * min(d1, d2)))
@@ -307,10 +288,9 @@ def critical_compression_fraction(
     params: np.ndarray,
     epsilons: Sequence[float],
     loss_eval: LossEval,
-    layer_selection: list[int] | None = None,
 ) -> list[CriticalResult]:
-    """Smallest rank budget whose factorization loss increase is within each
-    epsilon; one result per epsilon, in order.
+    """Smallest rank budget for the interior matrices whose factorization loss
+    increase is within each epsilon; one result per epsilon, in order.
 
     The search runs over the integer rank grid n = 1 .. min_dim (resolution
     1/min_dim in keep fraction) by bisection on a monotone bracketing, with
@@ -319,17 +299,15 @@ def critical_compression_fraction(
     fraction j/min_dim and its critical_value the stored-parameter ratio.
     """
     tolerances = _tolerances(epsilons)
-    selected = _selected_layers(model, layer_selection)
-    if not selected:
-        raise InvalidInputError("no layers selected for factorization")
-    layers = model.unpack(params)
-    min_dim = min(min(layers[i][0].shape) for i in selected)
+    interior = model.unpack(params)[1:-1]
+    require(interior, "no interior layer to factorize")
+    min_dim = min(min(w.shape) for w, _ in interior)
     base = loss_eval(params)
 
     @functools.cache
     def probe(j):
         # exact: the float j / min_dim can round up past j after ceil(... * min_dim)
-        res = factorize(model, params, Fraction(j, min_dim), selected)
+        res = factorize(model, params, Fraction(j, min_dim))
         return loss_eval(res.params) - base, res.compression_fraction
 
     def passes(j, eps):
@@ -350,10 +328,8 @@ def _noise_delta(params: np.ndarray, mode: str, loss_eval: LossEval, noise_draws
     """sigma -> noise_delta_loss(params, sigma, ...), with the mode checked, the
     base loss and the unit perturbations (streams 0 .. noise_draws - 1 of
     `seed`) made once, and each sigma's value kept."""
-    if mode not in ("absolute", "relative"):
-        raise InvalidInputError(f"unknown noise mode {mode!r}")
-    if noise_draws < 1:
-        raise InvalidInputError("noise_draws must be >= 1")
+    require(mode in ("absolute", "relative"), f"unknown noise mode {mode!r}")
+    require(noise_draws >= 1, "noise_draws must be >= 1")
     base = loss_eval(params)
     draws = [rng_stream(seed, k).standard_normal(params.shape) for k in range(noise_draws)]
     scale = params if mode == "relative" else 1.0  # 1.0 * sigma is sigma, bit for bit
@@ -390,25 +366,22 @@ def critical_sigma(
     The same noise_draws unit perturbations, drawn once, are reused at every
     sigma, so the measured curve is continuous in sigma and the geometric
     bisection brackets a single crossing. Every bisection starts from the
-    same bounds, and each sigma is evaluated once for all epsilons. If even
-    the lower search bound exceeds the tolerance, that bound is returned; a
-    NaN there, or a tolerance never exceeded by the upper bound, raises. The
-    result's value and critical_value are sigma.
+    same bounds, and each sigma is evaluated once for all epsilons. A lower
+    search bound that misses the tolerance, or an upper bound that meets it,
+    raises. The result's value and critical_value are sigma.
     """
-    tolerances = _tolerances(epsilons, allow_zero=True)
+    tolerances = _tolerances(epsilons)
     dl = _noise_delta(np.asarray(params, dtype=float), mode, loss_eval, noise_draws, seed)
     results = []
     for eps in tolerances:
         lo, hi = _SIGMA_BOUNDS
-        if math.isnan(dl(lo)):
-            raise UnreachableToleranceError(f"loss increase is nan at sigma={lo}")
-        if _passes(dl(lo), eps):  # else even the lower bound exceeds eps: report it
-            if _passes(dl(hi), eps):
-                raise UnreachableToleranceError(
-                    f"loss increase never exceeds {eps} up to sigma={hi}")
-            while hi / lo > 1.0 + _SIGMA_REL_TOL:
-                mid = float(np.sqrt(lo * hi))
-                lo, hi = (mid, hi) if _passes(dl(mid), eps) else (lo, mid)
+        if not _passes(dl(lo), eps):
+            raise UnreachableToleranceError(f"delta loss {dl(lo)} not within {eps} at sigma={lo}")
+        if _passes(dl(hi), eps):
+            raise UnreachableToleranceError(f"loss increase never exceeds {eps} up to sigma={hi}")
+        while hi / lo > 1.0 + _SIGMA_REL_TOL:
+            mid = float(np.sqrt(lo * hi))
+            lo, hi = (mid, hi) if _passes(dl(mid), eps) else (lo, mid)
         results.append(CriticalResult(lo, dl(lo), lo))
     return results
 
@@ -444,14 +417,13 @@ def prune_and_retrain(
     saves only a few percent of its time but holds K times the activations.
     """
     fractions = list(keep_fractions)
-    if not fractions or not all(0.0 < f <= 1.0 for f in fractions):
-        raise InvalidInputError("keep_fractions must be a nonempty list of values in (0, 1]")
+    require(fractions and all(0.0 < f <= 1.0 for f in fractions),
+            "keep_fractions must be a nonempty list of values in (0, 1]")
     model = task.model
     sizes = model.spec.layer_sizes
     hidden_units = [(li, u) for li in range(1, len(sizes) - 1) for u in range(sizes[li])]
     n_h = len(hidden_units)
-    if n_h < 1:
-        raise InvalidInputError("model has no hidden units to prune")
+    require(n_h >= 1, "model has no hidden units to prune")
 
     base = task.full_loss(params)
     n_pruned = [int(np.floor((1.0 - f) * n_h)) for f in fractions]

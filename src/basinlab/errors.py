@@ -49,15 +49,15 @@ class TrainingDivergedError(RuntimeError):
 
 class ChainDivergedError(RuntimeError):
     """A sampling chain produced a non-finite state. In a call that samples a
-    stack of checkpoints, `checkpoint` is the index of the chain's own."""
+    stack of checkpoints, `checkpoint` is the index of the chain's own; the
+    message leaves naming the checkpoint to the caller."""
 
     def __init__(self, chain: int, step: int, diagnostics=None, checkpoint: int | None = None):
         self.chain = chain
         self.step = step
         self.diagnostics = diagnostics
         self.checkpoint = checkpoint
-        where = "" if checkpoint is None else f" of checkpoint {checkpoint}"
-        super().__init__(f"chain {chain}{where} diverged at step {step}")
+        super().__init__(f"chain {chain} diverged at step {step}")
 
 
 class UnreachableToleranceError(RuntimeError):

@@ -14,6 +14,7 @@ gradients and a batch-averaged baseline.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -63,9 +64,11 @@ class LlcConfig:
         require(self.step_size > 0, "step_size must be positive")
         require(self.gamma >= 0, "gamma must be >= 0")
         for name in ("chains", "steps_per_chain", "batch_size", "baseline_batches"):
-            require(getattr(self, name) >= 1, f"{name} must be >= 1")
-        require(self.burn_in is None or 0 <= self.burn_in < self.steps_per_chain,
-                "burn_in must be null or in [0, steps_per_chain)")
+            count = getattr(self, name)
+            require(isinstance(count, Integral) and count >= 1, f"{name} must be an integer >= 1")
+        require(self.burn_in is None or isinstance(self.burn_in, Integral)
+                and 0 <= self.burn_in < self.steps_per_chain,
+                "burn_in must be null or an integer in [0, steps_per_chain)")
 
     @property
     def resolved_burn_in(self) -> int:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from hashlib import sha256
+from numbers import Integral
 
 import numpy as np
 
@@ -22,9 +23,10 @@ class MlpSpec:
     layer_sizes: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "layer_sizes", tuple(int(s) for s in self.layer_sizes))
-        require(len(self.layer_sizes) >= 2 and min(self.layer_sizes) >= 1,
-                "layer_sizes needs >= 2 entries, each >= 1")
+        sizes = self.layer_sizes
+        require(len(sizes) >= 2 and all(isinstance(s, Integral) and s >= 1 for s in sizes),
+                "layer_sizes needs >= 2 entries, each an integer >= 1")
+        object.__setattr__(self, "layer_sizes", tuple(int(s) for s in sizes))
 
     @property
     def n_layers(self) -> int:

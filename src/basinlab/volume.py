@@ -77,12 +77,11 @@ def volume_curve(
     epsilons: np.ndarray,
     samples: int,
     seed: int,
-    stream_id: int = 0,
 ) -> VolumeCurve:
     """Estimate the whole ladder with common random numbers.
 
-    One shared sample set is used for every epsilon, so the estimated curve is
-    exactly non-increasing as epsilon decreases.
+    One shared sample set, stream 0 of `seed`, is used for every epsilon, so
+    the estimated curve is exactly non-increasing as epsilon decreases.
     """
     epsilons = np.sort(np.asarray(epsilons, dtype=float))[::-1]
     if np.any(epsilons <= 0):
@@ -92,7 +91,7 @@ def volume_curve(
         v = landscape.value(w)  # one pass per rung, no (rungs x chunk) matrix
         return np.array([np.count_nonzero(v <= e) for e in epsilons])
 
-    volumes, ses = mc_volumes(landscape.bounds, samples, rng_stream(seed, stream_id), count)
+    volumes, ses = mc_volumes(landscape.bounds, samples, rng_stream(seed, 0), count)
     return VolumeCurve(epsilons=epsilons, volumes=volumes, standard_errors=ses,
                        total_volume=landscape.bounds.volume())
 

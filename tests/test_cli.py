@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -22,6 +23,7 @@ from basinlab.csvio import read_csv
 from basinlab.errors import ConfigError, InvalidInputError
 from basinlab.llc import LlcConfig, Preconditioner
 from basinlab.mlp import MlpSpec
+from basinlab.volume import MC_CHUNK
 
 SMALL = {
     "epsilons": [0.5],
@@ -441,6 +443,13 @@ class TestConfigPass:
                     load_config(str(cfg_path), None, None, None)
                 assert err.value.key == "volume.ladder_max_k"
 
+    def test_dim_bound_is_one_gib_chunk(self, tmp_path):
+        # the largest dim whose chunk of MC_CHUNK draws fits in 1 GiB loads
+        assert cli.MAX_DIM * 8 * MC_CHUNK == 2**30
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"volume": {"dim": cli.MAX_DIM}}))
+        assert load_config(str(cfg_path), None, None, None)["volume"]["dim"] == cli.MAX_DIM
+
     def test_default_config_hash_pinned(self):
         assert experiment_hash(load_config(None, None, None, None)) == (
             "27d2439ac1088b5fef3c3c91c516876a8181c97cea02c68159620e0f6604ba63")
@@ -531,6 +540,8 @@ class TestErrors:
         ({"volume": {"landscape": "normal_crossing", "exponents": [1], "active_dims": [2]}},
          "volume.active_dims"),
         ({"audit": {"m_simplex": 0.25, "outcomes": 4}}, "audit.m_simplex"),
+        ({"volume": {"dim": 2**70}}, "volume.dim"),
+        ({"volume": {"dim": cli.MAX_DIM + 1}}, "volume.dim"),
     ], ids=["unknown-key", "top-level-array", "epsilons-string", "epsilons-nan",
             "layer-sizes-int", "checkpoint-schedule-int", "n-samples-float", "n-samples-bool",
             "layer-sizes-float-item", "write-traces-string", "n-seeds-string", "seed-string",
@@ -556,7 +567,8 @@ class TestErrors:
             "multiplicity-mode-negative", "ladder-below-two-decades",
             "max-epsilon-shrinks-ladder", "normal-crossing-no-exponents",
             "active-dims-length-mismatch", "exponent-zero", "active-dims-repeated",
-            "active-dim-out-of-range", "audit-simplex-empty"])
+            "active-dim-out-of-range", "audit-simplex-empty", "volume-dim-2-to-the-70",
+            "volume-dim-above-chunk-budget"])
     def test_unknown_config_key_exit_1(self, tmp_path, capsys, payload, key):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(payload))
@@ -714,7 +726,7 @@ class TestErrors:
         with np.errstate(all="ignore"):
             assert main(["estimate-llc", "--config", str(p), "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert "chain 0 of checkpoint 0 diverged at step" in err
+        assert "chain 0 diverged at step" in err
         assert err.rstrip().endswith("of the checkpoint at training step 100")
         assert "Traceback" not in err and len(err.strip().splitlines()) == 1
 
@@ -741,6 +753,21 @@ class TestErrors:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
         assert "at n_q=8 of the checkpoint at training step 100" in err
+
+    def test_unreachable_noise_tolerance_exit_2_names_checkpoint(self, workdir, tmp_path,
+                                                                 capsys):
+        # sigma's lower bound, 1e-6, already moves the loss of the first checkpoint
+        # (training step 100) by more than 1e-9: the search raises, and no row is written
+        _, cfg_path, out = workdir
+        fresh = tmp_path / "o"
+        shutil.copytree(out / "checkpoints", fresh / "checkpoints")
+        capsys.readouterr()
+        assert main(["noise-sweep", "--config", str(cfg_path), "--out", str(fresh),
+                     "--epsilon", "1e-9"]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+        assert err.rstrip().endswith("at sigma=1e-06 of the checkpoint at training step 100")
+        assert not (fresh / "sweep_noise.csv").exists()
 
     def test_diverging_training_exit_2(self, tmp_path):
         cfg = dict(SMALL)

@@ -425,7 +425,7 @@ class TestCriticalNq:
         with pytest.raises(UnreachableToleranceError, match=r"at n_q=64$"):
             critical_nq(w, [1e-12], loss_eval, mode="max_abs", nq_cap=100)
 
-    @pytest.mark.parametrize("nq_cap", [2, 3, 0, -4])
+    @pytest.mark.parametrize("nq_cap", [2, 3, 0, -4, float("nan")])
     def test_cap_below_smallest_probe_rejected(self, nq_cap):
         # a cap under 4 would let the first probe, n_q = 4, return above it
         loss_eval = lambda v: float(np.sum(v**2))
@@ -461,16 +461,14 @@ class TestCriticalNq:
             assert quantization_delta_loss(ck.params, nq - 2, task.full_loss) > 0.5
 
 
-def reference_factorize(model, params, keep_fraction, layer_selection=None):
+def reference_factorize(model, params, keep_fraction):
     """factorize as it was first written: every layer copied or truncated,
     packed anew, and the stored parameters summed before and after."""
-    if layer_selection is None:
-        layer_selection = list(range(1, model.spec.n_layers - 1))
     new_layers, n_kept, before, after = [], {}, 0, 0
     for li, (w, b) in enumerate(model.unpack(params)):
         d1, d2 = w.shape
         before += d1 * d2 + len(b)
-        if li in layer_selection:
+        if 0 < li < model.spec.n_layers - 1:
             n = n_kept[li] = max(1, int(np.ceil(keep_fraction * min(d1, d2))))
             new_layers.append((svd(w).reconstruct(n), b.copy()))
             after += d1 * n + n + n * d2 + len(b)
@@ -480,12 +478,11 @@ def reference_factorize(model, params, keep_fraction, layer_selection=None):
     return model.pack(new_layers), after / before, n_kept
 
 
-def assert_factorize_equals_rebuild(model, params, keep_fraction, layer_selection=None):
+def assert_factorize_equals_rebuild(model, params, keep_fraction):
     """factorize equals the rebuild bit for bit and leaves `params` as it was."""
     before = params.copy()
-    res = factorize(model, params, keep_fraction, layer_selection)
-    ref_params, ref_fraction, ref_kept = reference_factorize(model, params, keep_fraction,
-                                                             layer_selection)
+    res = factorize(model, params, keep_fraction)
+    ref_params, ref_fraction, ref_kept = reference_factorize(model, params, keep_fraction)
     assert np.array_equal(res.params, ref_params)
     assert res.compression_fraction == ref_fraction
     assert res.n_kept == ref_kept
@@ -518,7 +515,7 @@ class TestFactorize:
         rng = rng_stream(9, 0)
         model = MlpModel(MlpSpec(layer_sizes=(16, 16, 16, 16)))
         params = model.init_params(rng)
-        res = factorize(model, params, keep_fraction=0.5, layer_selection=[1])
+        res = factorize(model, params, keep_fraction=0.5)  # matrix 1, the one interior
         w_orig = model.unpack(params)[1][0]
         w_new = model.unpack(res.params)[1][0]
         tail = svd(w_orig).s[8:]
@@ -535,37 +532,34 @@ class TestFactorize:
         for j in range(1, 17):
             assert_factorize_equals_rebuild(model, params, j / 16)
 
-    @pytest.mark.parametrize("selection", [None, [0], [1, 2], [0, 3], [1, 1]])
-    def test_selections_equal_rebuild(self, selection):
+    def test_interior_layers_equal_rebuild(self):
         model = MlpModel(MlpSpec(layer_sizes=(6, 5, 7, 3, 2)))
         params = model.init_params(rng_stream(15, 0))
         for keep in (1e-9, 0.2, 1 / 3, 0.5, 0.6, 0.75, 1.0):
-            assert_factorize_equals_rebuild(model, params, keep, selection)
+            assert_factorize_equals_rebuild(model, params, keep)
 
 
 class TestCriticalCompressionFraction:
-    def test_rank_deficient_linear_teacher(self):
-        # single linear layer whose weight matrix has exact rank 3: the
-        # critical keep fraction is the true rank ratio 3/8
-        model = MlpModel(MlpSpec(layer_sizes=(8, 8)))
+    def test_rank_deficient_teacher(self):
+        # a teacher whose one interior matrix has exact rank 3: the critical
+        # keep fraction is the true rank ratio 3/8
+        model = MlpModel(MlpSpec(layer_sizes=(8, 8, 8, 8)))
         rng = rng_stream(10, 0)
-        a = rng.standard_normal((8, 3))
-        b = rng.standard_normal((3, 8))
-        w_true = a @ b
-        params = model.pack([(w_true, np.zeros(8))])
+        layers = model.unpack(model.init_params(rng))
+        layers[1] = (rng.standard_normal((8, 3)) @ rng.standard_normal((3, 8)), layers[1][1])
+        params = model.pack(layers)
         x = rng.standard_normal((256, 8))
         y = model.forward(params, x)
         loss_eval = lambda p: model.loss_and_grad(p, x, y, need_grad=False)[0]
         (res,) = critical_compression_fraction(model, params, epsilons=[1e-10],
-                                               loss_eval=loss_eval, layer_selection=[0])
+                                               loss_eval=loss_eval)
         assert res.value == 3 / 8
-        assert res.value == pytest.approx(3 / 8)
 
     def test_bracket_floor(self):
-        model = MlpModel(MlpSpec(layer_sizes=(6, 6)))
-        params = model.pack([(np.zeros((6, 6)), np.zeros(6))])
-        (res,) = critical_compression_fraction(model, params, epsilons=[0.5],
-                                               loss_eval=lambda p: 0.0, layer_selection=[0])
+        # a zero interior matrix is exact at rank 1, the lowest rank searched
+        model = MlpModel(MlpSpec(layer_sizes=(6, 6, 6, 6)))
+        (res,) = critical_compression_fraction(model, np.zeros(model.n_params), epsilons=[0.5],
+                                               loss_eval=lambda p: 0.0)
         assert res.value == 1 / 6
 
     def test_matches_exhaustive_scan_on_mlp(self):
@@ -584,14 +578,14 @@ class TestCriticalCompressionFraction:
         assert res.delta_loss == task.full_loss(fresh.params) - base
         assert res.critical_value == fresh.compression_fraction
 
-    @pytest.mark.parametrize("selection", [[5], [-1], [1, 3]])
-    def test_out_of_range_selection_rejected(self, selection):
-        # before the search starts, as factorize would reject it
-        model = MlpModel(MlpSpec(layer_sizes=(4, 16, 16, 4)))
+    @pytest.mark.parametrize("sizes", [(4, 4), (4, 8, 4)])
+    def test_no_interior_layer_rejected(self, sizes):
+        # before any loss is evaluated: the input and output maps are never factorized
+        model = MlpModel(MlpSpec(layer_sizes=sizes))
         calls = []
-        with pytest.raises(InvalidInputError, match="layer selection out of range"):
+        with pytest.raises(InvalidInputError, match="no interior layer"):
             critical_compression_fraction(model, model.init_params(rng_stream(7, 0)), [0.5],
-                                          lambda p: calls.append(p) or 0.0, selection)
+                                          lambda p: calls.append(p) or 0.0)
         assert calls == []
 
     def test_probes_pinned_settings(self, monkeypatch):
@@ -660,7 +654,7 @@ class TestNoiseDeltaLoss:
             critical_sigma(np.ones(3), [0.1], "multiplicative", loss_eval)
         assert calls == []
 
-    @pytest.mark.parametrize("noise_draws", [0, -1])
+    @pytest.mark.parametrize("noise_draws", [0, -1, float("nan")])
     def test_no_draws_rejected(self, noise_draws):
         # as critical_sigma rejects them, before any loss is evaluated
         calls = []
@@ -675,11 +669,13 @@ class TestNoiseDeltaLoss:
 
 
 class TestCriticalSigma:
-    def test_strict_minimum_with_zero_tolerance_returns_floor(self):
+    def test_lower_bound_above_tolerance_raises(self):
+        # the loss increase at sigma = 1e-6 is positive: half of it is out of reach
         loss_eval = lambda w: float(np.sum(w**2))
-        (res,) = critical_sigma(np.zeros(4), [0.0], "absolute", loss_eval, noise_draws=4, seed=0)
-        assert res.value == 1e-6
-        assert res.delta_loss == noise_delta_loss(np.zeros(4), 1e-6, "absolute", loss_eval, 4, 0)
+        floor = noise_delta_loss(np.zeros(4), 1e-6, "absolute", loss_eval, 4, 0)
+        assert floor > 0
+        with pytest.raises(UnreachableToleranceError, match=r"at sigma=1e-06$"):
+            critical_sigma(np.zeros(4), [floor / 2], "absolute", loss_eval, noise_draws=4, seed=0)
 
     def test_draws_each_unit_perturbation_once_per_search(self, monkeypatch):
         streams = []
@@ -833,7 +829,7 @@ class TestJointSearch:
                 assert len(seen) == n_evals, (name, epsilons)
                 assert len(set(seen)) == n_evals, (name, epsilons)
 
-    @pytest.mark.parametrize("bad", [0.5, [[0.5]], [0.5, -1.0], [float("nan")]])
+    @pytest.mark.parametrize("bad", [0.5, [[0.5]], [0.5, -1.0], [float("nan")], [0.0]])
     def test_bad_epsilons_rejected(self, bad):
         loss_eval = lambda v: float(np.sum(v**2))
         model = MlpModel(MlpSpec(layer_sizes=(4, 6, 6, 4)))
@@ -843,9 +839,32 @@ class TestJointSearch:
                        lambda e: critical_compression_fraction(model, params, e, loss_eval)):
             with pytest.raises(InvalidInputError, match="epsilons"):
                 search(bad)
-        # zero is a tolerance only critical_sigma accepts
-        with pytest.raises(InvalidInputError, match="positive"):
-            critical_nq(params, [0.0], loss_eval)
+
+
+class TestToleranceContract:
+    """Every critical search returns settings whose delta_loss is within their
+    epsilon, or raises UnreachableToleranceError."""
+
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 8),
+           epsilons=st.lists(st.floats(-15, 0).map(lambda k: 10.0**k), min_size=1, max_size=3),
+           search=st.sampled_from(["nq", "sigma_absolute", "sigma_relative", "fraction"]))
+    @settings(max_examples=60, deadline=None)
+    def test_result_within_tolerance_or_raises(self, seed, dim, epsilons, search):
+        model = MlpModel(MlpSpec(layer_sizes=(dim, 3, 2, 1)))
+        w, loss_eval = quadratic(seed, model.n_params if search == "fraction" else dim)
+        run = {
+            "nq": lambda: critical_nq(w, epsilons, loss_eval, nq_cap=2**10),
+            "sigma_absolute": lambda: critical_sigma(w, epsilons, "absolute", loss_eval,
+                                                     noise_draws=2, seed=seed),
+            "sigma_relative": lambda: critical_sigma(w, epsilons, "relative", loss_eval,
+                                                     noise_draws=2, seed=seed),
+            "fraction": lambda: critical_compression_fraction(model, w, epsilons, loss_eval),
+        }[search]
+        try:
+            results = run()
+        except UnreachableToleranceError:
+            return
+        assert all(r.delta_loss <= eps for r, eps in zip(results, epsilons))
 
 
 @pytest.fixture(scope="module")

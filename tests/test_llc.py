@@ -513,7 +513,7 @@ class TestCheckpointStackMatchesPerCheckpointLoop:
             estimate_llc(task, MLP_CFG, seed=11, w_star=w_stars)
         err = e.value
         assert (err.checkpoint, err.chain, err.step) == (1, 1, 7)
-        assert "chain 1 of checkpoint 1 diverged at step 7" in str(err)
+        assert str(err) == "chain 1 diverged at step 7"
         assert np.array_equal(err.diagnostics, clean[1].trace[:, :8])
 
         # the same error as checkpoint 1 sampled alone
@@ -561,6 +561,13 @@ class TestConfigValidation:
     def test_zero_batch_size_refused_naming_its_field(self):
         with pytest.raises(InvalidInputError, match="^batch_size "):
             LlcConfig(batch_size=0)
+
+    @pytest.mark.parametrize("field", ["chains", "steps_per_chain", "batch_size",
+                                       "baseline_batches", "burn_in"])
+    @pytest.mark.parametrize("value", [2.5, 2.0, float("nan")])
+    def test_non_integer_count_refused_naming_its_field(self, field, value):
+        with pytest.raises(InvalidInputError, match=f"^{field} "):
+            LlcConfig(**{field: value})
 
     def test_default_burn_in_is_tenth(self):
         cfg = LlcConfig(steps_per_chain=500)

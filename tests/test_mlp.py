@@ -47,6 +47,16 @@ class TestForward:
         # checkpoint already written
         assert MlpSpec((4, 16, 16, 4)).spec_hash() == 1290949242855176920
 
+    @pytest.mark.parametrize("size", [2.7, 4.0, float("nan"), "4"])
+    def test_non_integer_size_refused_naming_its_field(self, size):
+        # no size is truncated or converted: 2.7 once became 2
+        with pytest.raises(InvalidInputError, match="^layer_sizes "):
+            MlpSpec((4, size, 4))
+
+    def test_numpy_integer_sizes_keep_the_spec_hash(self):
+        assert MlpSpec(np.array([4, 16, 16, 4])) == MlpSpec((4, 16, 16, 4))
+        assert MlpSpec(np.array([4, 16, 16, 4])).spec_hash() == 1290949242855176920
+
     def test_pack_unpack_roundtrip(self):
         model = MlpModel(MlpSpec(layer_sizes=(3, 5, 2)))
         params = model.init_params(rng_stream(0, 0))

@@ -25,9 +25,9 @@ from basinlab import volume
 from basinlab.errors import FitWindowError, InvalidInputError
 
 
-def one_rung(landscape, epsilon, samples, seed, stream_id=0):
+def one_rung(landscape, epsilon, samples, seed):
     """(volume, SE) of the one-epsilon volume curve."""
-    curve = volume_curve(landscape, np.array([epsilon]), samples, seed, stream_id)
+    curve = volume_curve(landscape, np.array([epsilon]), samples, seed)
     return float(curve.volumes[0]), float(curve.standard_errors[0])
 
 
@@ -55,9 +55,10 @@ class TestMcVolume:
     def test_unbiasedness_against_reference(self):
         L = make_quadratic(2)
         ref, ref_se = one_rung(L, 0.125, 10_000_000, seed=100)
-        estimates = np.array(
-            [one_rung(L, 0.125, 20_000, seed=101, stream_id=k)[0] for k in range(50)]
-        )
+        count = lambda w: np.count_nonzero(L.value(w) <= 0.125)
+        # 50 independent estimates, from streams 0 .. 49 of seed 101
+        estimates = np.array([volume.mc_volumes(L.bounds, 20_000, rng_stream(101, k), count)[0]
+                              for k in range(50)])
         mean_se = np.sqrt(ref_se**2 + (estimates.std(ddof=1) / np.sqrt(50)) ** 2)
         assert abs(estimates.mean() - ref) <= 2 * mean_se
 
@@ -72,9 +73,9 @@ class TestVolumeCurve:
         # same stream, same predicate: each rung equals its one-epsilon estimate
         L = make_quadratic(2)
         ladder = default_ladder(2, 8)
-        curve = volume_curve(L, ladder, 150_000, seed=12, stream_id=3)
+        curve = volume_curve(L, ladder, 150_000, seed=12)
         for eps, vol, se in zip(curve.epsilons, curve.volumes, curve.standard_errors):
-            assert one_rung(L, float(eps), 150_000, seed=12, stream_id=3) == (vol, se)
+            assert one_rung(L, float(eps), 150_000, seed=12) == (vol, se)
 
     def test_zero_samples_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -86,8 +87,8 @@ class TestVolumeCurve:
         L = make_quadratic(2)
         value = L.value
         L.value = lambda w: np.where(w[:, 0] < -1 / 3, ladder[(w[:, 1] > 0) * 5], value(w))
-        curve = volume_curve(L, ladder, 30_000, seed=8, stream_id=2)
-        v = L.value(L.bounds.sample(rng_stream(8, 2), 30_000))
+        curve = volume_curve(L, ladder, 30_000, seed=8)
+        v = L.value(L.bounds.sample(rng_stream(8, 0), 30_000))
         eps = np.sort(ladder)[::-1]
         hits = np.count_nonzero(v[None, :] <= eps[:, None], axis=1)
         assert np.count_nonzero(np.isin(v, ladder)) > 9_000
