@@ -18,7 +18,10 @@ import argparse
 import copy
 import dataclasses
 import json
+import os
+import pickle
 import sys
+import threading
 from pathlib import Path
 from typing import Callable
 
@@ -122,6 +125,8 @@ VALUE_CHECKS = dict.fromkeys((
                              "must be a nonempty list of numbers in (0, 1]"),
     "audit.outcomes": (lambda v: v >= 2, "must be >= 2"),
     "volume.dim": (lambda v: 1 <= v <= MAX_DIM, f"must be in [1, {MAX_DIM}]"),
+    # 2**-k underflows to 0 past the smallest subnormal, 2**-1074
+    "volume.ladder_max_k": (lambda v: v <= 1074, "must be <= 1074, past which 2**-k is 0"),
     "volume.multiplicity_mode": (lambda v: v == "select_by_fit" or (type(v) is int and v >= 1),
                                  "expected 'select_by_fit' or an integer >= 1"),
     "quantize.nq_cap": (lambda v: v >= 4, "must be >= 4, the smallest n_q probed"),
@@ -338,16 +343,76 @@ def at_checkpoint(e: RuntimeError, ck: Checkpoint) -> RuntimeError:
     return e
 
 
+def _share(fn: Callable, items: list, worker: int, workers: int) -> dict[int, object]:
+    """{i: fn(items[i])} for worker's items i = worker, worker + workers, ...,
+    up to the first call that raises; the rest are left to the caller."""
+    done = {}
+    for i in range(worker, len(items), workers):
+        try:
+            done[i] = fn(items[i])
+        except Exception:
+            break
+    return done
+
+
+def fan_out(fn: Callable, items: list) -> list:
+    """[fn(item) for item in items], spread over one worker per usable CPU.
+
+    Worker w takes items w, w + workers, ...; worker 0 is this process, the
+    others forked children that pickle their results back over a pipe and end
+    with os._exit (no inherited stdio flushed, no atexit hook run). Nothing
+    forks for one item or one CPU, without os.fork, or while this process has
+    other threads, which a fork can deadlock. An item left without a result
+    (its call raised, or its child died) is computed again here, in order, so
+    a failure raises as the serial loop would: the first failing item's error.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    forkable = hasattr(os, "fork") and threading.active_count() == 1
+    workers = max(1, min(len(items), cpus or 1)) if forkable else 1
+    children = []
+    try:
+        for w in range(1, workers):
+            r, wr = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare: the unforked shares are computed below
+                os.close(r)
+                os.close(wr)
+                break
+            if pid == 0:
+                try:
+                    os.close(r)
+                    with open(wr, "wb") as pipe:
+                        pickle.dump(_share(fn, items, w, workers), pipe)
+                finally:
+                    os._exit(0)
+            os.close(wr)
+            children.append((pid, open(r, "rb")))
+        done = _share(fn, items, 0, workers)
+        for _, pipe in children:
+            try:
+                done |= pickle.load(pipe)
+            except (EOFError, pickle.UnpicklingError):
+                pass  # the child died; its items are computed below
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            os.waitpid(pid, 0)
+    return [done[i] if i in done else fn(item) for i, item in enumerate(items)]
+
+
 def sweep(cfg: dict, subcommand: str, rows_for: Callable[[MlpTask, Checkpoint], list[tuple]]) -> int:
     """The loop every sweep runs: `rows_for(task, ck)` gives each checkpoint's
-    rows, which go to one CSV under `out`."""
+    rows, computed by `fan_out`, which go to one CSV under `out`."""
     task = build_task(cfg)
-    rows = []
-    for ck in load_checkpoints(cfg):
+
+    def rows_at(ck):
         try:
-            rows += rows_for(task, ck)
+            return rows_for(task, ck)
         except RuntimeError as e:
             raise at_checkpoint(e, ck)
+
+    rows = [row for ck_rows in fan_out(rows_at, load_checkpoints(cfg)) for row in ck_rows]
     name = f"sweep_{subcommand.removesuffix('-sweep')}.csv"
     d = emit(cfg, subcommand, {name: (SWEEP_HEADER, rows)})
     print(f"wrote {len(rows)} rows -> {d / name}")

@@ -5,9 +5,11 @@ Every scheme perturbs a parameter vector and reports the induced loss
 increase on a fixed, deterministic loss evaluator; `quantization_delta_loss`
 and `noise_delta_loss` are the single-setting probes. The critical searches
 find the most aggressive setting whose loss increase still meets the
-tolerance, and end with a verification pass so the returned value satisfies
-its defining inequality exactly as measured; a search that cannot find such
-a setting raises UnreachableToleranceError.
+tolerance. Each bisects a bracket whose ends keep the verdicts they were
+measured with, one end within the tolerance and the other not, and returns
+the passing end, so the value satisfies its defining inequality exactly as
+measured; a search that cannot find such a setting raises
+UnreachableToleranceError.
 """
 
 from __future__ import annotations
@@ -190,14 +192,13 @@ def _tolerances(epsilons: Sequence[float]) -> list[float]:
 
 
 def _lowest_passing(passes: Callable[[int], bool], lo: int, hi: int) -> int:
-    """Smallest k in (lo, hi] that passes, given lo fails and hi passes:
-    bisection treating the verdict as monotone in k, then a walk down while
-    k - 1 passes too, so the result passes and its predecessor does not."""
+    """Smallest k in (lo, hi] that passes, given lo was measured failing and
+    hi passing: bisection treating the verdict as monotone in k. The bracket's
+    ends keep those verdicts, so the result passes and its predecessor, the
+    last failing end, does not."""
     while hi - lo > 1:
         mid = (lo + hi) // 2
         lo, hi = (lo, mid) if passes(mid) else (mid, hi)
-    while passes(hi - 1):
-        hi -= 1
     return hi
 
 
@@ -212,8 +213,8 @@ def critical_nq(
     one result per epsilon, in order.
 
     Per epsilon: exponential bracketing, then bisection over even values
-    treating the loss increase as non-increasing in n_q, then a walk that
-    leaves n_q passing and its predecessor failing, as measured. Each n_q's
+    treating the loss increase as non-increasing in n_q, which leaves n_q
+    passing and its predecessor failing, as measured. Each n_q's
     clamp search runs once for every epsilon, only as far as a verdict
     needs: n_q passes at its first finite loss increase within epsilon (the
     complete search could only find a lower one), so a verdict reads the
@@ -293,10 +294,11 @@ def critical_compression_fraction(
     increase is within each epsilon; one result per epsilon, in order.
 
     The search runs over the integer rank grid n = 1 .. min_dim (resolution
-    1/min_dim in keep fraction) by bisection on a monotone bracketing, with
-    the same verification walk as critical_nq; each rank is factorized and
-    evaluated once for all epsilons. The result's value is the keep
-    fraction j/min_dim and its critical_value the stored-parameter ratio.
+    1/min_dim in keep fraction) by bisection on a monotone bracketing, which
+    leaves rank j passing and j - 1 failing, as measured; each rank is
+    factorized and evaluated once for all epsilons. The result's value is
+    the keep fraction j/min_dim and its critical_value the stored-parameter
+    ratio.
     """
     tolerances = _tolerances(epsilons)
     interior = model.unpack(params)[1:-1]

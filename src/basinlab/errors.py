@@ -4,6 +4,8 @@ ValueError subclasses signal bad inputs or configuration (CLI exit code 1),
 RuntimeError subclasses signal numerical failures during a run (exit code 2).
 """
 
+from numbers import Integral
+
 
 class InvalidInputError(ValueError):
     """Input violates a documented precondition (shape, finiteness, range)."""
@@ -13,6 +15,11 @@ def require(holds, message: str) -> None:
     """Raise InvalidInputError(message) unless `holds`, a rule that a NaN breaks."""
     if not holds:
         raise InvalidInputError(message)
+
+
+def is_integer(value) -> bool:
+    """Whether `value` is an integer: any Integral, numpy's included, but a bool."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
 
 
 class ConfigError(ValueError):

@@ -14,11 +14,10 @@ gradients and a batch-averaged baseline.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from numbers import Integral
 
 import numpy as np
 
-from .errors import ChainDivergedError, InvalidInputError, require
+from .errors import ChainDivergedError, InvalidInputError, is_integer, require
 from .landscapes import Landscape
 from .mlp import MlpTask
 from .rng import rng_stream
@@ -65,8 +64,8 @@ class LlcConfig:
         require(self.gamma >= 0, "gamma must be >= 0")
         for name in ("chains", "steps_per_chain", "batch_size", "baseline_batches"):
             count = getattr(self, name)
-            require(isinstance(count, Integral) and count >= 1, f"{name} must be an integer >= 1")
-        require(self.burn_in is None or isinstance(self.burn_in, Integral)
+            require(is_integer(count) and count >= 1, f"{name} must be an integer >= 1")
+        require(self.burn_in is None or is_integer(self.burn_in)
                 and 0 <= self.burn_in < self.steps_per_chain,
                 "burn_in must be null or an integer in [0, steps_per_chain)")
 

@@ -9,11 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from hashlib import sha256
-from numbers import Integral
 
 import numpy as np
 
-from .errors import InvalidInputError, require
+from .errors import InvalidInputError, is_integer, require
 
 
 @dataclass(frozen=True)
@@ -24,7 +23,7 @@ class MlpSpec:
 
     def __post_init__(self):
         sizes = self.layer_sizes
-        require(len(sizes) >= 2 and all(isinstance(s, Integral) and s >= 1 for s in sizes),
+        require(len(sizes) >= 2 and all(is_integer(s) and s >= 1 for s in sizes),
                 "layer_sizes needs >= 2 entries, each an integer >= 1")
         object.__setattr__(self, "layer_sizes", tuple(int(s) for s in sizes))
 

@@ -5,8 +5,10 @@ import json
 import math
 import os
 import shutil
+import signal
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +22,7 @@ from basinlab.cli import (
 )
 from basinlab.compress import prune_and_retrain
 from basinlab.csvio import read_csv
-from basinlab.errors import ConfigError, InvalidInputError
+from basinlab.errors import ConfigError, InvalidInputError, UnreachableToleranceError
 from basinlab.llc import LlcConfig, Preconditioner
 from basinlab.mlp import MlpSpec
 from basinlab.volume import MC_CHUNK
@@ -223,6 +225,141 @@ class TestDeterminism:
                 for f in o.iterdir() if f.suffix in (".csv", ".json")
             }
         assert blobs[outs[0]] == blobs[outs[1]]
+
+
+SWEEPS = ["quantize-sweep", "noise-sweep", "factorize-sweep", "prune-sweep"]
+
+
+class TestFanOut:
+    """cli.sweep spreads checkpoints over forked workers, one per usable CPU;
+    the worker count is forced through os.sched_getaffinity. SMALL has four
+    checkpoints (steps 100, 200, 400, 800): with three workers this process
+    takes the first and the last, and two children one each."""
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """Set the usable CPUs to `n`; returns the list of fork calls made."""
+        calls = []
+        real_fork = os.fork
+
+        def counted_fork():
+            calls.append(os.getpid())
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+
+        def with_cpus(n):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+            return calls
+        return with_cpus
+
+    @staticmethod
+    def fresh_out(workdir, path):
+        shutil.copytree(workdir[2] / "checkpoints", path / "checkpoints")
+        return path
+
+    @staticmethod
+    def assert_no_child_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @staticmethod
+    def digests(out):
+        return {f.relative_to(out).as_posix(): hashlib.sha256(f.read_bytes()).hexdigest()
+                for f in sorted(out.rglob("*")) if f.is_file()}
+
+    def test_every_sweep_same_bytes_with_one_and_three_workers(self, workdir, tmp_path, forks):
+        digests = {}
+        for n in (1, 3):
+            calls = forks(n)
+            out = self.fresh_out(workdir, tmp_path / str(n))
+            for command in SWEEPS:
+                assert run(workdir[1], out, command) == 0
+                self.assert_no_child_left()
+            assert len(calls) == (0 if n == 1 else 2 * len(SWEEPS))
+            calls.clear()
+            digests[n] = self.digests(out)
+        assert len(digests[1]) == 4 + 2 * len(SWEEPS) and digests[1] == digests[3]
+
+    @pytest.mark.parametrize("error", [UnreachableToleranceError, InvalidInputError])
+    @pytest.mark.parametrize("failing", [(200, 800), (100, 400)],
+                             ids=["lower-in-child", "lower-in-parent"])
+    def test_lowest_failing_checkpoint_raises_as_serially(self, workdir, tmp_path, forks,
+                                                          monkeypatch, error, failing):
+        # one failure in a child's share and one in this process's share
+        real_rows = cli.critical_rows
+
+        def rows(cfg, scheme, ck, results):
+            if ck.step in failing:
+                raise error(f"forced failure at step {ck.step}")
+            return real_rows(cfg, scheme, ck, results)
+
+        monkeypatch.setattr(cli, "critical_rows", rows)
+        raised = {}
+        for n in (1, 3):
+            forks(n)
+            cfg = load_config(str(workdir[1]), None, str(self.fresh_out(workdir, tmp_path / str(n))),
+                              None)
+            with pytest.raises(error) as e:
+                cli.cmd_factorize_sweep(cfg)
+            self.assert_no_child_left()
+            raised[n] = (type(e.value), str(e.value))
+        assert raised[1] == raised[3]
+        lowest = min(failing)
+        suffix = f" of the checkpoint at training step {lowest}"
+        assert raised[3][1] == f"forced failure at step {lowest}" + (
+            suffix if error is UnreachableToleranceError else "")
+
+    def test_killed_child_still_yields_the_full_csv(self, workdir, tmp_path, forks, monkeypatch):
+        parent = os.getpid()
+        real_rows = cli.critical_rows
+
+        def rows(cfg, scheme, ck, results):
+            if os.getpid() != parent and ck.step == 200:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real_rows(cfg, scheme, ck, results)
+
+        monkeypatch.setattr(cli, "critical_rows", rows)
+        csv = {}
+        for n in (1, 3):
+            calls = forks(n)
+            out = self.fresh_out(workdir, tmp_path / str(n))
+            assert run(workdir[1], out, "quantize-sweep") == 0
+            self.assert_no_child_left()
+            assert len(calls) == (0 if n == 1 else 2)
+            csv[n] = (out / "sweep_quantize.csv").read_bytes()
+        assert len(csv[1].splitlines()) == 2 + 4 and csv[1] == csv[3]
+
+    def test_nothing_forks_with_another_thread_or_one_cpu(self, workdir, tmp_path, forks):
+        calls = forks(1)
+        assert run(workdir[1], self.fresh_out(workdir, tmp_path / "a"), "factorize-sweep") == 0
+        forks(3)
+        release = threading.Event()
+        waiter = threading.Thread(target=release.wait)
+        waiter.start()
+        try:
+            assert run(workdir[1], self.fresh_out(workdir, tmp_path / "b"), "factorize-sweep") == 0
+        finally:
+            release.set()
+            waiter.join()
+        assert calls == []
+        self.assert_no_child_left()
+
+    def test_summary_printed_once(self, workdir, tmp_path):
+        # stdout to a pipe, without PYTHONUNBUFFERED, is block-buffered: "start" is
+        # still in the buffer at each fork, and a child that flushed it would print
+        # it again
+        out = self.fresh_out(workdir, tmp_path / "o")
+        code = ("import os, sys; os.sched_getaffinity = lambda pid: {0, 1, 2}; "
+                "from basinlab.cli import main; print('start'); sys.exit(main(sys.argv[1:]))")
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        res = subprocess.run([sys.executable, "-c", code, "factorize-sweep", "--config",
+                              str(workdir[1]), "--out", str(out)], capture_output=True,
+                             text=True, env=dict(env, PYTHONPATH=str(src)), timeout=120)
+        assert res.returncode == 0 and res.stderr == ""
+        assert res.stdout.splitlines() == ["start",
+                                           f"wrote 4 rows -> {out / 'sweep_factorize.csv'}"]
 
 
 def leaf_paths(cfg, prefix=()):
@@ -530,6 +667,8 @@ class TestErrors:
         ({"volume": {"multiplicity_mode": 0}}, "volume.multiplicity_mode"),
         ({"volume": {"multiplicity_mode": -3}}, "volume.multiplicity_mode"),
         ({"volume": {"ladder_max_k": 8}}, "volume.ladder_max_k"),
+        ({"volume": {"ladder_max_k": 1075}}, "volume.ladder_max_k"),
+        ({"volume": {"ladder_max_k": 1100, "samples": 1000}}, "volume.ladder_max_k"),
         ({"volume": {"max_epsilon": 0.01}}, "volume.ladder_max_k"),
         ({"volume": {"landscape": "normal_crossing"}}, "volume.exponents"),
         ({"volume": {"landscape": "normal_crossing", "exponents": [1, 2], "active_dims": [0]}},
@@ -565,6 +704,7 @@ class TestErrors:
             "checkpoint-negative", "steps-below-schedule", "layer-sizes-one-entry",
             "max-epsilon-negative", "ladder-empty", "multiplicity-mode-zero",
             "multiplicity-mode-negative", "ladder-below-two-decades",
+            "ladder-past-underflow", "ladder-past-underflow-few-samples",
             "max-epsilon-shrinks-ladder", "normal-crossing-no-exponents",
             "active-dims-length-mismatch", "exponent-zero", "active-dims-repeated",
             "active-dim-out-of-range", "audit-simplex-empty", "volume-dim-2-to-the-70",

@@ -300,6 +300,26 @@ class TestLossMinClampSearch:
                 assert dl_min <= dl_max + 1e-12
 
 
+class TestLowestPassing:
+    @given(lo=st.integers(-50, 1000), width=st.integers(1, 1000), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_brute_force_scan_on_monotone_verdicts(self, lo, width, data):
+        # lo fails and hi passes, with the verdict monotone in k between them
+        hi = lo + width
+        first = data.draw(st.integers(lo + 1, hi), label="first passing k")
+        probed = []
+
+        def passes(k):
+            probed.append(k)
+            return k >= first
+
+        scan = next(k for k in range(lo + 1, hi + 1) if k >= first)
+        assert compress._lowest_passing(passes, lo, hi) == scan
+        # bisection alone: each probe strictly inside the bracket, none repeated
+        assert all(lo < k < hi for k in probed) and len(set(probed)) == len(probed)
+        assert len(probed) <= (width - 1).bit_length()
+
+
 class TestCriticalNq:
     def test_zero_params_floor(self):
         (res,) = critical_nq(np.zeros(7), [0.5], lambda w: float(np.sum(w**2)))

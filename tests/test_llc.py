@@ -569,6 +569,13 @@ class TestConfigValidation:
         with pytest.raises(InvalidInputError, match=f"^{field} "):
             LlcConfig(**{field: value})
 
+    @pytest.mark.parametrize("field", ["chains", "steps_per_chain", "batch_size",
+                                       "baseline_batches", "burn_in"])
+    def test_bool_count_refused_naming_its_field(self, field):
+        # a bool is an Integral, but chains=True was once kept as it was
+        with pytest.raises(InvalidInputError, match=f"^{field} "):
+            LlcConfig(**{field: True})
+
     def test_default_burn_in_is_tenth(self):
         cfg = LlcConfig(steps_per_chain=500)
         assert cfg.resolved_burn_in == 50

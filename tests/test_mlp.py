@@ -53,6 +53,11 @@ class TestForward:
         with pytest.raises(InvalidInputError, match="^layer_sizes "):
             MlpSpec((4, size, 4))
 
+    def test_bool_size_refused_naming_its_field(self):
+        # a bool is an Integral, but True once built a width-1 layer
+        with pytest.raises(InvalidInputError, match="^layer_sizes "):
+            MlpSpec((4, True, 4))
+
     def test_numpy_integer_sizes_keep_the_spec_hash(self):
         assert MlpSpec(np.array([4, 16, 16, 4])) == MlpSpec((4, 16, 16, 4))
         assert MlpSpec(np.array([4, 16, 16, 4])).spec_hash() == 1290949242855176920
