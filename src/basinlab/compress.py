@@ -5,7 +5,9 @@ Every scheme perturbs a parameter vector and reports the induced loss
 increase on a fixed, deterministic loss evaluator; `quantization_delta_loss`
 and `noise_delta_loss` are the single-setting probes. The critical searches
 find the most aggressive setting whose loss increase still meets the
-tolerance. Each bisects a bracket whose ends keep the verdicts they were
+tolerance. All three share one bisection, `_lowest_passing`, over an integer
+index into their setting grid: n_q / 2, the rank, or a point of the fixed
+sigma grid. It narrows a bracket whose ends keep the verdicts they were
 measured with, one end within the tolerance and the other not, and returns
 the passing end, so the value satisfies its defining inequality exactly as
 measured; a search that cannot find such a setting raises
@@ -22,8 +24,8 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import (InvalidInputError, QuantizationFailedError, TrainingDivergedError,
-                     UnreachableToleranceError, require)
+from .errors import (QuantizationFailedError, TrainingDivergedError, UnreachableToleranceError,
+                     require)
 from .linalg import svd
 from .mlp import MlpModel, MlpTask
 from .rng import rng_stream
@@ -37,9 +39,9 @@ _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 _GRID_POINTS = 64
 _LO_FACTOR = 0.1
 _REL_TOL = 1e-3
-# critical_sigma's search range and the ratio hi / lo - 1 at which it stops
+# critical_sigma's search range, and the last index of its sigma grid (_sigma_at)
 _SIGMA_BOUNDS = (1e-6, 10.0)
-_SIGMA_REL_TOL = 1e-3
+_SIGMA_TOP = 2**14
 
 
 @dataclass(frozen=True)
@@ -55,8 +57,7 @@ class QuantizationSpec:
 
     def __post_init__(self):
         require(self.n_q >= 4 and self.n_q % 2 == 0, f"n_q must be even and >= 4, got {self.n_q}")
-        if self.m_clamp <= 0:
-            raise InvalidInputError("m_clamp must be positive")
+        require(self.m_clamp > 0, "m_clamp must be positive")
 
     @property
     def delta(self) -> float:
@@ -122,10 +123,13 @@ def _clamp_search(params: np.ndarray, n_q: int, loss_eval: LossEval, mode: str, 
     [_LO_FACTOR * max|w|, max|w|], then refines around the best by golden
     section until the bracket is narrower than _REL_TOL * max|w|; max_abs
     stops after the top clamp, max|w| itself. A non-finite loss is never the
-    best, and a grid of only non-finite losses raises.
+    best, and a grid of only non-finite losses raises, as do non-finite
+    parameters, before any clamp is tried.
     """
     require(mode in ("loss_min", "max_abs"), f"unknown quantization mode {mode!r}")
     max_abs = float(np.max(np.abs(params)))
+    if not math.isfinite(max_abs):
+        raise QuantizationFailedError(f"non-finite parameters (max|w| = {max_abs}) at n_q={n_q}")
     if max_abs == 0.0:
         yield 1.0, 0.0
         return
@@ -349,9 +353,21 @@ def noise_delta_loss(
 ) -> float:
     """Mean loss increase over the seeded noise draws at a fixed sigma: draw k is
     w + sigma * z (absolute) or w + w * sigma * z (relative), z ~ N(0, I) from stream k."""
-    if sigma < 0:
-        raise InvalidInputError("sigma must be nonnegative")
+    require(sigma >= 0, "sigma must be nonnegative")
     return _noise_delta(np.asarray(params, dtype=float), mode, loss_eval, noise_draws, seed)(sigma)
+
+
+@functools.cache
+def _sigma_at(k: int) -> float:
+    """Point k of critical_sigma's grid, k in [0, _SIGMA_TOP]: the upper
+    search bound at 0, the lower at _SIGMA_TOP, and at every k between the
+    geometric mean of its dyadic neighbours k - b and k + b, b the lowest set
+    bit of k, so that bisecting k probes geometric midpoints of the bounds."""
+    lo, hi = _SIGMA_BOUNDS
+    if k in (0, _SIGMA_TOP):
+        return hi if k == 0 else lo
+    b = k & -k
+    return float(np.sqrt(_sigma_at(k - b) * _sigma_at(k + b)))
 
 
 def critical_sigma(
@@ -362,29 +378,30 @@ def critical_sigma(
     noise_draws: int = 8,
     seed: int = 0,
 ) -> list[CriticalResult]:
-    """Largest sigma whose mean loss increase over the noise draws is within
-    each epsilon; one result per epsilon, in order.
+    """Largest sigma on a fixed grid whose mean loss increase over the noise
+    draws is within each epsilon; one result per epsilon, in order.
 
-    The same noise_draws unit perturbations, drawn once, are reused at every
-    sigma, so the measured curve is continuous in sigma and the geometric
-    bisection brackets a single crossing. Every bisection starts from the
-    same bounds, and each sigma is evaluated once for all epsilons. A lower
-    search bound that misses the tolerance, or an upper bound that meets it,
-    raises. The result's value and critical_value are sigma.
+    The search bisects the index of a fixed grid of 2**14 + 1 geometric
+    points from 10 down to 1e-6, each a factor 10**(7 / 2**14), about
+    1.00098, below the last (`_sigma_at`). The same noise_draws unit
+    perturbations, drawn once, are reused at every sigma, so the measured
+    curve is continuous in sigma and the bisection brackets a single
+    crossing. Every bisection starts from the same ends, and each sigma is
+    evaluated once for all epsilons. A lower end that misses the tolerance,
+    or an upper end that meets it, raises. The result's value and
+    critical_value are sigma.
     """
     tolerances = _tolerances(epsilons)
     dl = _noise_delta(np.asarray(params, dtype=float), mode, loss_eval, noise_draws, seed)
+    lo, hi = _SIGMA_BOUNDS
     results = []
     for eps in tolerances:
-        lo, hi = _SIGMA_BOUNDS
         if not _passes(dl(lo), eps):
             raise UnreachableToleranceError(f"delta loss {dl(lo)} not within {eps} at sigma={lo}")
         if _passes(dl(hi), eps):
             raise UnreachableToleranceError(f"loss increase never exceeds {eps} up to sigma={hi}")
-        while hi / lo > 1.0 + _SIGMA_REL_TOL:
-            mid = float(np.sqrt(lo * hi))
-            lo, hi = (mid, hi) if _passes(dl(mid), eps) else (lo, mid)
-        results.append(CriticalResult(lo, dl(lo), lo))
+        sigma = _sigma_at(_lowest_passing(lambda k: _passes(dl(_sigma_at(k)), eps), 0, _SIGMA_TOP))
+        results.append(CriticalResult(sigma, dl(sigma), sigma))
     return results
 
 

@@ -72,7 +72,8 @@ class UnreachableToleranceError(RuntimeError):
 
 
 class QuantizationFailedError(RuntimeError):
-    """Every candidate clamp value produced a non-finite quantized loss."""
+    """The clamp search met non-finite parameters, or every candidate clamp
+    value produced a non-finite quantized loss."""
 
 
 class CoveringFailureError(RuntimeError):

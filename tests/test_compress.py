@@ -101,6 +101,38 @@ def reference_critical_nq(params, epsilons, loss_eval, mode="loss_min", nq_cap=2
     return results
 
 
+def reference_critical_sigma(params, epsilons, mode, loss_eval, noise_draws=8, seed=0):
+    """critical_sigma as a float bisection: geometric midpoints of [1e-6, 10]
+    until hi / lo <= 1.001, keeping the passing end, each sigma measured once."""
+    params = np.asarray(params, dtype=float)
+    base = loss_eval(params)
+    draws = [rng_stream(seed, k).standard_normal(params.shape) for k in range(noise_draws)]
+    scale = params if mode == "relative" else 1.0
+    cache = {}
+
+    def dl(sigma):
+        if sigma not in cache:
+            cache[sigma] = float(np.mean(
+                [loss_eval(params + scale * sigma * z) for z in draws])) - base
+        return cache[sigma]
+
+    def passes(sigma, eps):
+        return np.isfinite(dl(sigma)) and dl(sigma) <= eps
+
+    results = []
+    for eps in epsilons:
+        lo, hi = 1e-6, 10.0
+        if not passes(lo, eps):
+            raise UnreachableToleranceError(f"delta loss {dl(lo)} not within {eps} at sigma={lo}")
+        if passes(hi, eps):
+            raise UnreachableToleranceError(f"loss increase never exceeds {eps} up to sigma={hi}")
+        while hi / lo > 1.001:
+            mid = float(np.sqrt(lo * hi))
+            lo, hi = (mid, hi) if passes(mid, eps) else (lo, mid)
+        results.append(CriticalResult(lo, dl(lo), lo))
+    return results
+
+
 def reference_prune_and_retrain(task, params, keep_fraction, learning_rate, retrain_steps=1000,
                                 batch_size=32, seed=0):
     """One keep fraction's prune and masked retrain, stepped on its own: the
@@ -219,6 +251,11 @@ class TestQuantize:
         w = rng.uniform(-2, 2, 1000)
         spec = QuantizationSpec(n_q=12, m_clamp=1.1)
         assert np.array_equal(quantize(-w, spec), -quantize(w, spec))
+
+    @pytest.mark.parametrize("m", [float("nan"), 0.0, -1.0])
+    def test_invalid_clamp_rejected(self, m):
+        with pytest.raises(InvalidInputError, match="m_clamp must be positive"):
+            QuantizationSpec(n_q=4, m_clamp=m)
 
     def test_grid_cardinality_and_extremes(self):
         spec = QuantizationSpec(n_q=6, m_clamp=1.0)
@@ -664,6 +701,15 @@ class TestNoiseDeltaLoss:
     def test_relative_mode_fixes_zero_vector(self):
         assert noise_delta_loss(np.zeros(50), 3.0, "relative", self.loss_eval, seed=1) == 0.0
 
+    @pytest.mark.parametrize("sigma", [float("nan"), -1e-3])
+    def test_invalid_sigma_rejected(self, sigma):
+        # before any loss is evaluated
+        calls = []
+        loss_eval = lambda v: calls.append(v) or self.loss_eval(v)
+        with pytest.raises(InvalidInputError, match="sigma must be nonnegative"):
+            noise_delta_loss(np.ones(3), sigma, "absolute", loss_eval, seed=0)
+        assert calls == []
+
     def test_unknown_mode_rejected(self):
         # before any loss is evaluated, the base loss included
         calls = []
@@ -750,6 +796,38 @@ class TestCriticalSigma:
             critical_sigma(np.zeros(3), [1e9], "absolute", lambda w: float(np.sum(w**2)),
                            noise_draws=2, seed=0)
 
+    def test_grid_is_the_dyadic_geometric_midpoints(self):
+        top = 2**14
+        grid = [compress._sigma_at(k) for k in range(top + 1)]
+        assert grid[0] == 10.0 and grid[top] == 1e-6
+        assert all(a > b for a, b in zip(grid, grid[1:]))
+        for k in range(1, top):
+            b = k & -k
+            assert grid[k] == float(np.sqrt(grid[k - b] * grid[k + b])), k
+        ratios = np.array(grid[:-1]) / np.array(grid[1:])
+        assert ratios == pytest.approx(10 ** (7 / top), rel=1e-9)
+
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 8),
+           epsilons=st.lists(st.floats(-12, 2).map(lambda k: 10.0**k), min_size=1, max_size=3),
+           mode=st.sampled_from(["absolute", "relative"]))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_float_bisection_reference(self, seed, dim, epsilons, mode):
+        # a random smooth loss, bounded and not monotone in sigma: the grid
+        # search probes the reference's sigmas, so it returns the same floats
+        # or raises the same error, whatever the verdicts
+        rng = rng_stream(seed, 0)
+        w, a, f = rng.uniform(-2, 2, dim), rng.uniform(0.1, 4.0, dim), rng.uniform(0.2, 3.0, dim)
+        loss_eval = lambda v: float(np.sum(a * np.sin(f * (v - w)) ** 2))
+
+        def result(search):
+            try:
+                return [(r.value.hex(), r.delta_loss.hex(), r.critical_value.hex())
+                        for r in search(w, epsilons, mode, loss_eval, noise_draws=2, seed=seed)]
+            except UnreachableToleranceError as e:
+                return type(e), str(e)
+
+        assert result(critical_sigma) == result(reference_critical_sigma)
+
 
 def nan_loss(w):
     return float("nan")
@@ -765,6 +843,23 @@ class TestNonFiniteLoss:
     def test_clamp_search_raises(self, mode, message):
         with pytest.raises(QuantizationFailedError, match=message):
             critical_nq(np.linspace(-1, 1, 6), [0.1], nan_loss, mode=mode)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("mode", ["loss_min", "max_abs"])
+    def test_non_finite_params_fail_before_any_clamp(self, mode, bad, monkeypatch):
+        # a numerical failure (exit 2), not the spec's InvalidInputError
+        def no_spec(**_):
+            raise AssertionError("a clamp was tried")
+
+        monkeypatch.setattr(compress, "QuantizationSpec", no_spec)
+        w = np.linspace(-1, 1, 6)
+        w[2] = bad
+        loss_eval = lambda v: float(np.sum(v**2))
+        message = rf"non-finite parameters \(max\|w\| = {bad}\) at n_q=4$"
+        for search in (lambda: critical_nq(w, [0.1], loss_eval, mode=mode),
+                       lambda: quantization_delta_loss(w, 4, loss_eval, mode=mode)):
+            with pytest.raises(QuantizationFailedError, match=message):
+                search()
 
     def test_sigma_raises_at_lower_bound(self):
         with pytest.raises(UnreachableToleranceError, match=r"sigma=1e-06$"):
