@@ -39,7 +39,7 @@ from .landscapes import (
     make_normal_crossing,
     make_quadratic,
 )
-from .linalg import FitResult, SvdResult, linear_fit, svd
+from .linalg import FitResult, linear_fit
 from .llc import LlcConfig, LlcEstimate, Preconditioner, estimate_llc, psgld_step, sgld_step
 from .mdl import (
     EpsilonNet,

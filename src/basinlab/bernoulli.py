@@ -16,7 +16,8 @@ from .simplex import kl_bernoulli
 
 
 class SingularBernoulli:
-    """Bernoulli model p_w(1) = 1/2 + w1*w2 on a box inside the restricted simplex."""
+    """Bernoulli model p_w(1) = 1/2 + w1*w2 on a box [-h1, h1] x [-h2, h2]
+    inside the restricted simplex."""
 
     truth = 0.5  # the true P(one): the uniform distribution
 
@@ -24,7 +25,9 @@ class SingularBernoulli:
         bounds = bounds or Bounds.symmetric(2, 0.5)
         if bounds.dim != 2:
             raise InvalidInputError("this model has exactly two parameters")
-        b = float(np.max(np.abs(np.concatenate([bounds.lo, bounds.hi]))))
+        if not np.array_equal(bounds.lo, -bounds.hi):
+            raise InvalidInputError("the box must be symmetric about 0")
+        b = float(bounds.hi.max())
         if 0.5 - b * b < m_simplex:
             raise InvalidInputError(
                 f"bounds with |w| up to {b} violate the simplex lower bound {m_simplex}"
@@ -41,13 +44,9 @@ class SingularBernoulli:
         return p
 
     def image_interval(self) -> tuple[float, float]:
-        """Range of p_w(1) over W; the corners of the box realize the extremes."""
-        corners = np.array(
-            [[lo1, lo2] for lo1 in (self.bounds.lo[0], self.bounds.hi[0])
-             for lo2 in (self.bounds.lo[1], self.bounds.hi[1])]
-        )
-        vals = self.prob_one(corners)
-        return float(vals.min()), float(vals.max())
+        """Range of p_w(1) over W, 1/2 -/+ h1 h2, reached at the corners of the box."""
+        h = float(np.prod(self.bounds.hi))
+        return 0.5 - h, 0.5 + h
 
     def interval_volume(self, lo, hi) -> np.ndarray:
         """Vol{w : lo <= p_w <= hi}, exact, vectorized over the interval edges.
@@ -57,8 +56,6 @@ class SingularBernoulli:
         law of w1 w2 is symmetric about 0. An empty interval (lo > hi) has
         volume 0 and the whole image has exactly Vol(W).
         """
-        if not np.array_equal(self.bounds.lo, -self.bounds.hi):
-            raise InvalidInputError("closed-form volumes need a box symmetric about 0")
         scale = float(np.prod(self.bounds.hi))
 
         def signed_mass(p):  # 2 P(p_w <= p) - 1
@@ -92,14 +89,3 @@ class SingularBernoulli:
             dim=2, bounds=self.bounds, value=value, grad=grad,
             true_lambda=0.5, true_multiplicity=2, name="singular-bernoulli-kl",
         )
-
-    # -- sampling ----------------------------------------------------------
-
-    def sample_counts(self, theta: float, n: int, rng: np.random.Generator) -> int:
-        """Number of ones among n i.i.d. draws from Bernoulli(theta)."""
-        return int(rng.binomial(n, theta))
-
-    def mle_theta(self, ones: int, n: int) -> float:
-        """Empirical frequency clamped into the model image."""
-        lo, hi = self.image_interval()
-        return float(np.clip(ones / n, lo, hi))

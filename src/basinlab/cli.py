@@ -248,14 +248,10 @@ def build_llc_config(cfg: dict) -> LlcConfig:
     return built("llc", LlcConfig, llc)
 
 
-def checkpoints_dir(cfg: dict) -> Path:
-    return Path(cfg["out"]) / "checkpoints"
-
-
 def load_checkpoints(cfg: dict):
     """The checkpoints under `out`. Each header must name the model and the
     training seed of `cfg`; the data seed is not in the header."""
-    d = checkpoints_dir(cfg)
+    d = Path(cfg["out"], "checkpoints")
     files = sorted(d.glob("ckpt_*.bin"))
     if not files:
         raise ConfigError("out", f"no checkpoint files under {d}; run train-toy first")
@@ -524,7 +520,7 @@ def cmd_lemma_audit(cfg: dict) -> int:
         ok = grid[kl_bernoulli(theta_q, grid) <= eps]
         theta_star = float(rng_inc.choice(ok))
         chk = validate_volume_inclusions(model, theta_q, theta_star, eps)
-        violations += not (chk.passed_pointwise and chk.passed_3se)
+        violations += not (chk.passed_pointwise and chk.passed_volumes)
     results.append(("volume_inclusion", au["inclusion_configs"], violations))
 
     emit(cfg, "lemma-audit", {"audit.csv": (["validator", "instances", "violations"], results)})

@@ -25,8 +25,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .errors import (QuantizationFailedError, TrainingDivergedError, UnreachableToleranceError,
-                     require)
-from .linalg import svd
+                     is_integer, require)
 from .mlp import MlpModel, MlpTask
 from .rng import rng_stream
 from .training import DIVERGENCE_CAP
@@ -48,7 +47,7 @@ _SIGMA_TOP = 2**14
 class QuantizationSpec:
     """Symmetric uniform grid over [-m_clamp, m_clamp] including zero.
 
-    n_q must be even and >= 4; the grid has n_q - 1 values spaced
+    n_q must be an even integer >= 4; the grid has n_q - 1 values spaced
     m_clamp / (n_q/2 - 1) apart.
     """
 
@@ -56,7 +55,8 @@ class QuantizationSpec:
     m_clamp: float
 
     def __post_init__(self):
-        require(self.n_q >= 4 and self.n_q % 2 == 0, f"n_q must be even and >= 4, got {self.n_q}")
+        require(is_integer(self.n_q) and self.n_q >= 4 and self.n_q % 2 == 0,
+                f"n_q must be an even integer >= 4, got {self.n_q}")
         require(self.m_clamp > 0, "m_clamp must be positive")
 
     @property
@@ -72,7 +72,6 @@ class QuantizationSpec:
 class FactorizationResult:
     params: np.ndarray
     compression_fraction: float
-    n_kept: dict[int, int]
 
 
 @dataclass(frozen=True)
@@ -271,21 +270,21 @@ def factorize(
     singular values (exact for a Fraction), counted as d1*n + n + n*d2 stored
     parameters. Returns the reconstructed flat parameters, a copy with each
     interior matrix overwritten, and the model-wide ratio of stored parameters
-    after versus before.
+    after versus before. Non-finite parameters are refused before any SVD.
     """
     require(0.0 < keep_fraction <= 1.0, "keep_fraction must be in (0, 1]")
     out = np.array(params, dtype=float)
+    require(np.isfinite(out).all(), "factorize needs finite parameters")
     layers = model.unpack(out)  # views: writes land in `out`
-    n_kept = {}
     stored = model.n_params
     for li in range(1, model.spec.n_layers - 1):
         w = layers[li][0]
         d1, d2 = w.shape
-        n = n_kept[li] = max(1, math.ceil(keep_fraction * min(d1, d2)))
-        w[...] = svd(w).reconstruct(n)
+        n = max(1, math.ceil(keep_fraction * min(d1, d2)))
+        u, s, vt = np.linalg.svd(w, full_matrices=False)
+        w[...] = (u[:, :n] * s[:n]) @ vt[:n, :]
         stored -= d1 * d2 - (d1 * n + n + n * d2)
-    return FactorizationResult(params=out, compression_fraction=stored / model.n_params,
-                               n_kept=n_kept)
+    return FactorizationResult(params=out, compression_fraction=stored / model.n_params)
 
 
 def critical_compression_fraction(

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidInputError, require
+from .errors import InvalidInputError, is_integer, require
 
 
 class Bounds:
@@ -100,16 +100,17 @@ class NormalCrossingSpec:
     def __post_init__(self):
         if self.active_dims is None:
             self.active_dims = tuple(range(len(self.exponents)))
-        self.exponents = tuple(int(k) for k in self.exponents)
-        self.active_dims = tuple(int(i) for i in self.active_dims)
         # each message starts with the field it names
         require(len(self.exponents) > 0, "exponents must name at least one active coordinate")
         require(len(self.exponents) == len(self.active_dims),
                 "active_dims must have the length of exponents")
-        require(min(self.exponents) >= 1, "exponents must be >= 1")
+        require(all(is_integer(k) and k >= 1 for k in self.exponents),
+                "exponents must be integers >= 1")
         require(len(set(self.active_dims)) == len(self.active_dims), "active_dims must be distinct")
-        require(all(0 <= i < self.dim for i in self.active_dims),
-                "active_dims must lie in [0, dim)")
+        require(all(is_integer(i) and 0 <= i < self.dim for i in self.active_dims),
+                "active_dims must be integers in [0, dim)")
+        self.exponents = tuple(int(k) for k in self.exponents)
+        self.active_dims = tuple(int(i) for i in self.active_dims)
 
     def ground_truth(self) -> tuple[Fraction, int]:
         """Scaling exponent min_i 1/(2 k_i) and the count of indices attaining it."""

@@ -1,4 +1,4 @@
-"""Dense linear algebra and regression utilities shared by the other modules."""
+"""Least-squares regression shared by the scaling fit and the analysis."""
 
 from __future__ import annotations
 
@@ -7,19 +7,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, RankDeficiencyError
-
-
-@dataclass
-class SvdResult:
-    """Thin SVD a = u @ diag(s) @ vt with singular values sorted descending."""
-
-    u: np.ndarray
-    s: np.ndarray
-    vt: np.ndarray
-
-    def reconstruct(self, rank: int | None = None) -> np.ndarray:
-        r = len(self.s) if rank is None else min(rank, len(self.s))
-        return (self.u[:, :r] * self.s[:r]) @ self.vt[:r, :]
 
 
 @dataclass
@@ -37,17 +24,6 @@ class FitResult:
     @property
     def slope(self) -> float:
         return float(self.coefficients[1])
-
-
-def svd(a: np.ndarray) -> SvdResult:
-    """Thin SVD of a 2-d array with finite entries."""
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or min(a.shape) < 1:
-        raise InvalidInputError(f"svd expects a 2-d matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise InvalidInputError("svd input contains non-finite entries")
-    u, s, vt = np.linalg.svd(a, full_matrices=False)
-    return SvdResult(u=u, s=s, vt=vt)
 
 
 def linear_fit(x: np.ndarray, y: np.ndarray, weights: np.ndarray | None = None) -> FitResult:

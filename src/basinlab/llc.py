@@ -82,10 +82,6 @@ class LlcEstimate:
     trace: np.ndarray  # (chains, steps_per_chain) losses, pre-update
     boundary_hits: int = 0
 
-    @property
-    def is_negative(self) -> bool:
-        return self.lambda_hat < 0
-
     def trace_rows(self):
         """(step, chain, loss) rows for CSV export."""
         for c in range(self.trace.shape[0]):
@@ -143,7 +139,7 @@ def estimate_llc(
     and gradient in one call, then chain c draws its noise from stream c
     (after its minibatch, for MLP targets), the same draws in the same order
     as running the chains one after another. The reduction averages chains
-    in index order. Negative estimates are returned as-is and flagged, not
+    in index order. Negative estimates are returned as they are, not
     clipped.
 
     For an MLP target, w_star may also be a (C, d) stack, such as the

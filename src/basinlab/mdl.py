@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bernoulli import SingularBernoulli
-from .errors import CoveringFailureError, InvalidInputError
+from .errors import CoveringFailureError, InvalidInputError, is_integer, require
 from .rng import rng_stream
 from .simplex import kl, kl_bernoulli
 from .volume import mc_volumes
@@ -204,8 +204,7 @@ def two_part_redundancy(
     """
     if a <= 0:
         raise InvalidInputError("grid constant a must be positive")
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise InvalidInputError(f"sample size n must be a positive integer, got {n!r}")
+    require(is_integer(n) and n >= 1, f"sample size n must be a positive integer, got {n!r}")
     lo, hi = model.image_interval()
     q1 = float(theta_q)
     if not (lo - 1e-12 <= q1 <= hi + 1e-12):
@@ -216,10 +215,8 @@ def two_part_redundancy(
     elif abs(net.epsilon - epsilon) > 1e-12 * epsilon:
         raise InvalidInputError("provided net was built at a different tolerance")
 
-    rng = rng_stream(seed, 0)
-    ones = model.sample_counts(q1, n, rng)
-    f_hat = ones / n
-    idx = net.nearest(model.mle_theta(ones, n))
+    f_hat = int(rng_stream(seed, 0).binomial(n, q1)) / n
+    idx = net.nearest(float(np.clip(f_hat, lo, hi)))
     theta_star = float(net.thetas[idx])
 
     # K_n(p*) = (1/n) sum_i log q(x_i)/p*(x_i), from the sufficient counts.
@@ -257,7 +254,7 @@ class InclusionCheck:
     v_reversed: float
     v_outer: float
     passed_pointwise: bool
-    passed_3se: bool
+    passed_volumes: bool
 
 
 _AUDIT_SLACK = 1e-9
@@ -331,8 +328,8 @@ def validate_volume_inclusions(
     constant). V_q(r) is the volume of {w : KL(q || p_w) <= r} and V^R that
     of {w : KL(p_w || p*) <= r}; each set is an interval of p (see
     `_ball_edges`), so all three volumes are exact. `passed_pointwise` says
-    the three intervals are nested, `passed_3se` that the volumes are
-    ordered: with no Monte Carlo error, 3 SE is zero.
+    the three intervals are nested, `passed_volumes` that the three volumes
+    are ordered as the sandwich states.
     """
     d_qstar = float(kl_bernoulli(theta_q, theta_star))
     if d_qstar > epsilon:
@@ -349,5 +346,5 @@ def validate_volume_inclusions(
     return InclusionCheck(
         v_inner=v_in, v_reversed=v_rev, v_outer=v_out,
         passed_pointwise=bool(lo_out <= lo_rev <= lo_in and hi_in <= hi_rev <= hi_out),
-        passed_3se=v_in <= v_rev <= v_out,
+        passed_volumes=v_in <= v_rev <= v_out,
     )

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidInputError, TrainingDivergedError
+from .errors import InvalidInputError, TrainingDivergedError, is_integer, require
 from .mlp import MlpTask
 from .rng import rng_stream
 
@@ -86,9 +86,8 @@ def train_sgd(
     """
     if steps < 1:
         raise InvalidInputError("steps must be >= 1")
-    schedule = sorted(set(int(s) for s in checkpoint_schedule))
-    if schedule and (schedule[0] < 0 or schedule[-1] > steps):
-        raise InvalidInputError("checkpoint schedule must lie within [0, steps]")
+    require(all(is_integer(s) and 0 <= s <= steps for s in checkpoint_schedule),
+            "checkpoint_schedule must hold integers in [0, steps]")
 
     model = task.model
     rng_init = rng_stream(seed, 0)
@@ -107,7 +106,7 @@ def train_sgd(
             d.mkdir(parents=True, exist_ok=True)
             save_checkpoint(ck, d / checkpoint_filename(step))
 
-    want = set(schedule)
+    want = set(checkpoint_schedule)
     if 0 in want:
         snapshot(0)
     for step in range(1, steps + 1):

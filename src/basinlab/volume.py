@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import FitWindowError, InvalidInputError
+from .errors import FitWindowError, InvalidInputError, is_integer, require
 from .landscapes import Bounds, Landscape
 from .linalg import linear_fit
 from .rng import rng_stream
@@ -139,9 +139,9 @@ def fit_scaling(
         best = max(fits, key=lambda m: fits[m].r_squared)
         res = fits[best]
     else:
+        require(is_integer(multiplicity_mode) and multiplicity_mode >= 1,
+                "multiplicity_mode must be 'select_by_fit' or an integer >= 1")
         best = int(multiplicity_mode)
-        if best < 1:
-            raise InvalidInputError("multiplicity must be >= 1")
         res = fit_for(best)
 
     return ScalingFit(

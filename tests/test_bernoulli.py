@@ -46,10 +46,9 @@ class TestModel:
         with pytest.raises(InvalidInputError):
             SingularBernoulli(Bounds.symmetric(2, 0.6), m_simplex=0.2)
 
-    def test_mle_clamps_to_image(self, model):
-        assert model.mle_theta(0, 100) == 0.25
-        assert model.mle_theta(100, 100) == 0.75
-        assert model.mle_theta(52, 100) == pytest.approx(0.52)
+    def test_box_not_symmetric_about_zero_rejected(self):
+        with pytest.raises(InvalidInputError, match="symmetric about 0"):
+            SingularBernoulli(Bounds([-0.5, -0.4], [0.5, 0.5]))
 
 
 # the default square box and a rectangle, both symmetric about 0

@@ -17,7 +17,6 @@ from basinlab import (
     quantization_delta_loss,
     quantize,
     rng_stream,
-    svd,
     train_sgd,
 )
 from basinlab import compress
@@ -267,7 +266,7 @@ class TestQuantize:
         assert len(np.unique(out)) <= 5
         assert out.max() == 1.0 and out.min() == -1.0
 
-    @pytest.mark.parametrize("nq", [2, 3, 5, 0, -4])
+    @pytest.mark.parametrize("nq", [2, 3, 5, 0, -4, 6.0, np.float64(8.0), True])
     def test_invalid_nq_rejected(self, nq):
         with pytest.raises(InvalidInputError):
             QuantizationSpec(n_q=nq, m_clamp=1.0)
@@ -521,28 +520,28 @@ class TestCriticalNq:
 def reference_factorize(model, params, keep_fraction):
     """factorize as it was first written: every layer copied or truncated,
     packed anew, and the stored parameters summed before and after."""
-    new_layers, n_kept, before, after = [], {}, 0, 0
+    new_layers, before, after = [], 0, 0
     for li, (w, b) in enumerate(model.unpack(params)):
         d1, d2 = w.shape
         before += d1 * d2 + len(b)
         if 0 < li < model.spec.n_layers - 1:
-            n = n_kept[li] = max(1, int(np.ceil(keep_fraction * min(d1, d2))))
-            new_layers.append((svd(w).reconstruct(n), b.copy()))
+            n = max(1, int(np.ceil(keep_fraction * min(d1, d2))))
+            u, s, vt = np.linalg.svd(w, full_matrices=False)
+            new_layers.append(((u[:, :n] * s[:n]) @ vt[:n, :], b.copy()))
             after += d1 * n + n + n * d2 + len(b)
         else:
             new_layers.append((w.copy(), b.copy()))
             after += d1 * d2 + len(b)
-    return model.pack(new_layers), after / before, n_kept
+    return model.pack(new_layers), after / before
 
 
 def assert_factorize_equals_rebuild(model, params, keep_fraction):
     """factorize equals the rebuild bit for bit and leaves `params` as it was."""
     before = params.copy()
     res = factorize(model, params, keep_fraction)
-    ref_params, ref_fraction, ref_kept = reference_factorize(model, params, keep_fraction)
+    ref_params, ref_fraction = reference_factorize(model, params, keep_fraction)
     assert np.array_equal(res.params, ref_params)
     assert res.compression_fraction == ref_fraction
-    assert res.n_kept == ref_kept
     assert np.array_equal(params, before)
 
 
@@ -564,7 +563,6 @@ class TestFactorize:
         layers[1] = (np.outer(u, [0.3, 1.0, -0.7]), layers[1][1])
         params = model.pack(layers)
         res = factorize(model, params, keep_fraction=1 / 3)
-        assert res.n_kept == {1: 1}
         assert np.allclose(res.params, params, atol=1e-12)
 
     def test_truncation_error_matches_retained_spectrum(self):
@@ -575,13 +573,26 @@ class TestFactorize:
         res = factorize(model, params, keep_fraction=0.5)  # matrix 1, the one interior
         w_orig = model.unpack(params)[1][0]
         w_new = model.unpack(res.params)[1][0]
-        tail = svd(w_orig).s[8:]
+        tail = np.linalg.svd(w_orig, compute_uv=False)[8:]
         assert np.linalg.norm(w_orig - w_new) == pytest.approx(np.sqrt(np.sum(tail**2)), rel=1e-10)
 
     def test_invalid_fraction_rejected(self):
         model = MlpModel(MlpSpec(layer_sizes=(4, 8, 4)))
         with pytest.raises(InvalidInputError):
             factorize(model, np.zeros(model.n_params), keep_fraction=0.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("index", [0, -1, 50])  # input map, output bias, interior matrix
+    def test_non_finite_params_rejected_before_any_svd(self, bad, index, monkeypatch):
+        def no_svd(*_, **__):
+            raise AssertionError("an SVD ran")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        model = MlpModel(MlpSpec(layer_sizes=(4, 8, 8, 4)))
+        params = model.init_params(rng_stream(16, 0))
+        params[index] = bad
+        with pytest.raises(InvalidInputError, match="finite"):
+            factorize(model, params, keep_fraction=0.5)
 
     def test_every_rank_equals_rebuild_on_checkpoint(self, checkpoints):
         params, _ = checkpoints["4-16-16-4"]
@@ -684,7 +695,10 @@ class TestCriticalCompressionFraction:
         results = critical_compression_fraction(
             model, params, epsilons, lambda p: float(np.linalg.norm(p - params)))
         assert sorted(round(j) for j, _ in kept) == list(range(1, 26))
-        assert [res.n_kept for _, res in kept] == [{1: j} for j, _ in kept]
+        # the stored-parameter ratio pins the rank: d - 25 * 25 + (25 j + j + 25 j) of d
+        d = model.n_params
+        assert [res.compression_fraction for _, res in kept] == [
+            (d - 625 + 51 * round(j)) / d for j, _ in kept]
         assert [r.value for r in results] == [j / 25 for j in range(1, 26)]
 
 

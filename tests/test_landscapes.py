@@ -79,6 +79,17 @@ class TestNormalCrossing:
         with pytest.raises(InvalidInputError):
             NormalCrossingSpec(dim=2, exponents=(0, 1))
 
+    @pytest.mark.parametrize("field,kwargs", [
+        ("exponents", {"exponents": (1.5,), "active_dims": (0,)}),
+        ("exponents", {"exponents": (True,), "active_dims": (0,)}),
+        ("exponents", {"exponents": (np.float64(2.0),)}),
+        ("active_dims", {"exponents": (1,), "active_dims": (0.5,)}),
+        ("active_dims", {"exponents": (1,), "active_dims": (True,)}),
+    ])
+    def test_non_integer_rejected_under_its_field(self, field, kwargs):
+        with pytest.raises(InvalidInputError, match=f"^{field} "):
+            NormalCrossingSpec(dim=2, **kwargs)
+
     def test_ground_truth_formula_exhaustive(self):
         # declared (lambda, m) against the direct min / argmin-count definition
         for d in range(1, 5):

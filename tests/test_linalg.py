@@ -1,58 +1,8 @@
 import numpy as np
 import pytest
 
-from basinlab import linear_fit, rng_stream, svd
+from basinlab import linear_fit, rng_stream
 from basinlab.errors import InvalidInputError, RankDeficiencyError
-
-
-def gram_singular_values(a):
-    """Oracle: singular values via the eigendecomposition of A^T A."""
-    evals = np.linalg.eigvalsh(a.T @ a)
-    return np.sqrt(np.clip(evals, 0.0, None))[::-1]
-
-
-class TestSvd:
-    def test_identity(self):
-        res = svd(np.eye(2))
-        assert np.allclose(res.s, [1.0, 1.0])
-
-    def test_diagonal(self):
-        res = svd(np.diag([3.0, 0.0]))
-        assert np.allclose(res.s, [3.0, 0.0])
-
-    def test_reconstruction_against_gram_oracle(self):
-        rng = rng_stream(1, 0)
-        a = rng.standard_normal((5, 3))
-        res = svd(a)
-        rec = res.reconstruct()
-        assert np.linalg.norm(rec - a) / np.linalg.norm(a) < 1e-8
-        assert np.allclose(res.s, gram_singular_values(a), atol=1e-10)
-
-    def test_singular_values_sorted_descending(self):
-        a = rng_stream(2, 0).standard_normal((8, 8))
-        s = svd(a).s
-        assert np.all(np.diff(s) <= 1e-12)
-        assert np.all(s >= 0)
-
-    @pytest.mark.parametrize("shape", [(2, 2), (16, 16), (64, 64), (33, 7)])
-    def test_reconstruction_tolerance_across_sizes(self, shape):
-        rng = rng_stream(3, 0)
-        a = rng.uniform(-10, 10, size=shape)
-        rec = svd(a).reconstruct()
-        assert np.linalg.norm(rec - a) <= 1e-8 * np.linalg.norm(a)
-
-    def test_transpose_has_same_spectrum(self):
-        for trial in range(5):
-            a = rng_stream(4, trial).standard_normal((8, 5))
-            assert np.allclose(svd(a).s, svd(a.T).s, atol=1e-10)
-
-    def test_nonfinite_rejected(self):
-        with pytest.raises(InvalidInputError):
-            svd(np.array([[1.0, np.nan], [0.0, 1.0]]))
-
-    def test_wrong_shape_rejected(self):
-        with pytest.raises(InvalidInputError):
-            svd(np.ones(3))
 
 
 class TestLinearFit:

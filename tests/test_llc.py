@@ -322,13 +322,12 @@ class TestEstimateLlc:
         with pytest.raises(InvalidInputError):
             estimate_llc(make_quadratic(2), CFG, seed=0, w_star=np.array([2.0, 0.0]))
 
-    def test_negative_estimate_returned_and_flagged(self):
+    def test_negative_estimate_returned_as_is(self):
         # anchoring off the minimum makes the chains relax downhill, so the
         # posterior mean loss falls below the baseline: a negative estimate
         # is a diagnostic, not an error
         est = estimate_llc(make_quadratic(2), CFG, seed=0, w_star=np.array([0.5, 0.0]))
         assert est.lambda_hat < 0
-        assert est.is_negative
 
     def test_diverged_chain_carries_partial_diagnostics(self):
         bad = Landscape(

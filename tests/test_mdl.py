@@ -371,7 +371,7 @@ class TestTwoPartRedundancy:
         n = 64
         for seed in range(50):
             rng = rng_stream(seed, 0)
-            if model.sample_counts(0.5, n, rng) == n // 2:
+            if rng.binomial(n, 0.5) == n // 2:
                 run = two_part_redundancy(model, model.truth, n=n, a=1.0, seed=seed)
                 # balanced data: K_n(p*) evaluated at theta* with f_hat = 1/2
                 expect = 0.5 * np.log(0.5 / run.theta_star) + 0.5 * np.log(0.5 / (1 - run.theta_star))
@@ -383,10 +383,24 @@ class TestTwoPartRedundancy:
         with pytest.raises(InvalidInputError):
             two_part_redundancy(model, 0.9, n=32, seed=0)
 
-    @pytest.mark.parametrize("n", [0.5, 0, -4])
+    @pytest.mark.parametrize("n", [0.5, 0, -4, True, 8.0])
     def test_non_positive_integer_n_rejected(self, model, n):
         with pytest.raises(InvalidInputError):
             two_part_redundancy(model, model.truth, n=n, seed=0)
+
+    @pytest.mark.parametrize("q", [0.25, 0.75])
+    @pytest.mark.parametrize("thetas", [None, [0.1, 0.25, 0.5, 0.75, 0.9]])
+    def test_frequency_clamped_into_image(self, model, q, thetas):
+        # all n draws alike: the frequency, 0 or 1, clamps to q, the image's
+        # nearer end. A built net's centers include both ends, where the
+        # clamp changes no choice; centers past the image show it.
+        n, a = 8, 0.1
+        seed = next(s for s in range(200) if rng_stream(s, 0).binomial(n, q) == n * (q > 0.5))
+        net = build_eps_net(model, a / n)
+        if thetas is not None:
+            net = dataclasses.replace(net, thetas=np.array(thetas), code_lengths=np.zeros(5))
+        run = two_part_redundancy(model, q, n=n, a=a, seed=seed, net=net)
+        assert run.theta_star == net.thetas[net.nearest(q)] == q
 
     def test_net_reuse_matches_fresh_build(self, model):
         net = build_eps_net(model, epsilon=1.0 / 128)
@@ -417,11 +431,11 @@ class TestVolumeInclusions:
         chk = validate_volume_inclusions(model, 0.5, 0.5, epsilon=5.0)
         total = model.bounds.volume()
         assert chk.v_inner == chk.v_reversed == chk.v_outer == total
-        assert chk.passed_pointwise and chk.passed_3se
+        assert chk.passed_pointwise and chk.passed_volumes
 
     def test_sandwich_at_truth_center(self, model):
         chk = validate_volume_inclusions(model, 0.5, 0.5, epsilon=1e-2)
-        assert chk.passed_pointwise and chk.passed_3se
+        assert chk.passed_pointwise and chk.passed_volumes
 
     def test_sandwich_offset_center(self, model):
         eps = 1e-3
@@ -430,7 +444,7 @@ class TestVolumeInclusions:
         dist = kl_bernoulli(0.5, thetas)
         theta_star = float(thetas[np.argmin(np.abs(dist - eps / 2))])
         chk = validate_volume_inclusions(model, 0.5, theta_star, epsilon=eps)
-        assert chk.passed_pointwise and chk.passed_3se
+        assert chk.passed_pointwise and chk.passed_volumes
 
     def test_precondition_enforced(self, model):
         with pytest.raises(InvalidInputError):

@@ -40,10 +40,11 @@ class TestTrainSgd:
             train_sgd(task, steps=5000, learning_rate=50.0, batch_size=16, seed=1)
         assert e.value.step >= 1
 
-    def test_schedule_outside_range_rejected(self, task):
-        with pytest.raises(InvalidInputError):
+    @pytest.mark.parametrize("schedule", [(20,), (-1,), (2.5,), (True,), (np.float64(4.0),)])
+    def test_schedule_outside_range_or_not_integer_rejected(self, task, schedule):
+        with pytest.raises(InvalidInputError, match="^checkpoint_schedule "):
             train_sgd(task, steps=10, learning_rate=0.1, batch_size=8, seed=0,
-                      checkpoint_schedule=(20,))
+                      checkpoint_schedule=schedule)
 
     def test_seed_replay_bitwise_identical_files(self, task, tmp_path):
         d1, d2 = tmp_path / "a", tmp_path / "b"

@@ -263,6 +263,15 @@ class TestFitScaling:
         assert fit.multiplicity == 2
         assert abs(fit.lam - 0.5) <= 0.05
 
+    @pytest.mark.parametrize("mode", [2.5, True, "3", 0, "best"])
+    def test_non_integer_or_small_multiplicity_rejected(self, mode):
+        eps = default_ladder()
+        vols = eps**0.5
+        curve = VolumeCurve(epsilons=eps, volumes=vols, standard_errors=1e-9 * vols,
+                            total_volume=4.0)
+        with pytest.raises(InvalidInputError, match="^multiplicity_mode "):
+            fit_scaling(curve, multiplicity_mode=mode)
+
     def test_window_error_when_too_few_points(self):
         L = make_quadratic(2)
         curve = volume_curve(L, np.array([0.2, 0.1, 0.05]), 1000, seed=10)
