@@ -27,10 +27,10 @@ class SingularBernoulli:
             raise InvalidInputError("this model has exactly two parameters")
         if not np.array_equal(bounds.lo, -bounds.hi):
             raise InvalidInputError("the box must be symmetric about 0")
-        b = float(bounds.hi.max())
-        if 0.5 - b * b < m_simplex:
+        h = float(np.prod(bounds.hi))  # the image's lower end is 1/2 - h1 h2
+        if 0.5 - h < m_simplex:
             raise InvalidInputError(
-                f"bounds with |w| up to {b} violate the simplex lower bound {m_simplex}"
+                f"bounds with h1 h2 = {h} violate the simplex lower bound {m_simplex}"
             )
         self.bounds = bounds
         self.m_simplex = float(m_simplex)

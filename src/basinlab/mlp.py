@@ -43,22 +43,21 @@ class MlpSpec:
 
 @dataclass
 class MlpModel:
-    """The network of `spec`. One body evaluates loss and gradient for one
-    parameter vector (`loss_and_grad`) and for a stack of them
-    (`losses_and_grads`), with row-major (B, width) activations and each bias
-    added after its matmul; training, the LLC sampler and baseline, prune
-    retraining and `forward` run on it (the full-data loss has its own, in
-    `MlpTask`). The forward pass writes each layer's activations, and the
-    backward pass its residual and deltas, into buffers kept per batch shape
-    and reused by later calls, so a warm call allocates no activation-sized
-    temporaries; no result is a view of one."""
+    """The network of `spec`. One body, `Plan.run`, evaluates loss and
+    gradient for one parameter vector (`loss_and_grad`) and for a stack of
+    them (`losses_and_grads`), with row-major (B, width) activations and each
+    bias added after its matmul; training, the LLC sampler and baseline,
+    prune retraining and `forward` run on it (the full-data loss has its own,
+    in `MlpTask`). One plan per (leading shape, batch size), built on first
+    use, holds that shape's buffers and every layer's views into them. A call
+    copies its parameters in and returns fresh arrays, so a warm call
+    allocates nothing activation-sized and no result is a view of a buffer."""
 
     spec: MlpSpec
     _shapes: list[tuple[int, int]] = field(init=False)
     # (weights, biases) slices of each layer in the flat parameter vector
     _spans: list[tuple[slice, slice]] = field(init=False, repr=False)
-    _buffers: dict = field(init=False, default_factory=dict, repr=False, compare=False)
-    _work_buffers: dict = field(init=False, default_factory=dict, repr=False, compare=False)
+    _plans: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         sizes = self.spec.layer_sizes
@@ -96,89 +95,31 @@ class MlpModel:
     def pack(self, layers: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
         return np.concatenate([np.concatenate([w.ravel(), b]) for w, b in layers])
 
-    def _layer_buffers(self, lead: tuple[int, ...]) -> list[np.ndarray]:
-        """One output buffer per layer for activations of leading shape `lead`."""
-        bufs = self._buffers.get(lead)
-        if bufs is None:
-            bufs = self._buffers[lead] = [np.empty(lead + (o,)) for o, _ in self._shapes]
-        return bufs
+    def plan(self, lead: tuple[int, ...], batch_size: int) -> Plan:
+        """The plan for parameters of leading shape `lead` on batches of
+        `batch_size` rows, built on first use and kept for later calls."""
+        plan = self._plans.get((lead, batch_size))
+        if plan is None:
+            plan = self._plans[(lead, batch_size)] = Plan(self, lead, batch_size)
+        return plan
 
-    def _work(self, shape: tuple[int, ...]) -> np.ndarray:
-        """A backward-pass work buffer of `shape`, kept for later calls. The
-        backward pass holds at most one at a time, so one per shape suffices."""
-        buf = self._work_buffers.get(shape)
-        if buf is None:
-            buf = self._work_buffers[shape] = np.empty(shape)
-        return buf
-
-    def _activations(self, params: np.ndarray, x: np.ndarray):
-        """Layer views of `params` (leading shape L + (n_params,)) and the
-        activations [x, h_1, ..., out] of x (L + (B, in)); all but x are buffers
-        that the next call with the same L and B overwrites. Weights are
-        (L + (o, i)) views, biases (L + (1, o)) so they broadcast over the batch."""
+    def _loaded(self, params: np.ndarray, x: np.ndarray, y: np.ndarray | None) -> Plan:
+        """The plan of params L + (n_params,) and x L + (B, in), with params copied in."""
         lead = params.shape[:-1]
-        layers = [(params[..., span_w].reshape(lead + shape), params[..., None, span_b])
-                  for shape, (span_w, span_b) in zip(self._shapes, self._spans)]
-        acts = [x]
-        last = len(layers) - 1
-        for li, ((w, b), z) in enumerate(zip(layers, self._layer_buffers(x.shape[:-1]))):
-            np.matmul(acts[li], w.swapaxes(-1, -2), out=z)
-            z += b
-            if li < last:
-                np.tanh(z, out=z)
-            acts.append(z)
-        return layers, acts
-
-    def _evaluate(self, params: np.ndarray, x: np.ndarray, y: np.ndarray, need_grad: bool):
-        """Losses (shape L) and gradients (L + (n_params,)) of each parameter
-        vector in `params` on its own batch, for any leading shape L: () is one
-        vector, (K,) a stack. Each matmul runs the same BLAS call on every
-        vector of the stack and each sum reduces along one vector's own axes,
-        so a stacked row equals the same vector evaluated alone, bit for bit."""
-        lead = params.shape[:-1]
-        width = self.spec.layer_sizes[0]
-        if x.shape[:-2] != lead or x.shape[-1:] != (width,):
-            raise InvalidInputError(f"inputs shape {x.shape} is not {lead} + (B, {width})")
-        n = x.shape[-2]
-        if n == 0:
-            raise InvalidInputError("batch must be nonempty")
-        layers, acts = self._activations(params, x)
-        out = acts[-1]
-
-        y = np.asarray(y, dtype=float)
-        if y.shape != out.shape:
-            raise InvalidInputError(f"targets shape {y.shape} != outputs {out.shape}")
-        # the residual goes into the output buffer, which the backward pass
-        # does not read
-        diff = np.subtract(out, y, out=out)
-        if not need_grad:
-            np.square(diff, out=diff)
-            return diff.reshape(lead + (-1,)).sum(axis=-1) / n, None
-        sq = np.multiply(diff, diff, out=self._work(diff.shape))
-        loss = sq.reshape(lead + (-1,)).sum(axis=-1) / n
-        delta = np.multiply(2.0, diff, out=diff)
-        np.divide(delta, n, out=delta)
-
-        grad = np.empty(params.shape)
-        for li in reversed(range(len(layers))):
-            w, _ = layers[li]
-            span_w, span_b = self._spans[li]
-            np.matmul(delta.swapaxes(-1, -2), acts[li], out=grad[..., span_w].reshape(w.shape))
-            np.add.reduce(delta, axis=-2, out=grad[..., span_b])
-            if li > 0:
-                # the next delta, (delta @ w) * (1 - a^2), goes into the buffer
-                # of a = acts[li], which no later step reads
-                a = acts[li]
-                back = np.matmul(delta, w, out=self._work(a.shape))
-                np.square(a, out=a)
-                np.subtract(1.0, a, out=a)
-                delta = np.multiply(back, a, out=a)
-        return loss, grad
+        sizes = self.spec.layer_sizes
+        if x.shape[:-2] != lead or x.shape[-1:] != sizes[:1]:
+            raise InvalidInputError(f"inputs shape {x.shape} is not {lead} + (B, {sizes[0]})")
+        out = x.shape[:-1] + sizes[-1:]
+        if y is not None and y.shape != out:
+            raise InvalidInputError(f"targets shape {y.shape} != outputs {out}")
+        plan = self.plan(lead, x.shape[-2])
+        np.copyto(plan.params, params)
+        return plan
 
     def forward(self, params: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Batched forward pass; tanh on hidden layers, linear output."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        return self._activations(self._checked(params, stacked=False), x)[1][-1].copy()
+        return self._loaded(self._checked(params, stacked=False), x, None).forward(x).copy()
 
     def loss_and_grad(
         self, params: np.ndarray, x: np.ndarray, y: np.ndarray, need_grad: bool = True
@@ -187,8 +128,9 @@ class MlpModel:
         outputs, and its exact gradient in the flat parameter vector."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
         y = np.atleast_2d(np.asarray(y, dtype=float))
-        loss, grad = self._evaluate(self._checked(params, stacked=False), x, y, need_grad)
-        return float(loss), grad
+        plan = self._loaded(self._checked(params, stacked=False), x, y)
+        loss = float(plan.run(x, y, need_grad))
+        return loss, plan.grad.copy() if need_grad else None
 
     def losses_and_grads(
         self, params: np.ndarray, x: np.ndarray, y: np.ndarray, need_grad: bool = True
@@ -207,7 +149,77 @@ class MlpModel:
                     for a in (x, y))
         except ValueError:
             raise InvalidInputError(f"batch {np.shape(x)}, {np.shape(y)} does not fit {lead}") from None
-        return self._evaluate(params, x, y, need_grad)
+        plan = self._loaded(params, x, y)
+        losses = plan.run(x, y, need_grad)
+        return losses, plan.grad.copy() if need_grad else None
+
+
+class Plan:
+    """The buffers of one (leading shape L, batch size B): parameters and
+    gradient, each L + (n_params,), with each layer's weight (L + (o, i)), its
+    transpose and its bias (L + (1, o)) viewing the first and its gradients
+    the second; each layer's L + (B, o) output; one backward work buffer per
+    width. `run` evaluates the parameters in place on one batch."""
+
+    def __init__(self, model: MlpModel, lead: tuple[int, ...], n: int):
+        require(n >= 1, "batch must be nonempty")
+        sizes = model.spec.layer_sizes
+        self.n = n
+        self.params, self.grad = np.empty((2,) + lead + (model.n_params,))
+        outs = [np.empty(lead + (n, o)) for o in sizes[1:]]
+        work = {width: np.empty(lead + (n, width)) for width in sizes[1:]}
+        self.out, self.sq = outs[-1], work[sizes[-1]]
+        # the output and its square, flattened per parameter vector for the loss
+        self.out_rows, self.sq_rows = (a.reshape(lead + (-1,)) for a in (self.out, self.sq))
+        self.layers, self.backward = [], []
+        for li, ((o, i), (span_w, span_b)) in enumerate(zip(model._shapes, model._spans)):
+            w = self.params[..., span_w].reshape(lead + (o, i))
+            self.layers.append((w.swapaxes(-1, -2), self.params[..., None, span_b], outs[li]))
+            # the delta of layer li lives in its output buffer; layer 0's
+            # input is the batch, and its delta is not propagated further
+            a, back = (outs[li - 1], work[i]) if li else (None, None)
+            self.backward.append((outs[li], outs[li].swapaxes(-1, -2), w, a, back,
+                                  self.grad[..., span_w].reshape(lead + (o, i)),
+                                  self.grad[..., span_b]))
+        self.backward.reverse()
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        """The output buffer, holding the network's output on x (L + (B, in))."""
+        for w_t, b, z in self.layers:
+            np.matmul(x, w_t, out=z)
+            z += b
+            if z is not self.out:
+                np.tanh(z, out=z)
+            x = z
+        return x
+
+    def run(self, x: np.ndarray, y: np.ndarray, need_grad: bool):
+        """Losses (shape L) of the parameters on their own batch; with
+        need_grad, their gradients are left in `grad`. Each matmul runs the
+        same BLAS call on every vector of a stack and each sum reduces along
+        one vector's own axes, so a stacked row equals the same vector
+        evaluated alone, bit for bit."""
+        # the residual goes into the output buffer, which the backward pass
+        # does not read
+        diff = np.subtract(self.forward(x), y, out=self.out)
+        if not need_grad:
+            np.square(diff, out=diff)
+            return np.add.reduce(self.out_rows, axis=-1) / self.n
+        np.multiply(diff, diff, out=self.sq)
+        loss = np.add.reduce(self.sq_rows, axis=-1) / self.n
+        np.multiply(2.0, diff, out=diff)
+        np.divide(diff, self.n, out=diff)
+        for delta, delta_t, w, a, back, grad_w, grad_b in self.backward:
+            np.matmul(delta_t, x if a is None else a, out=grad_w)
+            np.add.reduce(delta, axis=-2, out=grad_b)
+            if a is not None:
+                # the next delta, (delta @ w) * (1 - a^2), goes into the
+                # buffer of a, which no later step reads
+                np.matmul(delta, w, out=back)
+                np.square(a, out=a)
+                np.subtract(1.0, a, out=a)
+                np.multiply(back, a, out=a)
+        return loss
 
 
 @dataclass
@@ -219,7 +231,7 @@ class MlpTask:
     below the input, [x.T; 1], and below each hidden buffer, so a hidden
     layer is one matmul of its [W | b] buffer and one in-place tanh. The
     output layer's matmul writes (N, out) row-major into the residual buffer,
-    reduced in the order `MlpModel._evaluate` reduces it. At 4-16-16-4 with
+    reduced in the order `Plan.run` reduces it. At 4-16-16-4 with
     N = 1,024 (every shipped config) the loss equals `loss_and_grad`'s bit for
     bit; at other shapes OpenBLAS may pick another kernel for one layout, and
     the two agree to a few ulps.

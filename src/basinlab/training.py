@@ -9,6 +9,7 @@ seeded run reproduces them byte for byte:
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -90,9 +91,10 @@ def train_sgd(
             "checkpoint_schedule must hold integers in [0, steps]")
 
     model = task.model
-    rng_init = rng_stream(seed, 0)
+    plan = model.plan((), batch_size)  # the parameters step in place in its buffer
+    params, step_size = plan.params, np.empty(model.n_params)
+    params[:] = model.init_params(rng_stream(seed, 0))
     rng_batch = rng_stream(seed, 1)
-    params = model.init_params(rng_init)
     spec_hash = model.spec.spec_hash()
 
     out = []
@@ -110,11 +112,12 @@ def train_sgd(
     if 0 in want:
         snapshot(0)
     for step in range(1, steps + 1):
-        xb, yb = task.batch(rng_batch, batch_size)
-        loss, grad = model.loss_and_grad(params, xb, yb)
-        if not np.isfinite(loss) or loss > DIVERGENCE_CAP:
+        loss = float(plan.run(*task.batch(rng_batch, batch_size), need_grad=True))
+        if not math.isfinite(loss) or loss > DIVERGENCE_CAP:
             raise TrainingDivergedError(step=step, loss=loss)
-        params = params - learning_rate * grad
+        # params - learning_rate * grad, bit for bit
+        np.multiply(learning_rate, plan.grad, out=step_size)
+        np.subtract(params, step_size, out=params)
         if step in want:
             snapshot(step)
     return out

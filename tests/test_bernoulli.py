@@ -46,6 +46,15 @@ class TestModel:
         with pytest.raises(InvalidInputError):
             SingularBernoulli(Bounds.symmetric(2, 0.6), m_simplex=0.2)
 
+    def test_rectangle_checked_against_its_image(self):
+        # the image of [-0.5, 0.5] x [-0.3, 0.3] is [0.35, 0.65]: its lower end
+        # is 1/2 - h1 h2, not 1/2 - max(h)^2 = 0.25
+        box = Bounds([-0.5, -0.3], [0.5, 0.3])
+        model = SingularBernoulli(box, m_simplex=0.3)
+        assert model.image_interval() == pytest.approx((0.35, 0.65))
+        with pytest.raises(InvalidInputError, match="h1 h2 = 0.15 .* bound 0.36$"):
+            SingularBernoulli(box, m_simplex=0.36)
+
     def test_box_not_symmetric_about_zero_rejected(self):
         with pytest.raises(InvalidInputError, match="symmetric about 0"):
             SingularBernoulli(Bounds([-0.5, -0.4], [0.5, 0.5]))

@@ -1062,9 +1062,9 @@ class TestPruneAndRetrain:
         task, ck = trained
         prune_and_retrain(task, ck.params, keep_fractions=self.FRACTIONS, learning_rate=0.005,
                           retrain_steps=5, seed=3)
-        leads = set(task.model._buffers)
-        assert (len(self.FRACTIONS), 32) in leads
-        assert (len(self.FRACTIONS), task.n_samples) not in leads
+        plans = set(task.model._plans)
+        assert ((len(self.FRACTIONS),), 32) in plans
+        assert ((len(self.FRACTIONS),), task.n_samples) not in plans
 
     def test_diverging_retrain_raises_at_first_bad_step(self, trained):
         # train_sgd's rule on every run: the step named is the first whose

@@ -345,6 +345,61 @@ class TestBuffers:
         assert np.array_equal(out, kept)
 
 
+def result_bytes(result) -> bytes:
+    """One byte string for a loss, an array, a checkpoint list or a tuple of them."""
+    if result is None:
+        return b"-"
+    if isinstance(result, (float, np.ndarray)):
+        return np.asarray(result).tobytes()
+    if isinstance(result, list):
+        return b"".join(ck.to_bytes() for ck in result)
+    return b"|".join(result_bytes(r) for r in result)
+
+
+class TestPlans:
+    def test_interleaved_calls_equal_a_fresh_model_and_survive(self):
+        # one model serves every (lead, batch size) below, and training steps
+        # the parameters of its ((), 32) plan in place, which forward and
+        # loss_and_grad at B = 32 share; each result equals the same call on
+        # a fresh model and stays unchanged through the calls after it
+        spec = MlpSpec(layer_sizes=(4, 16, 16, 4))
+        task = make_teacher_task(spec, 256, seed=21)
+        rng = rng_stream(21, 1)
+        p = np.stack([task.model.init_params(rng) for _ in range(32)])
+
+        def data(*shape):
+            return rng.standard_normal(shape + (4,)), rng.standard_normal(shape + (4,))
+
+        calls = [
+            ("loss_and_grad", p[0], *data(32)),
+            ("loss_and_grad", p[1], *data(64)),
+            ("losses_and_grads", p[:5], *data(5, 32)),
+            ("losses_and_grads", p[:5], *data(5, 32), False),
+            ("forward", p[2], data(32)[0]),
+            ("train_sgd",),
+            ("losses_and_grads", p.reshape(4, 8, -1), *data(4, 8, 16)),
+            ("losses_and_grads", p.reshape(4, 8, -1), *data(8, 16), False),
+            ("loss_and_grad", p[3], *data(32), False),
+            ("forward", p[4], data(64)[0]),
+        ]
+
+        def call(task, name, *args):
+            if name == "train_sgd":
+                return train_sgd(task, steps=30, learning_rate=0.05, batch_size=32, seed=4,
+                                 checkpoint_schedule=(0, 30))
+            return getattr(task.model, name)(*args)
+
+        kept = []
+        for _ in range(2):
+            for c in calls:
+                result = call(task, *c)
+                kept.append((result, result_bytes(result)))
+        for i, (result, seen) in enumerate(kept):
+            fresh = MlpTask(model=MlpModel(spec), x=task.x, y=task.y)
+            assert result_bytes(result) == seen == result_bytes(call(fresh, *calls[i % len(calls)]))
+        assert {((), 32), ((), 64), ((5,), 32), ((4, 8), 16), ((), 256)} == set(task.model._plans)
+
+
 class TestLossesAndGrads:
     @pytest.mark.parametrize("out", [3], ids=["mse"])
     def test_rows_equal_single_path(self, out):

@@ -10,7 +10,37 @@ from basinlab import (
     train_sgd,
 )
 from basinlab.errors import InvalidInputError, TrainingDivergedError
-from basinlab.training import checkpoint_filename
+from basinlab.rng import rng_stream
+from basinlab.training import DIVERGENCE_CAP, checkpoint_filename
+
+
+def reference_train_sgd(task, steps, learning_rate, batch_size, seed, checkpoint_schedule=()):
+    """train_sgd's loop before its parameters stepped in place in a kept
+    buffer: one public loss_and_grad and one allocating update per step."""
+    model = task.model
+    rng_init = rng_stream(seed, 0)
+    rng_batch = rng_stream(seed, 1)
+    params = model.init_params(rng_init)
+    spec_hash = model.spec.spec_hash()
+
+    out = []
+
+    def snapshot(step):
+        out.append(Checkpoint(step=step, params=params.copy(), train_loss=task.full_loss(params),
+                              seed=seed, spec_hash=spec_hash))
+
+    want = set(checkpoint_schedule)
+    if 0 in want:
+        snapshot(0)
+    for step in range(1, steps + 1):
+        xb, yb = task.batch(rng_batch, batch_size)
+        loss, grad = model.loss_and_grad(params, xb, yb)
+        if not np.isfinite(loss) or loss > DIVERGENCE_CAP:
+            raise TrainingDivergedError(step=step, loss=loss)
+        params = params - learning_rate * grad
+        if step in want:
+            snapshot(step)
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -54,6 +84,32 @@ class TestTrainSgd:
         for step in (0, 100, 200):
             f = checkpoint_filename(step)
             assert (d1 / f).read_bytes() == (d2 / f).read_bytes()
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("sizes", [(4, 16, 16, 4), (3, 5, 2), (4, 16, 16, 16, 4), (2, 3),
+                                       (6, 32, 3)])
+    @pytest.mark.parametrize("batch_size", [1, 7, 32, 33, 64])
+    def test_same_checkpoint_bytes(self, sizes, batch_size, tmp_path):
+        task = make_teacher_task(MlpSpec(layer_sizes=sizes), 128, seed=11)
+        kwargs = dict(steps=40, learning_rate=0.05, batch_size=batch_size, seed=6,
+                      checkpoint_schedule=(0, 1, 25, 40))
+        cks = train_sgd(task, out_dir=tmp_path, **kwargs)
+        ref = reference_train_sgd(task, **kwargs)
+        assert [ck.step for ck in cks] == [0, 1, 25, 40]
+        for ck, want in zip(cks, ref):
+            assert ck.to_bytes() == want.to_bytes()
+            assert (tmp_path / checkpoint_filename(ck.step)).read_bytes() == want.to_bytes()
+
+    def test_divergence_names_the_same_step_and_loss(self, task):
+        kwargs = dict(steps=5000, learning_rate=50.0, batch_size=16, seed=1)
+        with pytest.raises(TrainingDivergedError) as got:
+            train_sgd(task, **kwargs)
+        with pytest.raises(TrainingDivergedError) as want:
+            reference_train_sgd(task, **kwargs)
+        assert got.value.step == want.value.step
+        assert float(got.value.loss).hex() == float(want.value.loss).hex()
+        assert str(got.value) == str(want.value)
 
 
 class TestCheckpointFormat:
