@@ -15,6 +15,7 @@ violation).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import dataclasses
 import json
@@ -311,12 +312,20 @@ def cmd_train_toy(cfg: dict) -> int:
 def cmd_estimate_llc(cfg: dict) -> int:
     task = build_task(cfg)
     llc_cfg, seed = build_llc_config(cfg), cfg["llc"]["seed"]
+
+    def estimates(share):
+        # one call samples a worker's share of the checkpoints, sharing its
+        # draws; estimate k of a stack is that of w_star[k] alone, so the bytes
+        # do not depend on the split. A failed share makes fan_out rerun this
+        # on every checkpoint, which names the lowest that diverged.
+        try:
+            return estimate_llc(task, llc_cfg, seed=seed,
+                                w_star=np.stack([ck.params for ck in share]))
+        except ChainDivergedError as e:
+            raise at_checkpoint(e, share[e.checkpoint])
+
     cks = load_checkpoints(cfg)
-    try:
-        # one call samples every checkpoint, sharing its draws
-        ests = estimate_llc(task, llc_cfg, seed=seed, w_star=np.stack([ck.params for ck in cks]))
-    except ChainDivergedError as e:
-        raise at_checkpoint(e, cks[e.checkpoint])
+    ests = fan_out(estimates, cks)
     files = {}
     if cfg["llc"]["write_traces"]:
         files["llc_traces.csv"] = (["checkpoint_step", "step", "chain", "loss"], [
@@ -339,39 +348,31 @@ def at_checkpoint(e: RuntimeError, ck: Checkpoint) -> RuntimeError:
     return e
 
 
-def _share(fn: Callable, items: list, worker: int, workers: int) -> dict[int, object]:
-    """{i: fn(items[i])} for worker's items i = worker, worker + workers, ...,
-    up to the first call that raises; the rest are left to the caller."""
-    done = {}
-    for i in range(worker, len(items), workers):
-        try:
-            done[i] = fn(items[i])
-        except Exception:
-            break
-    return done
-
-
 def fan_out(fn: Callable, items: list) -> list:
-    """[fn(item) for item in items], spread over one worker per usable CPU.
+    """fn(items), a list of one result per item, spread over one worker per
+    usable CPU: worker w makes one call, fn(items[w::workers]), and the
+    shares' results are joined back in item order.
 
-    Worker w takes items w, w + workers, ...; worker 0 is this process, the
-    others forked children that pickle their results back over a pipe and end
-    with os._exit (no inherited stdio flushed, no atexit hook run). Nothing
-    forks for one item or one CPU, without os.fork, or while this process has
-    other threads, which a fork can deadlock. An item left without a result
-    (its call raised, or its child died) is computed again here, in order, so
-    a failure raises as the serial loop would: the first failing item's error.
+    Worker 0 is this process, the others forked children that pickle their
+    share's results back over a pipe and end with os._exit (no inherited
+    stdio flushed, no atexit hook run). Nothing forks for one item or one
+    CPU, without os.fork, or while this process has other threads, which a
+    fork can deadlock. If any share is left without results (its call
+    raised, its child died, or no child could be forked), fn(items) runs
+    again here, so a failure raises as the serial call would.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     forkable = hasattr(os, "fork") and threading.active_count() == 1
     workers = max(1, min(len(items), cpus or 1)) if forkable else 1
-    children = []
+    if workers == 1:
+        return fn(items)
+    shares, children = [None] * workers, []
     try:
         for w in range(1, workers):
             r, wr = os.pipe()
             try:
                 pid = os.fork()
-            except OSError:  # no process to spare: the unforked shares are computed below
+            except OSError:  # no process to spare: the unforked shares stay empty
                 os.close(r)
                 os.close(wr)
                 break
@@ -379,27 +380,32 @@ def fan_out(fn: Callable, items: list) -> list:
                 try:
                     os.close(r)
                     with open(wr, "wb") as pipe:
-                        pickle.dump(_share(fn, items, w, workers), pipe)
+                        pickle.dump(fn(items[w::workers]), pipe)
                 finally:
                     os._exit(0)
             os.close(wr)
             children.append((pid, open(r, "rb")))
-        done = _share(fn, items, 0, workers)
-        for _, pipe in children:
-            try:
-                done |= pickle.load(pipe)
-            except (EOFError, pickle.UnpicklingError):
-                pass  # the child died; its items are computed below
+        with contextlib.suppress(Exception):  # rerun below, where it raises
+            shares[0] = fn(items[::workers])
+        for w, (_, pipe) in enumerate(children, 1):
+            # nothing to load if the child died or its call raised
+            with contextlib.suppress(EOFError, pickle.UnpicklingError):
+                shares[w] = pickle.load(pipe)
     finally:
         for pid, pipe in children:
             pipe.close()
             os.waitpid(pid, 0)
-    return [done[i] if i in done else fn(item) for i, item in enumerate(items)]
+    if any(share is None for share in shares):
+        return fn(items)
+    joined = [None] * len(items)
+    for w, share in enumerate(shares):
+        joined[w::workers] = share
+    return joined
 
 
 def sweep(cfg: dict, subcommand: str, rows_for: Callable[[MlpTask, Checkpoint], list[tuple]]) -> int:
     """The loop every sweep runs: `rows_for(task, ck)` gives each checkpoint's
-    rows, computed by `fan_out`, which go to one CSV under `out`."""
+    rows, computed share by share by `fan_out`, which go to one CSV under `out`."""
     task = build_task(cfg)
 
     def rows_at(ck):
@@ -408,7 +414,8 @@ def sweep(cfg: dict, subcommand: str, rows_for: Callable[[MlpTask, Checkpoint], 
         except RuntimeError as e:
             raise at_checkpoint(e, ck)
 
-    rows = [row for ck_rows in fan_out(rows_at, load_checkpoints(cfg)) for row in ck_rows]
+    rows = [row for ck_rows in fan_out(lambda cks: [rows_at(ck) for ck in cks],
+                                       load_checkpoints(cfg)) for row in ck_rows]
     name = f"sweep_{subcommand.removesuffix('-sweep')}.csv"
     d = emit(cfg, subcommand, {name: (SWEEP_HEADER, rows)})
     print(f"wrote {len(rows)} rows -> {d / name}")

@@ -89,40 +89,43 @@ class LlcEstimate:
                 yield t, c, float(self.trace[c, t])
 
 
-def _langevin(w, tempered, w_star, cfg: LlcConfig, noise, scale=1.0) -> np.ndarray:
+def _langevin(w, tempered, w_star, cfg: LlcConfig, noise, scale=1.0, out=None) -> np.ndarray:
     """w - (eps/2) scale [tempered + gamma (w - w*)] + sqrt(eps scale) noise,
-    in one w-shaped temporary."""
+    written to `out` (a new array by default; it may be w) through one
+    w-shaped temporary."""
     eps = cfg.step_size * scale
-    w_new = np.subtract(w, w_star)
-    w_new *= cfg.gamma
-    w_new += tempered
-    w_new *= 0.5 * eps
-    np.subtract(w, w_new, out=w_new)
-    w_new += np.sqrt(eps) * noise
-    return w_new
+    drift = np.subtract(w, w_star)
+    drift *= cfg.gamma
+    drift += tempered
+    drift *= 0.5 * eps
+    out = np.subtract(w, drift, out=out)
+    out += np.sqrt(eps) * noise
+    return out
 
 
 def sgld_step(w: np.ndarray, grad_loss: np.ndarray, w_star: np.ndarray, cfg: LlcConfig,
-              noise: np.ndarray) -> np.ndarray:
+              noise: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """One Langevin step against the tempered, localized potential,
-    w' = w - (eps/2) [nbeta * grad_loss + gamma (w - w*)] + sqrt(eps) * noise.
-    Pure elementwise arithmetic, so the arrays may be stacks of chains;
-    estimate_llc checks the result for finiteness and clamps it to bounds."""
-    return _langevin(w, cfg.nbeta * grad_loss, w_star, cfg, noise)
+    w' = w - (eps/2) [nbeta * grad_loss + gamma (w - w*)] + sqrt(eps) * noise,
+    written to `out` if given (`out=w` steps w in place). Pure elementwise
+    arithmetic, so the arrays may be stacks of chains; estimate_llc checks
+    the result for finiteness and clamps it to bounds."""
+    return _langevin(w, cfg.nbeta * grad_loss, w_star, cfg, noise, out=out)
 
 
 def psgld_step(w: np.ndarray, grad_loss: np.ndarray, w_star: np.ndarray, cfg: LlcConfig,
-               noise: np.ndarray, v_acc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+               noise: np.ndarray, v_acc: np.ndarray,
+               out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Preconditioned Langevin step; returns (new point, updated accumulator).
     The accumulator is updated first, then the drift is scaled per coordinate
     by 1/(sqrt(v) + stabilizer) and the noise by the square root of the same
     factor; the curvature correction term of the full preconditioned scheme
-    is omitted. Pure arithmetic, like `sgld_step`."""
+    is omitted. Pure arithmetic, like `sgld_step`, with the same `out`."""
     pc = cfg.preconditioner
     tempered = cfg.nbeta * grad_loss
     v_new = pc.decay * v_acc + (1.0 - pc.decay) * tempered**2
     scale = 1.0 / (np.sqrt(v_new) + pc.stabilizer)
-    return _langevin(w, tempered, w_star, cfg, noise, scale), v_new
+    return _langevin(w, tempered, w_star, cfg, noise, scale, out), v_new
 
 
 def estimate_llc(
@@ -149,6 +152,8 @@ def estimate_llc(
     minibatches and noise: each step draws them once and broadcasts them over
     a (C, chains, d) array, and each baseline batch is one C-row forward.
     A (d,) w_star is the C = 1 case of the same loop, returned unwrapped.
+    The chain states live in the parameter buffer of the model's
+    (C, chains) plan, which each step runs and then updates in place.
 
     The step functions only do arithmetic; after each step this loop checks
     the new states for finiteness before it clamps a landscape's chains to
@@ -168,9 +173,12 @@ def estimate_llc(
         bounds = target.bounds
 
         def losses_grads(w, rngs):
-            # one w_star: evaluate the (chains, d) rows, the shape landscapes take
-            return target.value(w[0])[None], target.grad(w[0])[None]
+            # one w_star: evaluate the (chains, d) rows, the shape landscapes take,
+            # as a copy that the callbacks may keep while w steps in place
+            rows = w[0].copy()
+            return target.value(rows)[None], target.grad(rows)[None]
 
+        held = np.asarray  # a landscape's states need no plan
         baseline = np.array([float(target.value(w_star))])
     elif isinstance(target, MlpTask):
         require(w_star is not None, "mlp targets need an explicit w_star")
@@ -179,8 +187,18 @@ def estimate_llc(
         bounds = None
         model = target.model
 
+        def held(w):
+            # states w, (k, chains, d), copied into the parameters of their plan
+            plan = model.plan(w.shape[:-1], cfg.batch_size)
+            np.copyto(plan.params, w)
+            return plan.params
+
         def losses_grads(w, rngs):
-            return model.losses_and_grads(w, *target.batches(rngs, cfg.batch_size))
+            # w is its plan's parameter buffer (held): the plan evaluates it in
+            # place, each chain's batch broadcast over the checkpoints, and its
+            # gradient buffer is read without a copy
+            plan = model.plan(w.shape[:-1], cfg.batch_size)
+            return plan.run(*target.batches(rngs, cfg.batch_size), need_grad=True), plan.grad
 
         rng_base = rng_stream(seed, cfg.chains)
         stack = w_star.reshape(-1, w_star.shape[-1])
@@ -201,7 +219,7 @@ def estimate_llc(
     use_pc = cfg.preconditioner.kind == "rmsprop"
 
     rngs = [rng_stream(seed, c) for c in range(cfg.chains)]
-    w = np.repeat(anchors, cfg.chains, axis=1)
+    w = held(np.repeat(anchors, cfg.chains, axis=1))
     v_acc = np.zeros(w.shape)
     noise = np.empty(w.shape[1:])
     diverged = None
@@ -212,9 +230,9 @@ def estimate_llc(
         for rng, row in zip(rngs, noise):
             rng.standard_normal(out=row)
         if use_pc:
-            w, v_acc = psgld_step(w, grad, anchors[: len(w)], cfg, noise, v_acc)
+            w, v_acc = psgld_step(w, grad, anchors[: len(w)], cfg, noise, v_acc, out=w)
         else:
-            w = sgld_step(w, grad, anchors[: len(w)], cfg, noise)
+            w = sgld_step(w, grad, anchors[: len(w)], cfg, noise, out=w)
         finite = np.isfinite(w).all(axis=-1)
         if not finite.all():
             # the lowest non-finite row in C order: checkpoint k, chain c
@@ -224,7 +242,7 @@ def estimate_llc(
             if k == 0:
                 raise diverged
             # only the checkpoints below k step on; the step is elementwise
-            w, v_acc = w[:k], v_acc[:k]
+            w, v_acc = held(w[:k]), v_acc[:k]
         if bounds is not None:
             w = bounds.clamp(w)
             at_bound = (w == bounds.lo) | (w == bounds.hi)

@@ -25,6 +25,7 @@ from basinlab.csvio import read_csv
 from basinlab.errors import ConfigError, InvalidInputError, UnreachableToleranceError
 from basinlab.llc import LlcConfig, Preconditioner
 from basinlab.mlp import MlpSpec
+from basinlab.training import load_checkpoint, save_checkpoint
 from basinlab.volume import MC_CHUNK
 
 SMALL = {
@@ -231,10 +232,11 @@ SWEEPS = ["quantize-sweep", "noise-sweep", "factorize-sweep", "prune-sweep"]
 
 
 class TestFanOut:
-    """cli.sweep spreads checkpoints over forked workers, one per usable CPU;
-    the worker count is forced through os.sched_getaffinity. SMALL has four
-    checkpoints (steps 100, 200, 400, 800): with three workers this process
-    takes the first and the last, and two children one each."""
+    """cli.sweep and estimate-llc spread checkpoints over forked workers, one
+    per usable CPU; the worker count is forced through os.sched_getaffinity.
+    SMALL has four checkpoints (steps 100, 200, 400, 800): with three workers
+    this process takes the first and the last, and two children one each.
+    estimate-llc samples each worker's share in one stack."""
 
     @pytest.fixture
     def forks(self, monkeypatch):
@@ -360,6 +362,164 @@ class TestFanOut:
         assert res.returncode == 0 and res.stderr == ""
         assert res.stdout.splitlines() == ["start",
                                            f"wrote 4 rows -> {out / 'sweep_factorize.csv'}"]
+
+    @staticmethod
+    def llc_config(tmp_path, **llc):
+        """SMALL with these llc keys set, written to a file; returns its path."""
+        p = tmp_path / "llc_cfg.json"
+        p.write_text(json.dumps(dict(SMALL, llc=dict(SMALL["llc"], **llc))))
+        return p
+
+    def test_estimate_llc_same_bytes_with_one_and_three_workers(self, workdir, tmp_path, forks):
+        cfg_path = self.llc_config(tmp_path, write_traces=True)
+        digests = {}
+        for n, thread in ((1, False), (3, False), (3, True)):
+            calls = forks(n)
+            out = self.fresh_out(workdir, tmp_path / f"{n}-{thread}")
+            release = threading.Event()
+            waiter = threading.Thread(target=release.wait)
+            if thread:
+                waiter.start()
+            try:
+                assert run(cfg_path, out, "estimate-llc") == 0
+            finally:
+                release.set()
+                if thread:
+                    waiter.join()
+            self.assert_no_child_left()
+            # nothing forks at one CPU or while another thread runs
+            assert len(calls) == (2 if n == 3 and not thread else 0)
+            calls.clear()
+            digests[n, thread] = self.digests(out)
+        written = {"llc.csv", "llc_traces.csv", "estimate-llc.manifest.json"}
+        assert written < set(digests[1, False]) and len(digests[1, False]) == 4 + len(written)
+        assert digests[1, False] == digests[3, False] == digests[3, True]
+
+    @pytest.mark.parametrize("blown", [(200, 800), ()], ids=["lower-in-child", "lower-in-parent"])
+    def test_diverging_llc_checkpoint_named_as_serially(self, workdir, tmp_path, forks,
+                                                        capsys, blown):
+        # lower-in-parent: a step size of 10 makes every checkpoint diverge, so
+        # the lowest, at step 100, is in this process's share. lower-in-child:
+        # at SMALL's step size only the checkpoints blown up to 1e200-sized
+        # parameters diverge (at the first step), the lowest, at step 200, in a
+        # child's share, while this process's share fails too, at step 800.
+        cfg_path = self.llc_config(tmp_path, **({} if blown else {"step_size": 10.0}))
+        err = {}
+        for n in (1, 3):
+            calls = forks(n)
+            out = self.fresh_out(workdir, tmp_path / str(n))
+            for f in out.glob("checkpoints/ckpt_*.bin"):
+                ck = load_checkpoint(f)
+                if ck.step in blown:
+                    ck.params *= 1e200
+                    save_checkpoint(ck, f)
+            capsys.readouterr()
+            with np.errstate(all="ignore"):
+                assert run(cfg_path, out, "estimate-llc") == 2
+            self.assert_no_child_left()
+            assert len(calls) == (0 if n == 1 else 2)
+            assert not (out / "llc.csv").exists()
+            err[n] = capsys.readouterr().err
+        assert err[1] == err[3]
+        assert err[3].startswith("numerical failure (estimate-llc): chain 0 diverged at step ")
+        lowest = min(blown, default=100)
+        assert err[3].rstrip().endswith(f"of the checkpoint at training step {lowest}")
+        assert len(err[3].strip().splitlines()) == 1
+
+    def test_killed_child_still_yields_the_full_llc_csv(self, workdir, tmp_path, forks,
+                                                        monkeypatch):
+        parent = os.getpid()
+        real = cli.estimate_llc
+        victim = next(ck for ck in load_checkpoints(load_config(
+            str(workdir[1]), None, str(workdir[2]), None)) if ck.step == 200)
+
+        def estimate(task, cfg, seed, w_star):
+            if os.getpid() != parent and np.array_equal(w_star[0], victim.params):
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(task, cfg, seed=seed, w_star=w_star)
+
+        monkeypatch.setattr(cli, "estimate_llc", estimate)
+        csv = {}
+        for n in (1, 3):
+            calls = forks(n)
+            out = self.fresh_out(workdir, tmp_path / str(n))
+            assert run(workdir[1], out, "estimate-llc") == 0
+            self.assert_no_child_left()
+            assert len(calls) == (0 if n == 1 else 2)
+            csv[n] = (out / "llc.csv").read_bytes()
+        assert len(csv[1].splitlines()) == 2 + 4 and csv[1] == csv[3]
+
+
+class TestFanOutShares:
+    """cli.fan_out's contract: one call of fn per worker's share items[w::W],
+    the results joined in item order, and fn(items) once in this process
+    when a share is left without results."""
+
+    @pytest.fixture
+    def logged(self, tmp_path, monkeypatch):
+        """fn(fails_on): maps each item x to 10 x and appends [pid, share] to a
+        log, raising on a share that holds item `fails_on`; calls() reads the
+        log. Three usable CPUs."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        log = tmp_path / "calls.jsonl"
+
+        def make(fails_on=None):
+            def fn(share):
+                with open(log, "a") as f:  # one short appended line per call
+                    f.write(json.dumps([os.getpid(), share]) + "\n")
+                if fails_on in share:
+                    raise ValueError(f"item {fails_on} failed")
+                return [10 * item for item in share]
+            return fn
+
+        def calls():
+            return [tuple(json.loads(line)) for line in log.read_text().splitlines()]
+        return make, calls
+
+    def test_one_call_per_share_joined_in_item_order(self, logged):
+        make, calls = logged
+        items = list(range(7))
+        assert cli.fan_out(make(), items) == [10 * item for item in items]
+        TestFanOut.assert_no_child_left()
+        made = calls()
+        assert sorted(share for _, share in made) == [items[w::3] for w in range(3)]
+        here = os.getpid()
+        assert [share for pid, share in made if pid == here] == [items[::3]]
+        assert len({pid for pid, _ in made if pid != here}) == 2
+
+    @pytest.mark.parametrize("fails_on", [4, 3], ids=["in-child", "in-parent"])
+    def test_failing_share_reruns_every_item_once_here(self, logged, fails_on):
+        # item 4 is in the share [1, 4] of a child, item 3 in this process's [0, 3, 6]
+        make, calls = logged
+        items = list(range(7))
+        with pytest.raises(ValueError, match=f"item {fails_on} failed"):
+            cli.fan_out(make(fails_on), items)
+        TestFanOut.assert_no_child_left()
+        made = calls()
+        assert [pid for pid, share in made if share == items] == [os.getpid()]
+        assert len(made) == 4
+
+    def test_serial_rerun_returns_what_the_serial_call_does(self, logged):
+        make, calls = logged
+        real = make()
+        parent = os.getpid()
+
+        def fn(share):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(share)
+
+        items = list(range(5))
+        assert cli.fan_out(fn, items) == [10 * item for item in items]
+        TestFanOut.assert_no_child_left()
+        assert calls() == [(parent, items[::3]), (parent, items)]
+
+    def test_one_cpu_is_one_serial_call(self, logged, monkeypatch):
+        make, calls = logged
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        with pytest.raises(ValueError, match="item 2 failed"):
+            cli.fan_out(make(2), [0, 1, 2])
+        assert calls() == [(os.getpid(), [0, 1, 2])]
 
 
 def leaf_paths(cfg, prefix=()):

@@ -454,22 +454,32 @@ MLP_CFG = LlcConfig(nbeta=30.0, gamma=300.0, step_size=2e-4, chains=3, steps_per
 
 def diverge_at(task, when):
     """Make the sampler's gradient infinite for (checkpoint, chain) at the
-    step `when` maps it to, counting steps by gradient calls. Returns the
-    list that records one entry per gradient call."""
-    inner = task.model.losses_and_grads
+    step `when` maps it to, counting steps by gradient evaluations. The
+    sampler evaluates its chains through the model's plans and reads their
+    gradient buffers, so each plan's `run` is wrapped. Returns the list that
+    records one entry per gradient evaluation."""
+    inner = task.model.plan
     calls = []
 
-    def losses_and_grads(params, x, y, need_grad=True):
-        losses, grads = inner(params, x, y, need_grad)
-        if need_grad:
-            for (k, c), t in when.items():
-                # a (d,) w_star steps a (1, chains, d) stack: checkpoint 0
-                if t == len(calls) and k < len(grads):
-                    grads[k, c] = np.inf
-            calls.append(None)
-        return losses, grads
+    def plan(lead, batch_size):
+        p = inner(lead, batch_size)
+        if "run" not in vars(p):
+            run = p.run
 
-    task.model.losses_and_grads = losses_and_grads
+            def run_diverging(x, y, need_grad):
+                losses = run(x, y, need_grad)
+                if need_grad:
+                    for (k, c), t in when.items():
+                        # a (d,) w_star steps a (1, chains, d) stack: checkpoint 0
+                        if t == len(calls) and k < len(p.grad):
+                            p.grad[k, c] = np.inf
+                    calls.append(None)
+                return losses
+
+            p.run = run_diverging
+        return p
+
+    task.model.plan = plan
     return calls
 
 
