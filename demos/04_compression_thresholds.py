@@ -4,7 +4,8 @@ A trained checkpoint is perturbed by symmetric quantization, low-rank
 factorization, Gaussian parameter noise, and unit pruning with retraining.
 For the first three, a critical search finds the most aggressive setting
 whose loss increase stays within the tolerance; pruning curves are shown raw
-(they are too rugged for a threshold to mean much).
+(they are too rugged for a threshold to mean much), each run measured against
+an unpruned control retrained on the same batches.
 
 Run:  python demos/04_compression_thresholds.py
 """
@@ -57,11 +58,13 @@ sig_star = critical_sigma(ck.params, [EPSILON], "relative", task.full_loss, nois
                           seed=2)[0].value
 print(f"  critical sigma = {sig_star:.4f}\n")
 
-print("random unit pruning with 1000 masked retraining steps (lr/10):")
+print("random unit pruning with 1000 masked retraining steps (lr/10),")
+print("delta loss against an unpruned control retrained on the same batches:")
 keeps = (0.875, 0.75, 0.5, 0.25)
 results = prune_and_retrain(task, ck.params, keep_fractions=keeps,
                             learning_rate=0.003, retrain_steps=1000, seed=3)
 for keep, res in zip(keeps, results):
     print(f"  keep {keep:5.3f} ({res.n_pruned:2d} units pruned): "
-          f"delta loss = {res.delta_loss:+8.4f}")
+          f"delta loss vs control = {res.delta_vs_control:+8.4f} "
+          f"(vs the checkpoint {res.delta_loss:+8.4f})")
 print("  (curves like these are rugged; no critical threshold is searched)")

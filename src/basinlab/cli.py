@@ -403,7 +403,8 @@ def fan_out(fn: Callable, items: list) -> list:
     return joined
 
 
-def sweep(cfg: dict, subcommand: str, rows_for: Callable[[MlpTask, Checkpoint], list[tuple]]) -> int:
+def sweep(cfg: dict, subcommand: str, rows_for: Callable[[MlpTask, Checkpoint], list[tuple]],
+          header: list[str] = SWEEP_HEADER) -> int:
     """The loop every sweep runs: `rows_for(task, ck)` gives each checkpoint's
     rows, computed share by share by `fan_out`, which go to one CSV under `out`."""
     task = build_task(cfg)
@@ -417,7 +418,7 @@ def sweep(cfg: dict, subcommand: str, rows_for: Callable[[MlpTask, Checkpoint], 
     rows = [row for ck_rows in fan_out(lambda cks: [rows_at(ck) for ck in cks],
                                        load_checkpoints(cfg)) for row in ck_rows]
     name = f"sweep_{subcommand.removesuffix('-sweep')}.csv"
-    d = emit(cfg, subcommand, {name: (SWEEP_HEADER, rows)})
+    d = emit(cfg, subcommand, {name: (header, rows)})
     print(f"wrote {len(rows)} rows -> {d / name}")
     return 0
 
@@ -449,10 +450,12 @@ def cmd_noise_sweep(cfg: dict) -> int:
 def cmd_prune_sweep(cfg: dict) -> int:
     def rows_for(task, ck):
         results = prune_and_retrain(task, ck.params, **cfg["prune"])
-        # rugged curves: no critical-threshold search for pruning
-        return [(ck.step, "prune", frac, res.delta_loss, None, cfg["epsilons"][0], cfg["seed"])
+        # rugged curves: no critical-threshold search for pruning; the
+        # control run is not a row, only what each row is measured against
+        return [(ck.step, "prune", frac, res.delta_loss, None, cfg["epsilons"][0], cfg["seed"],
+                 res.delta_vs_control)
                 for frac, res in zip(cfg["prune"]["keep_fractions"], results)]
-    return sweep(cfg, "prune-sweep", rows_for)
+    return sweep(cfg, "prune-sweep", rows_for, SWEEP_HEADER + ["delta_vs_control"])
 
 
 def cmd_volume_fit(cfg: dict) -> int:

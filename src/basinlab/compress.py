@@ -91,8 +91,15 @@ class CriticalResult:
 
 @dataclass
 class PruneResult:
+    """One keep fraction's run of `prune_and_retrain`: its parameters after
+    the last retraining step, their full-data loss minus the unpruned
+    parameters' (delta_loss) and minus the control's, the unpruned
+    parameters retrained on the same batches (delta_vs_control), the count
+    of hidden units zeroed, and the mask, 0.0 on every weight held at zero."""
+
     params: np.ndarray
     delta_loss: float
+    delta_vs_control: float
     n_pruned: int
     mask: np.ndarray
 
@@ -420,19 +427,19 @@ def prune_and_retrain(
     random, from a fresh `rng_stream(seed, 0)` for each fraction, so a run's
     picks do not depend on the other fractions in the call. Their incoming
     and outgoing weights are zeroed (biases kept) and held at zero through
-    retraining by masking their gradients. The reported loss is the minimum
-    full-dataset training loss seen during retraining, and delta_loss is
-    measured against the unpruned parameters. Pruning zero units is not an
-    error; its result reads n_pruned == 0. Retraining follows train_sgd's
-    divergence rule on every run: a non-finite batch loss, or one above
-    DIVERGENCE_CAP, raises TrainingDivergedError naming the step, and the
-    keep fraction and loss of the lowest such run.
+    retraining by masking their gradients. Pruning zero units is not an
+    error; its result reads n_pruned == 0.
 
     Every run draws the same minibatches from `rng_stream(seed, 1)`, so the
-    runs step in lockstep as one (K, d) stack: one batch draw and one stacked
-    gradient per step, each row bit for bit the run's own. The full loss that
-    tracks each run's best stays one N-row forward per run: a stacked one
-    saves only a few percent of its time but holds K times the activations.
+    runs step in lockstep, in place, as one (K + 1, d) stack in their plan's
+    buffer, each row bit for bit the run's own. The last row is a control:
+    the unpruned parameters, all-ones mask, no picks drawn. Each row's
+    full-data loss is taken once, after the last step; delta_loss is a
+    run's minus the unpruned parameters', delta_vs_control its minus the
+    control's. Retraining follows train_sgd's divergence rule on every row:
+    a non-finite batch loss, or one above DIVERGENCE_CAP, raises
+    TrainingDivergedError naming the step, and the keep fraction and loss
+    of the lowest such row (1.0 for the control).
     """
     fractions = list(keep_fractions)
     require(fractions and all(0.0 < f <= 1.0 for f in fractions),
@@ -445,7 +452,7 @@ def prune_and_retrain(
 
     base = task.full_loss(params)
     n_pruned = [int(np.floor((1.0 - f) * n_h)) for f in fractions]
-    masks = np.ones((len(fractions), model.n_params))
+    masks = np.ones((len(fractions) + 1, model.n_params))  # the last row is the control's
     for mask, n_prune in zip(masks, n_pruned):
         picked = rng_stream(seed, 0).choice(n_h, size=n_prune, replace=False) if n_prune else []
         mask_layers = model.unpack(mask)  # views: writes land in `mask`
@@ -454,22 +461,24 @@ def prune_and_retrain(
             # matrices li-1 (incoming row) and li (outgoing column)
             mask_layers[li - 1][0][u, :] = 0.0
             mask_layers[li][0][:, u] = 0.0
-    w = np.where(masks == 0.0, 0.0, params)
+    plan = model.plan(masks.shape[:-1], batch_size)  # the runs step in place in its buffer
+    w, step_size = plan.params, np.empty_like(masks)
+    np.copyto(w, np.where(masks == 0.0, 0.0, params))
 
     rng_batch = rng_stream(seed, 1)
-    best_loss = [task.full_loss(row) for row in w]
-    best_params = w.copy()
     for step in range(1, retrain_steps + 1):
-        losses, grads = model.losses_and_grads(w, *task.batch(rng_batch, batch_size))
+        # one (B, in) batch broadcast over the runs
+        losses = plan.run(*task.batch(rng_batch, batch_size), need_grad=True)
         worst = losses.max()  # NaN if any run's loss is NaN
         if not np.isfinite(worst) or worst > DIVERGENCE_CAP:
             k = int(np.argmin(losses <= DIVERGENCE_CAP))  # the lowest run failing the rule
-            raise TrainingDivergedError(step, float(losses[k]), keep_fraction=fractions[k])
-        w = w - learning_rate * (grads * masks)
-        for k, row in enumerate(w):
-            full = task.full_loss(row)
-            if full < best_loss[k]:
-                best_loss[k] = full
-                best_params[k] = row
-    return [PruneResult(params=p, delta_loss=loss - base, n_pruned=n, mask=m)
-            for p, loss, n, m in zip(best_params, best_loss, n_pruned, masks)]
+            raise TrainingDivergedError(step, float(losses[k]),
+                                        keep_fraction=(fractions + [1.0])[k])
+        # w - learning_rate * (grad * masks), bit for bit
+        np.multiply(plan.grad, masks, out=step_size)
+        np.multiply(learning_rate, step_size, out=step_size)
+        np.subtract(w, step_size, out=w)
+    *final, control = (task.full_loss(row) for row in w)
+    return [PruneResult(params=p, delta_loss=loss - base, delta_vs_control=loss - control,
+                        n_pruned=n, mask=m)
+            for p, loss, n, m in zip(w[:-1].copy(), final, n_pruned, masks)]

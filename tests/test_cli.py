@@ -89,17 +89,19 @@ class TestSubcommands:
     def test_prune_rows_have_empty_critical(self, workdir):
         _, cfg_path, out = workdir
         assert run(cfg_path, out, "prune-sweep") == 0
-        _, _, rows = read_csv(out / "sweep_prune.csv")
+        _, header, rows = read_csv(out / "sweep_prune.csv")
+        assert header[-1] == "delta_vs_control"
         assert all(r[4] == "" for r in rows)
         # each row is a direct prune_and_retrain call's, checkpoint by checkpoint
         cfg = load_config(str(cfg_path), None, str(out), None)
         task = build_task(cfg)
-        expected = [(ck.step, "prune", frac, res.delta_loss, "", cfg["epsilons"][0], cfg["seed"])
+        expected = [(ck.step, "prune", frac, res.delta_loss, "", cfg["epsilons"][0], cfg["seed"],
+                     res.delta_vs_control)
                     for ck in load_checkpoints(cfg)
                     for frac, res in zip(cfg["prune"]["keep_fractions"],
                                          prune_and_retrain(task, ck.params, **cfg["prune"]))]
-        assert [(int(r[0]), r[1], float(r[2]), float(r[3]), r[4], float(r[5]), int(r[6]))
-                for r in rows] == expected
+        assert [(int(r[0]), r[1], float(r[2]), float(r[3]), r[4], float(r[5]), int(r[6]),
+                 float(r[7])) for r in rows] == expected
 
     def test_volume_fit(self, workdir):
         _, cfg_path, out = workdir

@@ -6,6 +6,7 @@ from basinlab import (
     CriticalResult,
     MlpModel,
     MlpSpec,
+    MlpTask,
     QuantizationSpec,
     critical_compression_fraction,
     critical_nq,
@@ -22,6 +23,7 @@ from basinlab import (
 from basinlab import compress
 from basinlab.errors import (InvalidInputError, QuantizationFailedError, TrainingDivergedError,
                              UnreachableToleranceError)
+from basinlab.mlp import Plan
 from basinlab.training import DIVERGENCE_CAP
 
 
@@ -134,8 +136,12 @@ def reference_critical_sigma(params, epsilons, mode, loss_eval, noise_draws=8, s
 
 def reference_prune_and_retrain(task, params, keep_fraction, learning_rate, retrain_steps=1000,
                                 batch_size=32, seed=0):
-    """One keep fraction's prune and masked retrain, stepped on its own: the
-    body prune_and_retrain runs for every fraction in lockstep."""
+    """One keep fraction's prune and masked retrain, stepped on its own, then
+    the control's unmasked retrain on the same batches: the body
+    prune_and_retrain runs for every fraction and the control in lockstep.
+    The run is scored by its full-data loss after the last step. A run that
+    breaks the divergence rule raises, naming its own fraction, before the
+    control retrains."""
     model = task.model
     sizes = model.spec.layer_sizes
     hidden_units = [(li, u) for li in range(1, len(sizes) - 1) for u in range(sizes[li])]
@@ -158,19 +164,21 @@ def reference_prune_and_retrain(task, params, keep_fraction, learning_rate, retr
     pruned_params = model.pack(new_layers)
     mask = model.pack(mask_layers)
 
-    rng_batch = rng_stream(seed, 1)
-    w = pruned_params.copy()
-    best_loss = task.full_loss(w)
-    best_params = w.copy()
-    for _ in range(retrain_steps):
-        xb, yb = task.batch(rng_batch, batch_size)
-        _, grad = model.loss_and_grad(w, xb, yb)
-        w = w - learning_rate * (grad * mask)
-        full = task.full_loss(w)
-        if full < best_loss:
-            best_loss = full
-            best_params = w.copy()
-    return compress.PruneResult(params=best_params, delta_loss=best_loss - base,
+    def retrain(w, mask, frac):
+        rng_batch = rng_stream(seed, 1)
+        for step in range(1, retrain_steps + 1):
+            xb, yb = task.batch(rng_batch, batch_size)
+            loss, grad = model.loss_and_grad(w, xb, yb)
+            if not np.isfinite(loss) or loss > DIVERGENCE_CAP:
+                raise TrainingDivergedError(step, loss, keep_fraction=frac)
+            w = w - learning_rate * (grad * mask)
+        return w
+
+    w = retrain(pruned_params, mask, keep_fraction)
+    control = retrain(params, np.ones_like(mask), 1.0)
+    loss = task.full_loss(w)
+    return compress.PruneResult(params=w, delta_loss=loss - base,
+                                delta_vs_control=loss - task.full_loss(control),
                                 n_pruned=n_prune, mask=mask)
 
 
@@ -1007,12 +1015,15 @@ def trained():
 class TestPruneAndRetrain:
     FRACTIONS = (1.0, 0.9375, 0.5, 0.25, 1e-18)
 
-    def test_keep_all_is_noop_flagged(self, trained):
+    @pytest.mark.parametrize("fractions", [[1.0], [0.5, 1.0, 0.25]])
+    def test_keep_all_equals_control(self, trained, fractions):
+        # a keep-1.0 run is the control's row, retrained on the same batches
         task, ck = trained
-        (res,) = prune_and_retrain(task, ck.params, keep_fractions=[1.0], learning_rate=0.005,
-                                   retrain_steps=50, seed=0)
+        results = prune_and_retrain(task, ck.params, keep_fractions=fractions,
+                                    learning_rate=0.005, retrain_steps=50, seed=0)
+        res = results[fractions.index(1.0)]
         assert res.n_pruned == 0
-        assert res.delta_loss <= 1e-9  # retraining can only improve the minimum
+        assert res.delta_vs_control == 0.0
 
     def test_prune_all_units_gives_constant_predictor(self, trained):
         # floor((1 - p) N_h) reaches N_h only once 1 - p rounds to 1.0
@@ -1053,6 +1064,7 @@ class TestPruneAndRetrain:
             ref = reference_prune_and_retrain(task, ck.params, frac, learning_rate=0.005,
                                               retrain_steps=retrain_steps, seed=3)
             assert res.delta_loss.hex() == ref.delta_loss.hex()
+            assert res.delta_vs_control.hex() == ref.delta_vs_control.hex()
             assert np.array_equal(res.params, ref.params)
             assert np.array_equal(res.mask, ref.mask)
             assert res.n_pruned == ref.n_pruned
@@ -1063,8 +1075,37 @@ class TestPruneAndRetrain:
         prune_and_retrain(task, ck.params, keep_fractions=self.FRACTIONS, learning_rate=0.005,
                           retrain_steps=5, seed=3)
         plans = set(task.model._plans)
-        assert ((len(self.FRACTIONS),), 32) in plans
-        assert ((len(self.FRACTIONS),), task.n_samples) not in plans
+        assert ((len(self.FRACTIONS) + 1,), 32) in plans
+        assert ((len(self.FRACTIONS) + 1,), task.n_samples) not in plans
+
+    @pytest.mark.parametrize("retrain_steps", [0, 1, 200])
+    def test_full_loss_once_per_run_and_base(self, trained, retrain_steps, monkeypatch):
+        # the unpruned base, then each run and the control after their last step
+        task, ck = trained
+        calls = []
+        full_loss = MlpTask.full_loss
+        monkeypatch.setattr(MlpTask, "full_loss",
+                            lambda self, p: calls.append(1) or full_loss(self, p))
+        prune_and_retrain(task, ck.params, keep_fractions=self.FRACTIONS, learning_rate=0.005,
+                          retrain_steps=retrain_steps, seed=3)
+        assert len(calls) == 1 + len(self.FRACTIONS) + 1
+
+    def test_unretrained_delta_vs_control_is_delta_loss(self, trained):
+        # with no step, the control is the unpruned checkpoint itself
+        task, ck = trained
+        for res in prune_and_retrain(task, ck.params, keep_fractions=self.FRACTIONS,
+                                     learning_rate=0.005, retrain_steps=0, seed=3):
+            assert res.delta_vs_control.hex() == res.delta_loss.hex()
+
+    def test_control_row_equals_keep_all_reference(self, trained):
+        # the stack steps in place in its plan's buffer, whose last row is the control
+        task, ck = trained
+        prune_and_retrain(task, ck.params, keep_fractions=self.FRACTIONS, learning_rate=0.005,
+                          retrain_steps=200, seed=3)
+        control = task.model.plan((len(self.FRACTIONS) + 1,), 32).params[-1]
+        ref = reference_prune_and_retrain(task, ck.params, 1.0, learning_rate=0.005,
+                                          retrain_steps=200, seed=3)
+        assert np.array_equal(control, ref.params)
 
     def test_diverging_retrain_raises_at_first_bad_step(self, trained):
         # train_sgd's rule on every run: the step named is the first whose
@@ -1079,18 +1120,19 @@ class TestPruneAndRetrain:
 
     @pytest.mark.parametrize("learning_rate, fractions", [
         (10.0, [1.0, 0.9375, 0.5, 0.25]),  # alone, 0.5 diverges at step 3, the others at 4
-        (20.0, [0.9375, 0.5, 0.75]),  # alone, 0.5 and 0.75 at step 3, 0.9375 at 4
+        (20.0, [0.9375, 0.5, 0.75]),  # alone, 0.5, 0.75 and the control at step 3, 0.9375 at 4
     ])
     def test_divergence_names_lowest_run_at_first_bad_step(self, trained, learning_rate,
                                                            fractions):
-        # each run alone raises at its own first bad step; the lockstep call
-        # raises at the earliest, naming the lowest such run and its own loss
+        # each run alone raises at its own first bad step; the lockstep call,
+        # the control last in its stack, raises at the earliest, naming the
+        # lowest such run and its own loss
         task, ck = trained
         kwargs = dict(learning_rate=learning_rate, retrain_steps=100, seed=3)
         alone = []
-        for f in fractions:
+        for f in fractions + [1.0]:
             with pytest.raises(TrainingDivergedError) as err:
-                prune_and_retrain(task, ck.params, [f], **kwargs)
+                reference_prune_and_retrain(task, ck.params, f, **kwargs)
             assert err.value.keep_fraction == f
             alone.append((err.value.step, err.value.loss.hex(), f))
         step, loss, frac = min(alone, key=lambda a: a[0])  # min keeps the first of a tie
@@ -1099,6 +1141,22 @@ class TestPruneAndRetrain:
             prune_and_retrain(task, ck.params, fractions, **kwargs)
         assert (err.value.step, err.value.loss.hex(), err.value.keep_fraction) == (step, loss, frac)
         assert str(err.value).endswith(f"while retraining keep fraction {frac}")
+
+    def test_diverging_control_names_keep_all(self, trained, monkeypatch):
+        # only the control's batch loss breaks the rule
+        task, ck = trained
+        run = Plan.run
+
+        def control_fails(self, x, y, need_grad):
+            losses = run(self, x, y, need_grad)
+            losses[-1] = np.nan
+            return losses
+
+        monkeypatch.setattr(Plan, "run", control_fails)
+        with pytest.raises(TrainingDivergedError) as err:
+            prune_and_retrain(task, ck.params, [0.5, 0.25], learning_rate=0.005,
+                              retrain_steps=10, seed=3)
+        assert (err.value.step, err.value.keep_fraction) == (1, 1.0)
 
     @pytest.mark.parametrize("fractions", [[], [0.5, 0.0], [1.5]])
     def test_bad_keep_fractions_rejected(self, trained, fractions):

@@ -439,6 +439,20 @@ class TestLossesAndGrads:
                 loss, grad = model.loss_and_grad(params[c, k], x[1], y[1])
                 assert shared[c, k] == loss and np.array_equal(shared_grads[c, k], grad)
 
+    @pytest.mark.parametrize("k", [2, 6])
+    def test_plan_run_on_one_batch_equals_broadcast_view(self, k):
+        # prune retraining runs its (K + 1,) plan on the (B, in) batch itself,
+        # which numpy broadcasts as losses_and_grads' broadcast_to view does
+        model = MlpModel(MlpSpec(layer_sizes=(4, 16, 16, 4)))
+        rng = rng_stream(9, 0)
+        params = np.stack([model.init_params(rng) for _ in range(k)])
+        x, y = rng.standard_normal((32, 4)), rng.standard_normal((32, 4))
+        losses, grads = model.losses_and_grads(params, x, y)
+        plan = model.plan((k,), 32)
+        np.copyto(plan.params, params)
+        assert np.array_equal(plan.run(x, y, need_grad=True), losses)
+        assert np.array_equal(plan.grad, grads)
+
     def test_shape_mismatch_rejected(self):
         model = MlpModel(MlpSpec(layer_sizes=(3, 2)))
         with pytest.raises(InvalidInputError):
