@@ -562,6 +562,10 @@ def cmd_analyze(cfg: dict) -> int:
         if row_eps == eps and crit != "" and step in lam_by_step:
             joined.append((step, lam_by_step[step], float(crit)))
     steps = [j[0] for j in joined]
+    kept = sum(step not in an["excluded_steps"] for step in steps)
+    if kept < 3 <= len(steps):
+        raise ConfigError("analyze.excluded_steps",
+                          f"leaves {kept} of {len(steps)} checkpoints (need >= 3)")
     result = analyze_fit(steps, [j[1] for j in joined], [j[2] for j in joined],
                          excluded_steps=an["excluded_steps"])
     fitted = iter(result.fit.residuals.tolist())

@@ -55,9 +55,10 @@ class TrainingDivergedError(RuntimeError):
 
 
 class ChainDivergedError(RuntimeError):
-    """A sampling chain produced a non-finite state. In a call that samples a
-    stack of checkpoints, `checkpoint` is the index of the chain's own; the
-    message leaves naming the checkpoint to the caller."""
+    """A sampling chain recorded a non-finite loss or produced a non-finite
+    state. In a call that samples a stack of checkpoints, `checkpoint` is the
+    index of the chain's own; the message leaves naming the checkpoint to the
+    caller."""
 
     def __init__(self, chain: int, step: int, diagnostics=None, checkpoint: int | None = None):
         self.chain = chain

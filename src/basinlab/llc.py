@@ -128,6 +128,7 @@ def psgld_step(w: np.ndarray, grad_loss: np.ndarray, w_star: np.ndarray, cfg: Ll
     return _langevin(w, tempered, w_star, cfg, noise, scale, out), v_new
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def estimate_llc(
     target: Landscape | MlpTask,
     cfg: LlcConfig,
@@ -153,32 +154,34 @@ def estimate_llc(
     a (C, chains, d) array, and each baseline batch is one C-row forward.
     A (d,) w_star is the C = 1 case of the same loop, returned unwrapped.
     The chain states live in the parameter buffer of the model's
-    (C, chains) plan, which each step runs and then updates in place.
+    (C, chains) plan from the first step to the last; each step runs the
+    plan and then updates the states in place.
 
     The step functions only do arithmetic; after each step this loop checks
-    the new states for finiteness before it clamps a landscape's chains to
-    its bounds (which would map inf to a bound) and counts the chains at a
-    bound. The earliest non-finite state raises ChainDivergedError, naming
-    the lowest such chain at that step, with the partial trace of every chain
-    of its w_star attached. In a stack, the error is the one the lowest
+    that each chain's recorded loss and new state are finite before it clamps
+    a landscape's chains to its bounds (which would map inf to a bound) and
+    counts the chains at a bound. The earliest non-finite loss or state
+    raises ChainDivergedError, naming the lowest such chain at that step,
+    with the partial trace of every chain of its w_star attached. Rows of a
+    stack are independent, so in a stack the error is the one the lowest
     diverging checkpoint would raise alone, with its index as `checkpoint`:
-    once checkpoint k diverges, checkpoints k and above stop, the lower ones
-    step on to the end, and the lowest that diverged is raised (checkpoint 0
-    at once).
+    a checkpoint that diverged steps on unread, and the lowest that diverged
+    is raised at the end (checkpoint 0 at once). The loop checks every value
+    it keeps, so it runs with numpy's overflow and invalid-value warnings off.
     """
     if isinstance(target, Landscape):
         w_star = np.asarray(target.minimum if w_star is None else w_star, dtype=float)
         require(w_star.ndim == 1, "landscape targets take one (d,) w_star")
         require(target.bounds.contains(w_star), "w_star outside the parameter bounds")
         bounds = target.bounds
+        w = np.empty((1, cfg.chains, len(w_star)))
 
-        def losses_grads(w, rngs):
-            # one w_star: evaluate the (chains, d) rows, the shape landscapes take,
-            # as a copy that the callbacks may keep while w steps in place
+        def losses_grads(rngs):
+            # the (chains, d) rows, the shape landscapes take, as a copy that
+            # the callbacks may keep while w steps in place
             rows = w[0].copy()
             return target.value(rows)[None], target.grad(rows)[None]
 
-        held = np.asarray  # a landscape's states need no plan
         baseline = np.array([float(target.value(w_star))])
     elif isinstance(target, MlpTask):
         require(w_star is not None, "mlp targets need an explicit w_star")
@@ -186,22 +189,17 @@ def estimate_llc(
         require(w_star.ndim in (1, 2), f"w_star must be (d,) or (C, d), got shape {w_star.shape}")
         bounds = None
         model = target.model
+        stack = w_star.reshape(-1, w_star.shape[-1])
+        plan = model.plan((len(stack), cfg.chains), cfg.batch_size)
+        w = plan.params
 
-        def held(w):
-            # states w, (k, chains, d), copied into the parameters of their plan
-            plan = model.plan(w.shape[:-1], cfg.batch_size)
-            np.copyto(plan.params, w)
-            return plan.params
-
-        def losses_grads(w, rngs):
-            # w is its plan's parameter buffer (held): the plan evaluates it in
-            # place, each chain's batch broadcast over the checkpoints, and its
-            # gradient buffer is read without a copy
-            plan = model.plan(w.shape[:-1], cfg.batch_size)
+        def losses_grads(rngs):
+            # the plan evaluates its parameter buffer w in place, each chain's
+            # batch broadcast over the checkpoints, and its gradient buffer is
+            # read without a copy
             return plan.run(*target.batches(rngs, cfg.batch_size), need_grad=True), plan.grad
 
         rng_base = rng_stream(seed, cfg.chains)
-        stack = w_star.reshape(-1, w_star.shape[-1])
         base_losses = np.empty((len(stack), cfg.baseline_batches))
         for j in range(cfg.baseline_batches):
             base_losses[:, j], _ = model.losses_and_grads(
@@ -219,32 +217,32 @@ def estimate_llc(
     use_pc = cfg.preconditioner.kind == "rmsprop"
 
     rngs = [rng_stream(seed, c) for c in range(cfg.chains)]
-    w = held(np.repeat(anchors, cfg.chains, axis=1))
+    np.copyto(w, anchors)
     v_acc = np.zeros(w.shape)
     noise = np.empty(w.shape[1:])
     diverged = None
+    lowest = len(anchors)  # the lowest checkpoint that has diverged, or C
 
     for t in range(cfg.steps_per_chain):
-        losses, grad = losses_grads(w, rngs)
-        trace[: len(w), :, t] = losses
+        losses, grad = losses_grads(rngs)
+        trace[..., t] = losses
         for rng, row in zip(rngs, noise):
             rng.standard_normal(out=row)
         if use_pc:
-            w, v_acc = psgld_step(w, grad, anchors[: len(w)], cfg, noise, v_acc, out=w)
+            _, v_acc = psgld_step(w, grad, anchors, cfg, noise, v_acc, out=w)
         else:
-            w = sgld_step(w, grad, anchors[: len(w)], cfg, noise, out=w)
-        finite = np.isfinite(w).all(axis=-1)
-        if not finite.all():
-            # the lowest non-finite row in C order: checkpoint k, chain c
-            k, chain = divmod(int(np.argmin(finite)), cfg.chains)
-            diverged = ChainDivergedError(chain=chain, step=t, diagnostics=trace[k, :, : t + 1],
-                                          checkpoint=k if stacked else None)
-            if k == 0:
+            sgld_step(w, grad, anchors, cfg, noise, out=w)
+        finite = np.isfinite(losses) & np.isfinite(w).all(axis=-1)
+        if not finite[:lowest].all():
+            # the lowest non-finite row in C order: below any earlier divergence
+            lowest, chain = divmod(int(np.argmin(finite)), cfg.chains)
+            diverged = ChainDivergedError(chain=chain, step=t,
+                                          diagnostics=trace[lowest, :, : t + 1],
+                                          checkpoint=lowest if stacked else None)
+            if lowest == 0:
                 raise diverged
-            # only the checkpoints below k step on; the step is elementwise
-            w, v_acc = held(w[:k]), v_acc[:k]
         if bounds is not None:
-            w = bounds.clamp(w)
+            np.clip(w, bounds.lo, bounds.hi, out=w)
             at_bound = (w == bounds.lo) | (w == bounds.hi)
             boundary_hits += int(np.count_nonzero(at_bound.any(axis=-1)))
     if diverged is not None:

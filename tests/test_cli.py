@@ -365,6 +365,23 @@ class TestFanOut:
         assert res.stdout.splitlines() == ["start",
                                            f"wrote 4 rows -> {out / 'sweep_factorize.csv'}"]
 
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_diverging_llc_prints_one_line(self, workdir, tmp_path, cpus):
+        # run as `python -m basinlab.cli`, outside pytest's warning filters: a
+        # float warning from any worker would reach stderr
+        out = self.fresh_out(workdir, tmp_path / "o")
+        cfg_path = self.llc_config(tmp_path, step_size=10.0)
+        code = (f"import os, runpy; os.sched_getaffinity = lambda pid: set(range({cpus})); "
+                "runpy.run_module('basinlab.cli', run_name='__main__', alter_sys=True)")
+        src = Path(__file__).resolve().parent.parent / "src"
+        res = subprocess.run([sys.executable, "-c", code, "estimate-llc", "--config",
+                              str(cfg_path), "--out", str(out)], capture_output=True,
+                             text=True, env=dict(os.environ, PYTHONPATH=str(src)), timeout=120)
+        assert res.returncode == 2
+        assert res.stderr == ("numerical failure (estimate-llc): chain 1 diverged at step 43"
+                              " of the checkpoint at training step 100\n")
+        assert not (out / "llc.csv").exists()
+
     @staticmethod
     def llc_config(tmp_path, **llc):
         """SMALL with these llc keys set, written to a file; returns its path."""
@@ -397,14 +414,19 @@ class TestFanOut:
         assert written < set(digests[1, False]) and len(digests[1, False]) == 4 + len(written)
         assert digests[1, False] == digests[3, False] == digests[3, True]
 
-    @pytest.mark.parametrize("blown", [(200, 800), ()], ids=["lower-in-child", "lower-in-parent"])
+    @pytest.mark.parametrize("blown,named", [
+        ((200, 800), "chain 0 diverged at step 0 of the checkpoint at training step 200"),
+        ((), "chain 1 diverged at step 43 of the checkpoint at training step 100"),
+    ], ids=["lower-in-child", "lower-in-parent"])
     def test_diverging_llc_checkpoint_named_as_serially(self, workdir, tmp_path, forks,
-                                                        capsys, blown):
+                                                        capsys, blown, named):
         # lower-in-parent: a step size of 10 makes every checkpoint diverge, so
-        # the lowest, at step 100, is in this process's share. lower-in-child:
-        # at SMALL's step size only the checkpoints blown up to 1e200-sized
-        # parameters diverge (at the first step), the lowest, at step 200, in a
-        # child's share, while this process's share fails too, at step 800.
+        # the lowest, at step 100, is in this process's share; its chain 1
+        # records an overflowed loss at step 43, before any state is
+        # non-finite. lower-in-child: at SMALL's step size only the checkpoints
+        # blown up to 1e200-sized parameters diverge (at the first step), the
+        # lowest, at step 200, in a child's share, while this process's share
+        # fails too, at step 800. No worker prints a float warning.
         cfg_path = self.llc_config(tmp_path, **({} if blown else {"step_size": 10.0}))
         err = {}
         for n in (1, 3):
@@ -416,17 +438,12 @@ class TestFanOut:
                     ck.params *= 1e200
                     save_checkpoint(ck, f)
             capsys.readouterr()
-            with np.errstate(all="ignore"):
-                assert run(cfg_path, out, "estimate-llc") == 2
+            assert run(cfg_path, out, "estimate-llc") == 2
             self.assert_no_child_left()
             assert len(calls) == (0 if n == 1 else 2)
             assert not (out / "llc.csv").exists()
             err[n] = capsys.readouterr().err
-        assert err[1] == err[3]
-        assert err[3].startswith("numerical failure (estimate-llc): chain 0 diverged at step ")
-        lowest = min(blown, default=100)
-        assert err[3].rstrip().endswith(f"of the checkpoint at training step {lowest}")
-        assert len(err[3].strip().splitlines()) == 1
+        assert err[1] == err[3] == f"numerical failure (estimate-llc): {named}\n"
 
     def test_killed_child_still_yields_the_full_llc_csv(self, workdir, tmp_path, forks,
                                                         monkeypatch):
@@ -993,6 +1010,42 @@ class TestErrors:
         assert len(err.splitlines()) == 1 and "config key 'analyze.epsilon'" in err
         assert "[0.5, 1.0]" in err and not (tmp_path / "analysis.csv").exists()
 
+    @pytest.mark.parametrize("excluded,message", [
+        ([1, 2, 3, 4, 5, 6], "config key 'analyze.excluded_steps': leaves 2 of 8 checkpoints"),
+        ([], "only 2 included checkpoints (need >= 3)"),
+    ], ids=["exclusions-leave-two", "two-rows-joined"])
+    def test_analyze_too_few_checkpoints_exit_1(self, tmp_path, capsys, excluded, message):
+        # the key is named only when the exclusions, not the inputs, leave < 3 rows
+        from basinlab.csvio import write_csv
+        steps = range(1, 9) if excluded else (1, 2)
+        write_csv(tmp_path / "llc.csv", ["step", "lambda_hat"], [(s, s) for s in steps])
+        write_csv(tmp_path / "sweep_quantize.csv",
+                  ["step", "scheme", "control_parameter", "delta_loss", "critical_value",
+                   "epsilon", "seed"],
+                  [(s, "quantize", 8.0, 0.1, 8.0 * s, 0.5, 0) for s in steps])
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"analyze": {"excluded_steps": excluded}}))
+        assert main(["analyze", "--config", str(p), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and message in err
+        assert not (tmp_path / "analysis.csv").exists()
+
+    def test_diverging_llc_loss_exit_2_writes_nothing(self, tmp_path, capsys):
+        # a step size of 10 overflows chain 1's recorded loss at step 43 while
+        # every state is still finite, so only the loss check stops lambda_hat = inf
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({
+            "training": {"steps": 800, "checkpoint_schedule": [200, 400, 600, 800]},
+            "llc": {"steps_per_chain": 44, "burn_in": 20, "step_size": 10.0}}))
+        out = tmp_path / "o"
+        assert main(["train-toy", "--config", str(p), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["estimate-llc", "--config", str(p), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "numerical failure (estimate-llc): chain 1 diverged at step 43"
+            " of the checkpoint at training step 200\n")
+        assert not (out / "llc.csv").exists()
+
     def test_lemma_audit_violation_exit_2(self, workdir, tmp_path, monkeypatch):
         # force a failing validator to confirm the nonzero-exit contract
         import basinlab.cli as cli_mod
@@ -1018,19 +1071,18 @@ class TestErrors:
         assert not list(out.glob("*.csv"))
 
     def test_diverging_llc_exit_2_names_first_checkpoint(self, workdir, tmp_path, capsys):
-        # every checkpoint diverges; the first in order (training step 100) is named
+        # every checkpoint diverges; the first in order (training step 100) is
+        # named, by its chain 1's overflowed loss at step 43
         _, _, out = workdir
         cfg = dict(SMALL)
         cfg["llc"] = dict(SMALL["llc"], step_size=10.0)
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(cfg))
         capsys.readouterr()
-        with np.errstate(all="ignore"):
-            assert main(["estimate-llc", "--config", str(p), "--out", str(out)]) == 2
+        assert main(["estimate-llc", "--config", str(p), "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert "chain 0 diverged at step" in err
-        assert err.rstrip().endswith("of the checkpoint at training step 100")
-        assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+        assert err == ("numerical failure (estimate-llc): chain 1 diverged at step 43"
+                       " of the checkpoint at training step 100\n")
 
     def test_diverging_prune_retrain_exit_2(self, workdir, tmp_path, capsys):
         _, _, out = workdir

@@ -533,6 +533,17 @@ class TestCheckpointStackMatchesPerCheckpointLoop:
         assert (alone.value.checkpoint, alone.value.chain, alone.value.step) == (None, 1, 7)
         assert np.array_equal(alone.value.diagnostics, err.diagnostics)
 
+    def test_stack_keeps_one_plan_through_divergence(self):
+        # checkpoints 2 and 1 diverge and step on unread in the (3, chains)
+        # plan: no smaller stack is planned for the survivors
+        task, w_stars = checkpoint_stack(3)
+        diverge_at(task, {(2, 0): 3, (1, 1): 7})
+        before = set(task.model._plans)  # the task's own full-data plan
+        with pytest.raises(ChainDivergedError):
+            estimate_llc(task, MLP_CFG, seed=11, w_star=w_stars)
+        chain_plan, baseline_plan = ((3, MLP_CFG.chains), 32), ((3,), 32)
+        assert set(task.model._plans) == before | {chain_plan, baseline_plan}
+
     def test_checkpoint_zero_raises_at_once(self):
         task, w_stars = checkpoint_stack(3)
         clean = per_checkpoint_oracle(task, MLP_CFG, 11, w_stars)
